@@ -239,18 +239,27 @@ def read_dataset_csv(path, time_grid_path) -> FunctionalDataset:
             groups.setdefault(sid, int(row[2]))
             if groups[sid] != int(row[2]):
                 raise ValueError(f"{path}: subject {sid} has inconsistent group codes")
-            per_subject.setdefault(sid, []).append(
-                (int(row[1]), np.array([float(v) for v in row[3:]])))
+            curves = per_subject.setdefault(sid, {})
+            channel = int(row[1])
+            if channel in curves:
+                raise ValueError(f"{path}: subject {sid} repeats channel {channel}")
+            curves[channel] = np.array([float(v) for v in row[3:]])
     if not per_subject:
         raise ValueError(f"{path}: no curves found")
     n_channels = {len(v) for v in per_subject.values()}
     if len(n_channels) != 1:
         raise ValueError(f"{path}: subjects have unequal channel counts")
     subject_ids = list(per_subject)
+    first = subject_ids[0]
+    for sid in subject_ids[1:]:
+        extra = sorted(per_subject[sid].keys() - per_subject[first].keys())
+        if extra:
+            raise ValueError(f"{path}: subject {sid} has channel {extra[0]}, "
+                             f"which subject {first} lacks")
     values = np.empty((len(subject_ids), n_channels.pop(), t))
     for u, sid in enumerate(subject_ids):
-        for slot, (_, curve) in enumerate(sorted(per_subject[sid], key=lambda x: x[0])):
-            values[u, slot] = curve
+        for slot, channel in enumerate(sorted(per_subject[sid])):
+            values[u, slot] = per_subject[sid][channel]
     ids = [int(s) if s.lstrip("-").isdigit() else s for s in subject_ids]
     return FunctionalDataset(values, time_grid,
                              np.array([groups[s] for s in subject_ids]), ids)

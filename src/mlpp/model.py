@@ -132,6 +132,12 @@ def cluster_params_for_labels(state: ModelState) -> tuple[np.ndarray, np.ndarray
     return stacked_mean[uu, kk, idx], stacked_prec[uu, kk, idx]
 
 
+def fitted_curves(scores: np.ndarray, eigenfunctions: np.ndarray) -> np.ndarray:
+    """Fitted centred curves (U, n, T): per channel, the score-weighted sum
+    of the eigenfunctions (T, K)."""
+    return np.einsum("uik,tk->uit", scores, eigenfunctions)
+
+
 def data_loglik(state: ModelState, centred_values: np.ndarray,
                 eigenfunctions: np.ndarray) -> float:
     """Gaussian log likelihood of the centred curves given scores and noise.
@@ -141,8 +147,7 @@ def data_loglik(state: ModelState, centred_values: np.ndarray,
     eigenfunctions; every time point carries iid noise with precision
     noise_prec.
     """
-    fitted = np.einsum("uik,tk->uit", state.scores, eigenfunctions)
-    resid = centred_values - fitted
+    resid = centred_values - fitted_curves(state.scores, eigenfunctions)
     n_obs = resid.size
     ssr = float(np.sum(resid ** 2))
     return 0.5 * n_obs * (np.log(state.noise_prec) - LOG_2PI) \

@@ -1,31 +1,48 @@
 """Gibbs sampler for the multilevel score-clustering model.
 
 One scan updates, in order: scores, noise precision, cluster parameters,
-subject/channel allocations, category weights, stick proportions.  The
-allocation update marginalizes the channel labels when choosing each
-subject's category (the uncollapsed variant is kept behind a flag for
-equivalence testing).  Chains are deterministic given (seed, inputs).
+subject/channel allocations, category weights, stick proportions.
+
+- The noise update reads the residual sum of squares from sufficient
+  statistics (the score projections and Gram matrix of the Workspace),
+  not from the curves.
+- The cluster update puts every cluster of every dimension on one flat
+  index, takes member counts and sums as segment sums, and draws all
+  means, then all precisions, in array calls; only far-tail or
+  nonpositive-shape precisions take the scalar rejection sampler.
+- The allocation update marginalizes the channel labels when choosing
+  each subject's category (the uncollapsed variant is kept behind a flag
+  for equivalence testing); one exponentiation of the per-channel mixture
+  densities serves both that weight and the channel-label posterior.
+
+The optional audit (``audit_every``) validates the state, checks the
+scan's sufficient-statistic SSR against the direct residual sum, and
+requires a finite log joint.  Chains are deterministic given (seed,
+inputs).
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, logsumexp
+from scipy.special import gammaincc, gammainccinv
 
 from .fpca import GROUP_A, EigenBasis, FunctionalDataset
 from .hyperparams import HyperParams
 from .model import (CAT_COMMON, CAT_GROUP, CAT_SUBJECT, FIRST_SUBJECT_LABEL,
                     LOG_2PI, ModelState, cluster_params_for_labels,
-                    data_loglik, derive_cluster_labels, load_state,
+                    data_loglik, fitted_curves, load_state,
                     refresh_cluster_labels, save_state, scores_logprior,
                     sticks_to_weights, validate_state)
 
-AUDIT_TOL = 1e-8
+# Audit tolerance on the residual sum of squares, relative to the scale of
+# its rounding error (||c||^2 plus the sum itself): the expansion from
+# sufficient statistics rounds at about 1e-16 of that scale.
+AUDIT_TOL = 1e-10
 _TINY_SS = 1e-300
 
 
@@ -72,6 +89,10 @@ class Workspace:
     gram: np.ndarray            # (K, K) plain Gram matrix of eigenfunctions
     eigenfunctions: np.ndarray  # (T, K)
     group_codes: np.ndarray     # (U,)
+    centred_sq: float = field(init=False)   # squared norm of centred
+
+    def __post_init__(self):
+        self.centred_sq = float(np.vdot(self.centred, self.centred))
 
 
 def make_workspace(data: FunctionalDataset, basis: EigenBasis) -> Workspace:
@@ -81,16 +102,36 @@ def make_workspace(data: FunctionalDataset, basis: EigenBasis) -> Workspace:
                      eigenfunctions=phi, group_codes=data.group_codes.copy())
 
 
+def sufficient_ssr(scores: np.ndarray, ws: Workspace) -> float:
+    """Residual sum of squares of the centred curves given the scores.
+
+    Expands ||c - S phi^T||^2 as ||c||^2 - 2<S, P> + <S, S G> with the
+    projections P and the Gram matrix G, in O(UnK^2) rather than O(UnTK);
+    clamped at 0, since cancellation can push a near-exact fit below.
+    """
+    ssr = ws.centred_sq - 2.0 * np.vdot(scores, ws.proj) \
+        + np.vdot(scores @ ws.gram, scores)
+    return max(float(ssr), 0.0)
+
+
 def _norm_logpdf(x, mean, prec):
     return 0.5 * (np.log(prec) - LOG_2PI) - 0.5 * prec * (x - mean) ** 2
 
 
-def _categorical_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """One categorical draw per row of the last axis."""
-    cum = np.cumsum(probs, axis=-1)
-    r = rng.random(probs.shape[:-1] + (1,)) * cum[..., -1:]
-    idx = np.sum(r > cum, axis=-1)
-    return np.minimum(idx, probs.shape[-1] - 1)
+def _categorical_draw(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """One categorical draw per cell of probs[0], over the leading axis of
+    unnormalized probabilities.
+
+    The running sums are accumulated one category plane at a time, which
+    adds in the same order as np.cumsum but is several times faster than
+    cumsum along a leading axis.
+    """
+    cum = np.array(probs, dtype=float)
+    for c in range(1, cum.shape[0]):
+        cum[c] += cum[c - 1]
+    r = rng.random(cum.shape[1:]) * cum[-1]
+    idx = np.sum(r > cum, axis=0)
+    return np.minimum(idx, cum.shape[0] - 1)
 
 
 def _uniform_sd_draw(rng: np.random.Generator, bound) -> np.ndarray:
@@ -163,6 +204,31 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
     raise SamplerError("tail rejection sampler failed to accept")
 
 
+def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
+                          lower) -> np.ndarray:
+    """truncated_gamma_sample over equal-length arrays of parameters.
+
+    Entries with positive shape and at least 1e-12 of the mass above the
+    truncation point share one array inverse-CDF draw; the others
+    (nonpositive shape, far tail) go in order to the scalar sampler.
+    """
+    shape, rate, lower = (np.asarray(a, dtype=float) for a in (shape, rate, lower))
+    if np.any(rate <= 0):
+        raise ValueError("rate must be positive")
+    truncated = (shape > 0) & (lower > 0)
+    tail = np.ones_like(shape)
+    tail[truncated] = gammaincc(shape[truncated], rate[truncated] * lower[truncated])
+    inv = (shape > 0) & (tail >= 1e-12)
+    out = np.empty_like(shape)
+    q = (1.0 - rng.random(int(inv.sum()))) * tail[inv]      # in (0, tail]
+    x = gammainccinv(shape[inv], q) / rate[inv]
+    low = lower[inv]
+    out[inv] = np.where(low > 0, np.maximum(x, np.nextafter(low, np.inf)), x)
+    for i in np.flatnonzero(~inv):
+        out[i] = truncated_gamma_sample(rng, shape[i], rate[i], lower[i])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Initial states and prior simulation
 # ---------------------------------------------------------------------------
@@ -192,12 +258,13 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
                                   size=(k, 2, j)), 1e-12, 1.0 - 1e-12)
     stick_weights = sticks_to_weights(raw_sticks)
 
-    subject_alloc = _categorical_rows(
-        rng, np.broadcast_to(category_weights[None], (n_subjects, k, 3))) + 1
+    subject_alloc = _categorical_draw(
+        rng, np.broadcast_to(category_weights.T[:, None, :], (3, n_subjects, k))) + 1
     channel_probs = np.broadcast_to(
         np.moveaxis(stick_weights[:, gidx, :], 1, 0)[:, None, :, :],
         (n_subjects, n_channels, k, j))
-    channel_alloc = _categorical_rows(rng, channel_probs) + FIRST_SUBJECT_LABEL
+    channel_alloc = _categorical_draw(rng, np.moveaxis(channel_probs, -1, 0)) \
+        + FIRST_SUBJECT_LABEL
 
     state = ModelState(
         scores=np.zeros((n_subjects, n_channels, k)),
@@ -231,10 +298,11 @@ def initial_state_empirical(basis: EigenBasis, hp: HyperParams, ws: Workspace,
     stick_weights = sticks_to_weights(raw_sticks)
     channel_probs = np.moveaxis(stick_weights[:, gidx, :], 1, 0)[:, None, :, :] \
         * np.ones((u, n, k, j))
-    channel_alloc = _categorical_rows(rng, channel_probs) + FIRST_SUBJECT_LABEL
+    channel_alloc = _categorical_draw(rng, np.moveaxis(channel_probs, -1, 0)) \
+        + FIRST_SUBJECT_LABEL
 
-    fitted = np.einsum("uik,tk->uit", basis.scores, ws.eigenfunctions)
-    resid_var = float(np.var(ws.centred - fitted))
+    resid_var = float(np.var(ws.centred - fitted_curves(basis.scores,
+                                                         ws.eigenfunctions)))
     state = ModelState(
         scores=basis.scores.copy(),
         noise_prec=1.0 / max(resid_var, 1e-12),
@@ -262,7 +330,7 @@ def initial_state_empirical(basis: EigenBasis, hp: HyperParams, ws: Workspace,
 def draw_observations(state: ModelState, eigenfunctions: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
     """Centred curves simulated from the current state (for calibration tests)."""
-    fitted = np.einsum("uik,tk->uit", state.scores, eigenfunctions)
+    fitted = fitted_curves(state.scores, eigenfunctions)
     return fitted + rng.normal(0.0, state.noise_prec ** -0.5, size=fitted.shape)
 
 
@@ -295,10 +363,11 @@ def update_scores(state: ModelState, ws: Workspace, rng: np.random.Generator,
 
 def noise_prec_params(state: ModelState, ws: Workspace,
                       hp: HyperParams, ssr: float | None = None):
-    """Gamma(shape, rate) parameters of the noise-precision conditional."""
+    """Gamma(shape, rate) parameters of the noise-precision conditional;
+    without a given ssr, the residual sum is taken directly from the curves."""
     if ssr is None:
-        fitted = np.einsum("uik,tk->uit", state.scores, ws.eigenfunctions)
-        ssr = float(np.sum((ws.centred - fitted) ** 2))
+        ssr = float(np.sum((ws.centred - fitted_curves(state.scores,
+                                                       ws.eigenfunctions)) ** 2))
     shape = hp.noise_prec_shape + 0.5 * ws.centred.size
     rate = hp.noise_prec_rate + 0.5 * ssr
     return shape, rate
@@ -314,155 +383,148 @@ def update_noise_prec(state: ModelState, ws: Workspace, hp: HyperParams,
     state.noise_prec = float(rng.gamma(shape, 1.0 / rate))
 
 
-def _draw_cluster(rng, members: np.ndarray, mean0: float, prec0: float,
-                  sd_bound: float, cur_prec: float):
-    """Posterior (mean, precision) for one cluster; prior draw when empty.
+def cluster_index(state: ModelState) -> np.ndarray:
+    """Flat index of the cluster each score belongs to, (U, n, K).
 
-    The precision conditional is Gamma(m/2 - 1/2, SS/2) truncated below
-    at sd_bound^-2 (the uniform sd prior contributes the -3/2 power and
-    the bound); an empty cluster or a zero sum of squares falls back to
-    the prior.
+    Every dimension has 3 + U*J clusters: slot 0 the common cluster,
+    slots 1-2 the two group clusters (group-code order), slot 3 + u*J + j
+    subject u's cluster j; dimension k's slots start at k * (3 + U*J).
     """
-    m = members.size
-    if m == 0:
-        mean = float(rng.normal(mean0, np.sqrt(1.0 / prec0)))
-        prec = float(_uniform_sd_draw(rng, sd_bound)) ** -2.0
-        return mean, prec, 0.0
-    post_prec = prec0 + m * cur_prec
-    mean = float(rng.normal((prec0 * mean0 + cur_prec * members.sum()) / post_prec,
-                            np.sqrt(1.0 / post_prec)))
-    ss = float(np.sum((members - mean) ** 2))
-    if ss <= _TINY_SS:
-        prec = float(_uniform_sd_draw(rng, sd_bound)) ** -2.0
-    else:
-        prec = truncated_gamma_sample(rng, 0.5 * m - 0.5, 0.5 * ss, sd_bound ** -2.0)
-    return mean, prec, ss
+    u, _, k = state.scores.shape
+    j = state.max_subject_clusters
+    label = state.cluster_label
+    slot = np.where(label < FIRST_SUBJECT_LABEL, label - 1,
+                    3 + j * np.arange(u)[:, None, None] + label - FIRST_SUBJECT_LABEL)
+    return slot + (3 + u * j) * np.arange(k)
+
+
+def _segment_sum(index: np.ndarray, n_dims: int, n_clusters: int,
+                 values: np.ndarray | None = None) -> np.ndarray:
+    """Per-cluster sums of values (member counts without values), (K, C)."""
+    weights = None if values is None else values.ravel()
+    return np.bincount(index.ravel(), weights=weights,
+                       minlength=n_dims * n_clusters).reshape(n_dims, n_clusters)
+
+
+def _stack_clusters(common, group, subject) -> np.ndarray:
+    """One (K, 3 + U*J) grid from common (K,), group (K, 2) and subject
+    (U, K, J) values, in cluster_index slot order."""
+    subject = np.swapaxes(subject, 0, 1).reshape(common.shape[0], -1)
+    return np.concatenate([common[:, None], group, subject], axis=1)
+
+
+def _subject_prior(values, state: ModelState) -> np.ndarray:
+    """Broadcast a per-(dimension, group) prior constant (K, 2) to (U, K, J)."""
+    u, _, k = state.scores.shape
+    return np.broadcast_to(values.T[state.group_codes - GROUP_A][:, :, None],
+                           (u, k, state.max_subject_clusters))
+
+
+def cluster_mean_params(state: ModelState, hp: HyperParams, index: np.ndarray):
+    """Normal conditional of every cluster mean given the current
+    precisions and the cluster_index of the scores: (location, precision),
+    each (K, 3 + U*J).  An empty cluster gets its prior."""
+    u, _, k = state.scores.shape
+    n_clusters = 3 + u * state.max_subject_clusters
+    counts = _segment_sum(index, k, n_clusters)
+    sums = _segment_sum(index, k, n_clusters, state.scores)
+    mean0 = _stack_clusters(np.zeros(k), hp.group_mean_loc,
+                            _subject_prior(hp.subject_mean_loc, state))
+    prec0 = _stack_clusters(hp.common_mean_prec, hp.group_mean_prec,
+                            _subject_prior(hp.subject_mean_prec, state))
+    cur_prec = _stack_clusters(state.common_prec, state.group_prec, state.subject_prec)
+    post_prec = prec0 + counts * cur_prec
+    return (prec0 * mean0 + cur_prec * sums) / post_prec, post_prec
+
+
+def cluster_prec_params(state: ModelState, hp: HyperParams, index: np.ndarray,
+                        means: np.ndarray):
+    """Conditional of every cluster precision given the cluster means (K,
+    3 + U*J): Gamma(shape, rate) truncated below at sd_bound^-2, returned
+    as (shape, rate, sd_bound).
+
+    The uniform sd prior contributes the -3/2 power and the bound, so the
+    shape is m/2 - 1/2 and the rate SS/2 for m members with sum of squares
+    SS about the mean.  A rate of (nearly) zero, from an empty cluster or
+    members all at the mean, marks a precision redrawn from the prior.
+    """
+    u, _, k = state.scores.shape
+    n_clusters = 3 + u * state.max_subject_clusters
+    counts = _segment_sum(index, k, n_clusters)
+    dev = state.scores - means.ravel()[index]
+    ss = _segment_sum(index, k, n_clusters, dev * dev)
+    bound = _stack_clusters(hp.common_sd_bound, hp.group_sd_bound,
+                            _subject_prior(hp.subject_sd_bound, state))
+    return 0.5 * counts - 0.5, 0.5 * ss, bound
 
 
 def update_cluster_params(state: ModelState, hp: HyperParams,
-                          rng: np.random.Generator) -> float:
-    """Update every cluster's (mean, precision); returns the change in the
-    score log prior implied by the new parameters (for the audit cache)."""
-    u, n, k = state.scores.shape
+                          rng: np.random.Generator) -> None:
+    """Draw every cluster's mean, then its precision, given the scores
+    and labels; empty clusters are redrawn from their prior."""
+    u, _, k = state.scores.shape
     j = state.max_subject_clusters
-    gidx = state.group_codes - GROUP_A
-    delta = 0.0
-
-    def _apply(members, mean0, prec0, bound, old_mean, old_prec):
-        nonlocal delta
-        new_mean, new_prec, _ = _draw_cluster(rng, members, mean0, prec0, bound,
-                                              old_prec)
-        if members.size:
-            delta += float(np.sum(_norm_logpdf(members, new_mean, new_prec))
-                           - np.sum(_norm_logpdf(members, old_mean, old_prec)))
-        return new_mean, new_prec
-
-    for dim in range(k):
-        members = state.scores[state.subject_alloc[:, dim] == CAT_COMMON, :, dim].ravel()
-        state.common_mean[dim], state.common_prec[dim] = _apply(
-            members, 0.0, hp.common_mean_prec[dim], hp.common_sd_bound[dim],
-            state.common_mean[dim], state.common_prec[dim])
-        for col in range(2):
-            mask = (state.subject_alloc[:, dim] == CAT_GROUP) & (gidx == col)
-            members = state.scores[mask, :, dim].ravel()
-            state.group_mean[dim, col], state.group_prec[dim, col] = _apply(
-                members, hp.group_mean_loc[dim, col], hp.group_mean_prec[dim, col],
-                hp.group_sd_bound[dim, col],
-                state.group_mean[dim, col], state.group_prec[dim, col])
-
-    # Subject-specific clusters: vectorized prior redraw for all, then
-    # posterior draws for the occupied ones (subjects currently in
-    # category 3), in deterministic order.
-    subj_loc = hp.subject_mean_loc.T[gidx][:, :, None]
-    subj_prec0 = hp.subject_mean_prec.T[gidx][:, :, None]
-    subj_bound = np.broadcast_to(hp.subject_sd_bound.T[gidx][:, :, None], (u, k, j))
-    old_mean = state.subject_mean
-    old_prec = state.subject_prec
-    new_mean = rng.normal(np.broadcast_to(subj_loc, (u, k, j)),
-                          np.sqrt(1.0 / subj_prec0))
-    new_prec = _uniform_sd_draw(rng, subj_bound) ** -2.0
-    for subj in range(u):
-        for dim in range(k):
-            if state.subject_alloc[subj, dim] != CAT_SUBJECT:
-                continue
-            labels = state.channel_alloc[subj, :, dim] - FIRST_SUBJECT_LABEL
-            for lab in np.unique(labels):
-                members = state.scores[subj, labels == lab, dim]
-                new_mean[subj, dim, lab], new_prec[subj, dim, lab] = _apply(
-                    members, float(subj_loc[subj, dim, 0]),
-                    float(subj_prec0[subj, dim, 0]), float(subj_bound[subj, dim, lab]),
-                    old_mean[subj, dim, lab], old_prec[subj, dim, lab])
-    state.subject_mean = new_mean
-    state.subject_prec = new_prec
-    return delta
+    index = cluster_index(state)
+    loc, post_prec = cluster_mean_params(state, hp, index)
+    means = rng.normal(loc, np.sqrt(1.0 / post_prec))
+    shape, rate, bound = cluster_prec_params(state, hp, index, means)
+    precs = _uniform_sd_draw(rng, bound) ** -2.0
+    fit = rate > 0.5 * _TINY_SS
+    precs[fit] = truncated_gamma_batch(rng, shape[fit], rate[fit], bound[fit] ** -2.0)
+    state.common_mean, state.common_prec = means[:, 0], precs[:, 0]
+    state.group_mean, state.group_prec = means[:, 1:3], precs[:, 1:3]
+    state.subject_mean = np.swapaxes(means[:, 3:].reshape(k, u, j), 0, 1)
+    state.subject_prec = np.swapaxes(precs[:, 3:].reshape(k, u, j), 0, 1)
 
 
 def alloc_log_weights(state: ModelState, dim: int, collapsed: bool = True):
     """Per-subject log weights of the three categories in one dimension,
-    plus the per-channel log densities needed to finish the update."""
+    (U, 3), and the unnormalized channel-label posterior under category
+    3, laid out label-first as (J, U, n) so that the reductions over
+    labels run across whole (U, n) planes."""
     gidx = state.group_codes - GROUP_A
     x = state.scores[:, :, dim]
     log_common = _norm_logpdf(x, state.common_mean[dim], state.common_prec[dim])
     log_group = _norm_logpdf(x, state.group_mean[dim, gidx][:, None],
                              state.group_prec[dim, gidx][:, None])
-    log_subj = _norm_logpdf(x[:, :, None], state.subject_mean[:, None, dim, :],
-                            state.subject_prec[:, None, dim, :])   # (U, n, J)
+    log_subj = _norm_logpdf(x, state.subject_mean[:, dim, :].T[:, :, None],
+                            state.subject_prec[:, dim, :].T[:, :, None])   # (J, U, n)
     log_sticks = np.log(np.maximum(state.stick_weights[dim, gidx, :], 1e-300))
-    mixed = log_sticks[:, None, :] + log_subj
+    chan_post = log_sticks.T[:, :, None] + log_subj
+    top = chan_post.max(axis=0)
+    chan_post -= top
+    np.exp(chan_post, out=chan_post)
     if collapsed:
-        third = logsumexp(mixed, axis=2).sum(axis=1)
+        third = (top + np.log(chan_post.sum(axis=0))).sum(axis=1)
     else:
         cur = state.channel_alloc[:, :, dim] - FIRST_SUBJECT_LABEL
-        third = np.take_along_axis(log_subj, cur[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        third = np.take_along_axis(log_subj, cur[None], axis=0)[0].sum(axis=1)
     log_omega = np.log(np.maximum(state.category_weights[dim], 1e-300))
     weights = np.stack([log_omega[0] + log_common.sum(axis=1),
                         log_omega[1] + log_group.sum(axis=1),
                         log_omega[2] + third], axis=1)
-    return weights, log_common, log_group, log_subj, mixed
+    return weights, chan_post
 
 
 def update_subject_alloc(state: ModelState, hp: HyperParams,
-                         rng: np.random.Generator, collapsed: bool = True) -> float:
-    """Draw each subject's category and all channel labels; returns the
-    change in the score log prior (for the audit cache)."""
-    u, n, k = state.scores.shape
+                         rng: np.random.Generator, collapsed: bool = True) -> None:
+    """Draw each subject's category, then every channel label: from its
+    posterior where the subject is in category 3, from the stick prior
+    elsewhere."""
     gidx = state.group_codes - GROUP_A
-    delta = 0.0
-    for dim in range(k):
-        old_label = state.cluster_label[:, :, dim].copy()
-        weights, log_common, log_group, log_subj, mixed = alloc_log_weights(
-            state, dim, collapsed)
+    for dim in range(state.n_components):
+        weights, chan_post = alloc_log_weights(state, dim, collapsed)
         top = weights.max(axis=1, keepdims=True)
         if not np.all(np.isfinite(top)):
             raise SamplerError(
                 f"allocation weights underflowed in dimension {dim + 1}")
-        probs = np.exp(weights - top)
-        cat = _categorical_rows(rng, probs) + 1
+        cat = _categorical_draw(rng, np.exp(weights - top).T) + 1
         state.subject_alloc[:, dim] = cat
-
-        post = np.exp(mixed - mixed.max(axis=2, keepdims=True))
-        post /= post.sum(axis=2, keepdims=True)
-        prior = np.broadcast_to(state.stick_weights[dim, gidx, :][:, None, :],
-                                (u, n, state.max_subject_clusters))
-        probs_chan = np.where((cat == CAT_SUBJECT)[:, None, None], post, prior)
-        state.channel_alloc[:, :, dim] = _categorical_rows(rng, probs_chan) \
+        elsewhere = cat != CAT_SUBJECT
+        chan_post[:, elsewhere] = state.stick_weights[dim, gidx[elsewhere], :].T[:, :, None]
+        state.channel_alloc[:, :, dim] = _categorical_draw(rng, chan_post) \
             + FIRST_SUBJECT_LABEL
-
-        new_label = derive_cluster_labels(state.subject_alloc[:, dim:dim + 1],
-                                          state.channel_alloc[:, :, dim:dim + 1],
-                                          state.group_codes)[:, :, 0]
-        state.cluster_label[:, :, dim] = new_label
-        per_channel = {}
-        for lab_grid, which in ((old_label, "old"), (new_label, "new")):
-            val = np.where(lab_grid == 1, log_common,
-                           np.where(lab_grid <= 3, log_group,
-                                    np.take_along_axis(
-                                        log_subj,
-                                        np.maximum(lab_grid - FIRST_SUBJECT_LABEL, 0)[:, :, None],
-                                        axis=2)[:, :, 0]))
-            per_channel[which] = float(val.sum())
-        delta += per_channel["new"] - per_channel["old"]
-    return delta
+    refresh_cluster_labels(state)
 
 
 def category_weight_params(state: ModelState, hp: HyperParams) -> np.ndarray:
@@ -517,27 +579,20 @@ def update_sticks(state: ModelState, hp: HyperParams, rng: np.random.Generator,
 
 def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
                rng: np.random.Generator, collapsed: bool = True,
-               likelihood_off: bool = False, caches: dict | None = None) -> None:
+               likelihood_off: bool = False) -> float | None:
     """One systematic scan over all six blocks.
 
-    When a caches dict is supplied it is updated with 'ssr' and
-    'scores_logprior' maintained incrementally (full evaluation after the
-    score update, exact deltas for the later blocks).
+    Returns the residual sum of squares the noise update used (None with
+    the likelihood off), for the audit.
     """
     update_scores(state, ws, rng, likelihood_off)
-    ssr = None
-    if not likelihood_off:
-        fitted = np.einsum("uik,tk->uit", state.scores, ws.eigenfunctions)
-        ssr = float(np.sum((ws.centred - fitted) ** 2))
+    ssr = None if likelihood_off else sufficient_ssr(state.scores, ws)
     update_noise_prec(state, ws, hp, rng, ssr=ssr, likelihood_off=likelihood_off)
-    logprior = scores_logprior(state) if caches is not None else 0.0
-    logprior += update_cluster_params(state, hp, rng)
-    logprior += update_subject_alloc(state, hp, rng, collapsed)
+    update_cluster_params(state, hp, rng)
+    update_subject_alloc(state, hp, rng, collapsed)
     update_category_weights(state, hp, rng)
     update_sticks(state, hp, rng, include_all_channels=not collapsed)
-    if caches is not None:
-        caches["ssr"] = ssr
-        caches["scores_logprior"] = logprior
+    return ssr
 
 
 # ---------------------------------------------------------------------------
@@ -582,26 +637,23 @@ class ChainArchive:
         return self.scalars.shape[0]
 
 
-def _audit(state: ModelState, ws: Workspace, hp: HyperParams, caches: dict,
+def _audit(state: ModelState, ws: Workspace, hp: HyperParams, ssr: float | None,
            likelihood_off: bool, iteration: int) -> None:
+    """Validate the state, check the SSR the scan used (from sufficient
+    statistics) against the direct residual sum, and require a finite
+    log joint of scores and data."""
     validate_state(state, hp)
-    recomputed_prior = scores_logprior(state)
-    if abs(recomputed_prior - caches["scores_logprior"]) > AUDIT_TOL * max(
-            1.0, abs(recomputed_prior)):
-        raise SamplerError(
-            f"iteration {iteration}: cached score log prior "
-            f"{caches['scores_logprior']:.12g} != recomputed {recomputed_prior:.12g}")
+    log_joint = scores_logprior(state)
     if not likelihood_off:
-        cached_loglik = 0.5 * ws.centred.size * (np.log(state.noise_prec) - LOG_2PI) \
-            - 0.5 * state.noise_prec * caches["ssr"]
-        fitted = np.einsum("uik,tk->uit", state.scores, ws.eigenfunctions)
-        resid = ws.centred - fitted
-        full = 0.5 * ws.centred.size * (np.log(state.noise_prec) - LOG_2PI) \
-            - 0.5 * state.noise_prec * float(np.sum(resid ** 2))
-        if abs(full - cached_loglik) > AUDIT_TOL * max(1.0, abs(full)):
+        direct = float(np.sum((ws.centred - fitted_curves(state.scores,
+                                                          ws.eigenfunctions)) ** 2))
+        if abs(direct - ssr) > AUDIT_TOL * (ws.centred_sq + direct):
             raise SamplerError(
-                f"iteration {iteration}: cached log likelihood {cached_loglik:.12g} "
-                f"!= recomputed {full:.12g}")
+                f"iteration {iteration}: scan residual sum of squares {ssr:.12g} "
+                f"!= direct {direct:.12g}")
+        log_joint += data_loglik(state, ws.centred, ws.eigenfunctions)
+    if not np.isfinite(log_joint):
+        raise SamplerError(f"iteration {iteration}: log joint is {log_joint}")
 
 
 def _check_finite(state: ModelState, iteration: int) -> None:
@@ -647,13 +699,12 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
         alloc_draws.append(row[1])
         chan_draws.append(row[2])
 
-    caches: dict = {"ssr": 0.0, "scores_logprior": 0.0}
     for it in range(start_iter + 1, cfg.n_iter + 1):
-        gibbs_scan(state, ws, hp, rng, collapsed=cfg.collapsed_alloc,
-                   likelihood_off=cfg.likelihood_off, caches=caches)
+        ssr = gibbs_scan(state, ws, hp, rng, collapsed=cfg.collapsed_alloc,
+                         likelihood_off=cfg.likelihood_off)
         _check_finite(state, it)
         if cfg.audit_every and it % cfg.audit_every == 0:
-            _audit(state, ws, hp, caches, cfg.likelihood_off, it)
+            _audit(state, ws, hp, ssr, cfg.likelihood_off, it)
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             scalars.append(_scalar_row(state))
             alloc_draws.append(state.subject_alloc.astype(np.int8))

@@ -97,3 +97,53 @@ def random_state_and_workspace(seed, u=5, n=4, k=2, t=12, j=6):
     ws = Workspace(centred=centred, proj=centred @ phi, gram=phi.T @ phi,
                    eigenfunctions=phi, group_codes=group_codes.copy())
     return state, hp, ws, rng
+
+
+def naive_cluster_conditionals(state, hp, means):
+    """Conditional parameters of every cluster by an explicit loop over
+    clusters and their member scores.
+
+    Keys are ("common", dim), ("group", dim, col) and ("subject", subj,
+    dim, lab) with col and lab counted from 0; means maps the same keys to
+    the cluster means the precision conditional is taken about.  Values
+    are (members, mean location, mean precision, precision shape,
+    precision rate, sd bound): the mean conditional given the current
+    precisions, and the Gamma(m/2 - 1/2, SS/2) precision conditional
+    truncated below at sd_bound^-2.
+    """
+    u, n, k = state.scores.shape
+    j = state.max_subject_clusters
+    clusters = {}
+    for dim in range(k):
+        clusters[("common", dim)] = (0.0, hp.common_mean_prec[dim],
+                                     hp.common_sd_bound[dim], state.common_prec[dim])
+        for col in range(2):
+            clusters[("group", dim, col)] = (
+                hp.group_mean_loc[dim, col], hp.group_mean_prec[dim, col],
+                hp.group_sd_bound[dim, col], state.group_prec[dim, col])
+        for subj in range(u):
+            col = state.group_codes[subj] - 2
+            for lab in range(j):
+                clusters[("subject", subj, dim, lab)] = (
+                    hp.subject_mean_loc[dim, col], hp.subject_mean_prec[dim, col],
+                    hp.subject_sd_bound[dim, col], state.subject_prec[subj, dim, lab])
+    members = {key: [] for key in clusters}
+    for subj in range(u):
+        for chan in range(n):
+            for dim in range(k):
+                cat = state.subject_alloc[subj, dim]
+                if cat == 1:
+                    key = ("common", dim)
+                elif cat == 2:
+                    key = ("group", dim, state.group_codes[subj] - 2)
+                else:
+                    key = ("subject", subj, dim, state.channel_alloc[subj, chan, dim] - 4)
+                members[key].append(state.scores[subj, chan, dim])
+    out = {}
+    for key, (mean0, prec0, bound, cur_prec) in clusters.items():
+        xs = members[key]
+        post_prec = prec0 + len(xs) * cur_prec
+        loc = (prec0 * mean0 + cur_prec * sum(xs)) / post_prec
+        ss = sum((x - means[key]) ** 2 for x in xs)
+        out[key] = (len(xs), loc, post_prec, 0.5 * len(xs) - 0.5, 0.5 * ss, bound)
+    return out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlpp.fpca import (FunctionalDataset, fit_fpca, read_basis, read_dataset_csv,
                        read_time_grid_csv, reconstruct, smooth_dataset,
@@ -156,3 +157,49 @@ def test_var_threshold_validation():
         fit_fpca(data, var_threshold=0.0)
     with pytest.raises(ValueError, match="var_threshold"):
         fit_fpca(data, var_threshold=1.5)
+
+
+def _write_curves(path, rows, t=3):
+    """rows: (subject_id, channel_id, group_code, value) per curve; every
+    time point of a curve holds its value."""
+    lines = ["subject_id,channel_id,group_code," + ",".join(f"t{j}" for j in range(t))]
+    lines += [f"{sid},{chan},{code}," + ",".join([repr(float(val))] * t)
+              for sid, chan, code, val in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_dataset_csv_rejects_bad_channel_ids(tmp_path):
+    write_time_grid_csv(np.linspace(0.0, 1.0, 3), tmp_path / "grid.csv")
+    _write_curves(tmp_path / "dup.csv",
+                  [(s, c, 2 + s % 2, 0.0) for s in (1, 2) for c in (1, 1, 2)])
+    with pytest.raises(ValueError, match="subject 1 repeats channel 1"):
+        read_dataset_csv(tmp_path / "dup.csv", tmp_path / "grid.csv")
+    _write_curves(tmp_path / "sets.csv",
+                  [(1, 1, 2, 0.0), (1, 2, 2, 0.0), (2, 1, 3, 0.0), (2, 7, 3, 0.0)])
+    with pytest.raises(ValueError, match="subject 2 has channel 7"):
+        read_dataset_csv(tmp_path / "sets.csv", tmp_path / "grid.csv")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=4),
+                min_size=1, max_size=4))
+def test_dataset_csv_channel_id_property(tmp_path_factory, channel_lists):
+    # a file reads exactly when no subject repeats a channel id and every
+    # subject has the same ids; curves come back ordered by channel id
+    directory = tmp_path_factory.mktemp("ids")
+    write_time_grid_csv(np.linspace(0.0, 1.0, 3), directory / "grid.csv")
+    rows = [(s + 1, chan, 2 + s % 2, 10.0 * s + chan)
+            for s, chans in enumerate(channel_lists) for chan in chans]
+    _write_curves(directory / "data.csv", rows)
+    valid = all(len(set(c)) == len(c) for c in channel_lists) \
+        and all(set(c) == set(channel_lists[0]) for c in channel_lists)
+    if not valid:
+        with pytest.raises(ValueError, match="subject"):
+            read_dataset_csv(directory / "data.csv", directory / "grid.csv")
+        return
+    data = read_dataset_csv(directory / "data.csv", directory / "grid.csv")
+    ids = sorted(channel_lists[0])
+    assert data.values.shape == (len(channel_lists), len(ids), 3)
+    for s in range(len(channel_lists)):
+        np.testing.assert_array_equal(data.values[s, :, 0],
+                                      [10.0 * s + chan for chan in ids])

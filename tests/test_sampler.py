@@ -4,19 +4,24 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1
 
+import mlpp.sampler
 from mlpp.fpca import fit_fpca
 from mlpp.hyperparams import estimate_hyperparams
-from mlpp.model import cluster_params_for_labels, validate_state
+from mlpp.model import (cluster_params_for_labels, fitted_curves,
+                        refresh_cluster_labels, validate_state)
 from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
-                          _check_finite, _draw_cluster, alloc_log_weights,
-                          category_weight_params, draw_state_from_prior,
+                          _audit, _check_finite, alloc_log_weights,
+                          category_weight_params, cluster_index,
+                          cluster_mean_params, cluster_prec_params,
+                          draw_state_from_prior, gibbs_scan,
                           initial_state_empirical, load_archives, make_workspace,
                           noise_prec_params, run_chain, run_chains, save_archives,
                           scalar_names, score_update_params, stick_params,
-                          truncated_gamma_sample, update_noise_prec,
-                          update_subject_alloc)
+                          sufficient_ssr, truncated_gamma_batch,
+                          truncated_gamma_sample, update_cluster_params,
+                          update_noise_prec, update_subject_alloc)
 from mlpp.simgen import SimDesign, simulate
-from conftest import random_state_and_workspace
+from conftest import naive_cluster_conditionals, random_state_and_workspace
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +73,33 @@ def test_truncated_gamma_moments_match_quadrature(shape, rate, lower):
     mean, var = _quad_moments(shape, rate, lower)
     assert draws.mean() == pytest.approx(mean, rel=0.01)
     assert draws.std() == pytest.approx(np.sqrt(var), rel=0.01)
+
+
+def test_truncated_gamma_batch_mixes_paths(monkeypatch):
+    # one batched call holding inverse-CDF entries, zero-shape single-member
+    # entries and far-tail entries, interleaved; only the last two may
+    # reach the scalar rejection sampler
+    cases = [(2.0, 1.5, 4.0), (0.5, 3.0, 0.5), (0.0, 2.0, 1.0), (3.0, 1.0, 40.0)]
+    scalar_cases = 2
+    per_case = 100_000
+    shape, rate, lower = (np.tile([c[i] for c in cases], per_case) for i in range(3))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return truncated_gamma_sample(*args)
+
+    monkeypatch.setattr(mlpp.sampler, "truncated_gamma_sample", counted)
+    draws = truncated_gamma_batch(np.random.default_rng(23), shape, rate, lower)
+    assert len(calls) == scalar_cases * per_case
+    assert np.all(draws > lower)
+    for case, (a, b, low) in enumerate(cases):
+        sample = draws[case::len(cases)]
+        mean, var = _quad_moments(a, b, low)
+        assert sample.mean() == pytest.approx(mean, rel=0.01)
+        assert sample.std() == pytest.approx(np.sqrt(var), rel=0.01)
+    with pytest.raises(ValueError, match="rate"):
+        truncated_gamma_batch(np.random.default_rng(0), [1.0], [0.0], [1.0])
 
 
 def test_truncated_gamma_near_flat_regime():
@@ -131,6 +163,40 @@ def test_score_update_prior_only():
     means_z, precs_z = cluster_params_for_labels(state)
     np.testing.assert_allclose(mean, means_z[:, :, 0], atol=1e-12)
     np.testing.assert_allclose(var, 1.0 / precs_z[:, :, 0], atol=1e-12)
+
+
+def test_sufficient_ssr_matches_direct_residual_sum():
+    for seed in range(5):
+        state, _, ws, _ = random_state_and_workspace(seed)
+        assert ws.centred_sq == pytest.approx(float(np.sum(ws.centred ** 2)),
+                                              rel=1e-14)
+        direct = float(np.sum((ws.centred - fitted_curves(state.scores,
+                                                          ws.eigenfunctions)) ** 2))
+        assert abs(sufficient_ssr(state.scores, ws) - direct) \
+            <= 1e-12 * ws.centred_sq
+
+
+def test_sufficient_ssr_nonnegative_on_noiseless_data():
+    # exact fits: the direct residual sum is zero, and the expansion can
+    # only round around it, so the clamp must keep it at or above zero
+    for seed in range(20):
+        state, _, ws, _ = random_state_and_workspace(seed)
+        exact = fitted_curves(state.scores, ws.eigenfunctions)
+        noiseless = Workspace(centred=exact, proj=exact @ ws.eigenfunctions,
+                              gram=ws.gram, eigenfunctions=ws.eigenfunctions,
+                              group_codes=ws.group_codes)
+        ssr = sufficient_ssr(state.scores, noiseless)
+        assert 0.0 <= ssr <= 1e-12 * noiseless.centred_sq
+    design = SimDesign(n_subjects=6, n_channels=5, n_timepoints=24,
+                       n_group_a=3, snr=np.inf, seed=1)
+    data, _ = simulate(design)
+    basis = fit_fpca(data, var_threshold=1.0)
+    ws = make_workspace(data, basis)
+    direct = float(np.sum((ws.centred - fitted_curves(basis.scores,
+                                                      ws.eigenfunctions)) ** 2))
+    ssr = sufficient_ssr(basis.scores, ws)
+    assert ssr >= 0.0
+    assert abs(ssr - direct) <= 1e-12 * ws.centred_sq
 
 
 def test_noise_precision_update_matches_closed_form():
@@ -211,27 +277,88 @@ def test_conditioned_weight_uses_current_labels():
     state, _, _, _ = random_state_and_workspace(7)
     u, n, k = state.scores.shape
     for dim in range(k):
-        cond, _, _, log_subj, _ = alloc_log_weights(state, dim, collapsed=False)
-        coll, *_ = alloc_log_weights(state, dim, collapsed=True)
+        cond, _ = alloc_log_weights(state, dim, collapsed=False)
+        coll, _ = alloc_log_weights(state, dim, collapsed=True)
         for subj in range(u):
-            manual = sum(log_subj[subj, chan, state.channel_alloc[subj, chan, dim] - 4]
-                         for chan in range(n))
+            manual = 0.0
+            for chan in range(n):
+                lab = state.channel_alloc[subj, chan, dim] - 4
+                prec = state.subject_prec[subj, dim, lab]
+                manual += 0.5 * (np.log(prec) - np.log(2 * np.pi)) - 0.5 * prec * (
+                    state.scores[subj, chan, dim] - state.subject_mean[subj, dim, lab]) ** 2
             target = np.log(state.category_weights[dim, 2]) + manual
             assert cond[subj, 2] == pytest.approx(target, rel=1e-12)
         np.testing.assert_allclose(coll[:, :2], cond[:, :2], atol=1e-12)
 
 
+def test_channel_posterior_matches_mixture_weights():
+    # the unnormalized channel posterior is proportional, per channel, to
+    # stick weight times subject-cluster density
+    state, _, _, _ = random_state_and_workspace(13)
+    u, n, k = state.scores.shape
+    gidx = state.group_codes - 2
+    for dim in range(k):
+        _, chan_post = alloc_log_weights(state, dim)
+        chan_post = np.moveaxis(chan_post, 0, 2)
+        for subj in range(u):
+            for chan in range(n):
+                dens = [state.stick_weights[dim, gidx[subj], lab]
+                        * np.sqrt(state.subject_prec[subj, dim, lab] / (2 * np.pi))
+                        * np.exp(-0.5 * state.subject_prec[subj, dim, lab]
+                                 * (state.scores[subj, chan, dim]
+                                    - state.subject_mean[subj, dim, lab]) ** 2)
+                        for lab in range(state.max_subject_clusters)]
+                np.testing.assert_allclose(
+                    chan_post[subj, chan] / chan_post[subj, chan].sum(),
+                    np.array(dens) / sum(dens), rtol=1e-10)
+
+
+def test_cluster_conditionals_match_naive_loop():
+    for seed in (14, 15, 16):
+        state, hp, _, rng = random_state_and_workspace(seed, u=7, n=5)
+        state.subject_alloc[0] = 3            # some subject clusters occupied
+        state.subject_alloc[1] = [1, 2]
+        refresh_cluster_labels(state)
+        u, _, k = state.scores.shape
+        j = state.max_subject_clusters
+        means = rng.normal(0.0, 1.0, (k, 3 + u * j))
+        slots = {("common", d): (d, 0) for d in range(k)}
+        slots.update({("group", d, c): (d, 1 + c) for d in range(k) for c in range(2)})
+        slots.update({("subject", s, d, lab): (d, 3 + s * j + lab)
+                      for s in range(u) for d in range(k) for lab in range(j)})
+        naive = naive_cluster_conditionals(
+            state, hp, {key: means[pos] for key, pos in slots.items()})
+        index = cluster_index(state)
+        loc, prec = cluster_mean_params(state, hp, index)
+        shape, rate, bound = cluster_prec_params(state, hp, index, means)
+        counts = np.bincount(index.ravel(), minlength=means.size)
+        occupied = 0
+        for key, pos in slots.items():
+            m, loc_ref, prec_ref, shape_ref, rate_ref, bound_ref = naive[key]
+            assert counts[pos[0] * means.shape[1] + pos[1]] == m
+            assert loc[pos] == pytest.approx(loc_ref, rel=1e-12, abs=1e-12)
+            assert prec[pos] == pytest.approx(prec_ref, rel=1e-12)
+            assert shape[pos] == shape_ref
+            assert rate[pos] == pytest.approx(rate_ref, rel=1e-12, abs=1e-300)
+            assert bound[pos] == bound_ref
+            occupied += key[0] == "subject" and m > 0
+        assert occupied > 0
+
+
 def test_empty_cluster_draws_stay_inside_prior_bounds():
-    rng = np.random.default_rng(8)
+    # small subjects with six subject clusters each: most clusters are
+    # empty (prior redraw) and many hold one score (shape 0); every draw
+    # must respect its sd bound and stay finite
+    state, hp, _, rng = random_state_and_workspace(8, u=6, n=4)
+    state.subject_alloc[:] = 3
+    refresh_cluster_labels(state)
+    counts = np.bincount(cluster_index(state).ravel())
+    assert np.any(counts == 0) and np.any(counts == 1)
     for _ in range(200):
-        mean, prec, ss = _draw_cluster(rng, np.empty(0), 1.5, 2.0, 1.8, 1.0)
-        assert ss == 0.0
-        assert prec ** -0.5 < 1.8
-        assert np.isfinite(mean)
-    # single member: shape parameter 0, still bounded below by the prior
-    for _ in range(200):
-        _, prec, _ = _draw_cluster(rng, np.array([0.7]), 0.0, 1.0, 2.5, 1.0)
-        assert prec > 2.5 ** -2.0
+        update_cluster_params(state, hp, rng)
+        validate_state(state, hp)
+        assert np.all(np.isfinite(state.subject_mean))
+        assert np.all(np.isfinite(state.common_mean))
 
 
 def test_alloc_update_keeps_state_valid():
@@ -307,6 +434,27 @@ def test_audit_passes_in_all_sampler_variants(tiny_problem):
         cfg = SamplerConfig(n_iter=40, seed=3, audit_every=1, **kwargs)
         archive = run_chain(data, basis, hp, cfg)
         assert archive.n_draws == 40
+
+
+def test_audit_catches_tampered_workspace_and_ssr():
+    state, hp, ws, rng = random_state_and_workspace(17)
+    ssr = gibbs_scan(state, ws, hp, rng)
+    _audit(state, ws, hp, ssr, False, 1)
+    with pytest.raises(SamplerError, match="residual sum of squares"):
+        _audit(state, ws, hp, ssr * (1.0 + 1e-6), False, 1)
+
+    ws.proj = ws.proj + 1e-3                  # projections out of step with curves
+    ssr = gibbs_scan(state, ws, hp, rng)
+    with pytest.raises(SamplerError, match="residual sum of squares"):
+        _audit(state, ws, hp, ssr, False, 2)
+
+    state, hp, ws, rng = random_state_and_workspace(18)
+    ssr = gibbs_scan(state, ws, hp, rng)
+    state.noise_prec = np.inf
+    direct = float(np.sum((ws.centred - fitted_curves(state.scores,
+                                                      ws.eigenfunctions)) ** 2))
+    with np.errstate(invalid="ignore"), pytest.raises(SamplerError, match="log joint"):
+        _audit(state, ws, hp, direct, False, 3)
 
 
 def test_kept_draw_rule(tiny_problem):
