@@ -138,6 +138,19 @@ def fitted_curves(scores: np.ndarray, eigenfunctions: np.ndarray) -> np.ndarray:
     return np.einsum("uik,tk->uit", scores, eigenfunctions)
 
 
+def residual_ssr(scores: np.ndarray, centred_values: np.ndarray,
+                 eigenfunctions: np.ndarray) -> float:
+    """Residual sum of squares of the centred curves about the fitted ones,
+    summed directly over every time point."""
+    return float(np.sum((centred_values - fitted_curves(scores, eigenfunctions)) ** 2))
+
+
+def noise_loglik(ssr: float, n_obs: int, noise_prec: float) -> float:
+    """Log likelihood of n_obs iid Gaussian residuals with precision
+    noise_prec and residual sum of squares ssr."""
+    return 0.5 * n_obs * (np.log(noise_prec) - LOG_2PI) - 0.5 * noise_prec * ssr
+
+
 def data_loglik(state: ModelState, centred_values: np.ndarray,
                 eigenfunctions: np.ndarray) -> float:
     """Gaussian log likelihood of the centred curves given scores and noise.
@@ -147,11 +160,8 @@ def data_loglik(state: ModelState, centred_values: np.ndarray,
     eigenfunctions; every time point carries iid noise with precision
     noise_prec.
     """
-    resid = centred_values - fitted_curves(state.scores, eigenfunctions)
-    n_obs = resid.size
-    ssr = float(np.sum(resid ** 2))
-    return 0.5 * n_obs * (np.log(state.noise_prec) - LOG_2PI) \
-        - 0.5 * state.noise_prec * ssr
+    ssr = residual_ssr(state.scores, centred_values, eigenfunctions)
+    return noise_loglik(ssr, centred_values.size, state.noise_prec)
 
 
 def scores_logprior(state: ModelState) -> float:

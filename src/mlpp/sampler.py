@@ -35,9 +35,9 @@ from .fpca import GROUP_A, EigenBasis, FunctionalDataset
 from .hyperparams import HyperParams
 from .model import (CAT_COMMON, CAT_GROUP, CAT_SUBJECT, FIRST_SUBJECT_LABEL,
                     LOG_2PI, ModelState, cluster_params_for_labels,
-                    data_loglik, fitted_curves, load_state,
-                    refresh_cluster_labels, save_state, scores_logprior,
-                    sticks_to_weights, validate_state)
+                    fitted_curves, load_state, noise_loglik,
+                    refresh_cluster_labels, residual_ssr, save_state,
+                    scores_logprior, sticks_to_weights, validate_state)
 
 # Audit tolerance on the residual sum of squares, relative to the scale of
 # its rounding error (||c||^2 plus the sum itself): the expansion from
@@ -145,19 +145,15 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
                            lower: float) -> float:
     """Draw from Gamma(shape, rate) conditioned on the draw exceeding lower.
 
-    Inverse-CDF on the regularized upper incomplete gamma; when the
-    truncation point leaves less than 1e-12 of the mass (or the shape is
-    nonpositive, which is proper only on a truncated domain), falls back
-    to rejection from a shifted exponential.
+    Inverse-CDF on the regularized upper incomplete gamma, as a one-entry
+    truncated_gamma_batch; when the truncation point leaves less than
+    1e-12 of the mass (or the shape is nonpositive, which is proper only
+    on a truncated domain), rejection from a shifted exponential.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    if shape > 0:
-        tail = float(gammaincc(shape, rate * lower)) if lower > 0 else 1.0
-        if tail >= 1e-12:
-            q = (1.0 - rng.random()) * tail          # in (0, tail]
-            x = float(gammainccinv(shape, q)) / rate
-            return max(x, np.nextafter(lower, np.inf)) if lower > 0 else x
+    if shape > 0 and (lower <= 0 or gammaincc(shape, rate * lower) >= 1e-12):
+        return float(truncated_gamma_batch(rng, [shape], [rate], [lower])[0])
     if lower <= 0:
         raise ValueError("nonpositive shape requires a positive truncation point")
     if shape > 1:
@@ -209,8 +205,9 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
     """truncated_gamma_sample over equal-length arrays of parameters.
 
     Entries with positive shape and at least 1e-12 of the mass above the
-    truncation point share one array inverse-CDF draw; the others
-    (nonpositive shape, far tail) go in order to the scalar sampler.
+    truncation point share one array inverse-CDF draw (the only copy of
+    that draw); the others (nonpositive shape, far tail) go in order to
+    the scalar sampler's rejection branches.
     """
     shape, rate, lower = (np.asarray(a, dtype=float) for a in (shape, rate, lower))
     if np.any(rate <= 0):
@@ -364,10 +361,9 @@ def update_scores(state: ModelState, ws: Workspace, rng: np.random.Generator,
 def noise_prec_params(state: ModelState, ws: Workspace,
                       hp: HyperParams, ssr: float | None = None):
     """Gamma(shape, rate) parameters of the noise-precision conditional;
-    without a given ssr, the residual sum is taken directly from the curves."""
+    ssr defaults to the sufficient-statistic residual sum of the scores."""
     if ssr is None:
-        ssr = float(np.sum((ws.centred - fitted_curves(state.scores,
-                                                       ws.eigenfunctions)) ** 2))
+        ssr = sufficient_ssr(state.scores, ws)
     shape = hp.noise_prec_shape + 0.5 * ws.centred.size
     rate = hp.noise_prec_rate + 0.5 * ssr
     return shape, rate
@@ -420,14 +416,21 @@ def _subject_prior(values, state: ModelState) -> np.ndarray:
                            (u, k, state.max_subject_clusters))
 
 
-def cluster_mean_params(state: ModelState, hp: HyperParams, index: np.ndarray):
-    """Normal conditional of every cluster mean given the current
-    precisions and the cluster_index of the scores: (location, precision),
-    each (K, 3 + U*J).  An empty cluster gets its prior."""
+def cluster_counts(state: ModelState, index: np.ndarray) -> np.ndarray:
+    """Member count of every cluster, (K, 3 + U*J), given the cluster_index
+    of the scores."""
     u, _, k = state.scores.shape
-    n_clusters = 3 + u * state.max_subject_clusters
-    counts = _segment_sum(index, k, n_clusters)
-    sums = _segment_sum(index, k, n_clusters, state.scores)
+    return _segment_sum(index, k, 3 + u * state.max_subject_clusters)
+
+
+def cluster_mean_params(state: ModelState, hp: HyperParams, index: np.ndarray,
+                        counts: np.ndarray):
+    """Normal conditional of every cluster mean given the current
+    precisions, the cluster_index of the scores and the cluster_counts:
+    (location, precision), each (K, 3 + U*J).  An empty cluster gets its
+    prior."""
+    k = state.n_components
+    sums = _segment_sum(index, *counts.shape, state.scores)
     mean0 = _stack_clusters(np.zeros(k), hp.group_mean_loc,
                             _subject_prior(hp.subject_mean_loc, state))
     prec0 = _stack_clusters(hp.common_mean_prec, hp.group_mean_prec,
@@ -438,7 +441,7 @@ def cluster_mean_params(state: ModelState, hp: HyperParams, index: np.ndarray):
 
 
 def cluster_prec_params(state: ModelState, hp: HyperParams, index: np.ndarray,
-                        means: np.ndarray):
+                        counts: np.ndarray, means: np.ndarray):
     """Conditional of every cluster precision given the cluster means (K,
     3 + U*J): Gamma(shape, rate) truncated below at sd_bound^-2, returned
     as (shape, rate, sd_bound).
@@ -448,11 +451,8 @@ def cluster_prec_params(state: ModelState, hp: HyperParams, index: np.ndarray,
     SS about the mean.  A rate of (nearly) zero, from an empty cluster or
     members all at the mean, marks a precision redrawn from the prior.
     """
-    u, _, k = state.scores.shape
-    n_clusters = 3 + u * state.max_subject_clusters
-    counts = _segment_sum(index, k, n_clusters)
     dev = state.scores - means.ravel()[index]
-    ss = _segment_sum(index, k, n_clusters, dev * dev)
+    ss = _segment_sum(index, *counts.shape, dev * dev)
     bound = _stack_clusters(hp.common_sd_bound, hp.group_sd_bound,
                             _subject_prior(hp.subject_sd_bound, state))
     return 0.5 * counts - 0.5, 0.5 * ss, bound
@@ -465,11 +465,13 @@ def update_cluster_params(state: ModelState, hp: HyperParams,
     u, _, k = state.scores.shape
     j = state.max_subject_clusters
     index = cluster_index(state)
-    loc, post_prec = cluster_mean_params(state, hp, index)
+    counts = cluster_counts(state, index)
+    loc, post_prec = cluster_mean_params(state, hp, index, counts)
     means = rng.normal(loc, np.sqrt(1.0 / post_prec))
-    shape, rate, bound = cluster_prec_params(state, hp, index, means)
-    precs = _uniform_sd_draw(rng, bound) ** -2.0
+    shape, rate, bound = cluster_prec_params(state, hp, index, counts, means)
+    precs = np.empty_like(means)
     fit = rate > 0.5 * _TINY_SS
+    precs[~fit] = _uniform_sd_draw(rng, bound[~fit]) ** -2.0
     precs[fit] = truncated_gamma_batch(rng, shape[fit], rate[fit], bound[fit] ** -2.0)
     state.common_mean, state.common_prec = means[:, 0], precs[:, 0]
     state.group_mean, state.group_prec = means[:, 1:3], precs[:, 1:3]
@@ -645,13 +647,12 @@ def _audit(state: ModelState, ws: Workspace, hp: HyperParams, ssr: float | None,
     validate_state(state, hp)
     log_joint = scores_logprior(state)
     if not likelihood_off:
-        direct = float(np.sum((ws.centred - fitted_curves(state.scores,
-                                                          ws.eigenfunctions)) ** 2))
+        direct = residual_ssr(state.scores, ws.centred, ws.eigenfunctions)
         if abs(direct - ssr) > AUDIT_TOL * (ws.centred_sq + direct):
             raise SamplerError(
                 f"iteration {iteration}: scan residual sum of squares {ssr:.12g} "
                 f"!= direct {direct:.12g}")
-        log_joint += data_loglik(state, ws.centred, ws.eigenfunctions)
+        log_joint += noise_loglik(direct, ws.centred.size, state.noise_prec)
     if not np.isfinite(log_joint):
         raise SamplerError(f"iteration {iteration}: log joint is {log_joint}")
 

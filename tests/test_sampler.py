@@ -8,10 +8,10 @@ import mlpp.sampler
 from mlpp.fpca import fit_fpca
 from mlpp.hyperparams import estimate_hyperparams
 from mlpp.model import (cluster_params_for_labels, fitted_curves,
-                        refresh_cluster_labels, validate_state)
+                        refresh_cluster_labels, residual_ssr, validate_state)
 from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
                           _audit, _check_finite, alloc_log_weights,
-                          category_weight_params, cluster_index,
+                          category_weight_params, cluster_counts, cluster_index,
                           cluster_mean_params, cluster_prec_params,
                           draw_state_from_prior, gibbs_scan,
                           initial_state_empirical, load_archives, make_workspace,
@@ -170,8 +170,7 @@ def test_sufficient_ssr_matches_direct_residual_sum():
         state, _, ws, _ = random_state_and_workspace(seed)
         assert ws.centred_sq == pytest.approx(float(np.sum(ws.centred ** 2)),
                                               rel=1e-14)
-        direct = float(np.sum((ws.centred - fitted_curves(state.scores,
-                                                          ws.eigenfunctions)) ** 2))
+        direct = residual_ssr(state.scores, ws.centred, ws.eigenfunctions)
         assert abs(sufficient_ssr(state.scores, ws) - direct) \
             <= 1e-12 * ws.centred_sq
 
@@ -192,8 +191,7 @@ def test_sufficient_ssr_nonnegative_on_noiseless_data():
     data, _ = simulate(design)
     basis = fit_fpca(data, var_threshold=1.0)
     ws = make_workspace(data, basis)
-    direct = float(np.sum((ws.centred - fitted_curves(basis.scores,
-                                                      ws.eigenfunctions)) ** 2))
+    direct = residual_ssr(basis.scores, ws.centred, ws.eigenfunctions)
     ssr = sufficient_ssr(basis.scores, ws)
     assert ssr >= 0.0
     assert abs(ssr - direct) <= 1e-12 * ws.centred_sq
@@ -329,13 +327,13 @@ def test_cluster_conditionals_match_naive_loop():
         naive = naive_cluster_conditionals(
             state, hp, {key: means[pos] for key, pos in slots.items()})
         index = cluster_index(state)
-        loc, prec = cluster_mean_params(state, hp, index)
-        shape, rate, bound = cluster_prec_params(state, hp, index, means)
-        counts = np.bincount(index.ravel(), minlength=means.size)
+        counts = cluster_counts(state, index)
+        loc, prec = cluster_mean_params(state, hp, index, counts)
+        shape, rate, bound = cluster_prec_params(state, hp, index, counts, means)
         occupied = 0
         for key, pos in slots.items():
             m, loc_ref, prec_ref, shape_ref, rate_ref, bound_ref = naive[key]
-            assert counts[pos[0] * means.shape[1] + pos[1]] == m
+            assert counts[pos] == m
             assert loc[pos] == pytest.approx(loc_ref, rel=1e-12, abs=1e-12)
             assert prec[pos] == pytest.approx(prec_ref, rel=1e-12)
             assert shape[pos] == shape_ref
@@ -451,8 +449,7 @@ def test_audit_catches_tampered_workspace_and_ssr():
     state, hp, ws, rng = random_state_and_workspace(18)
     ssr = gibbs_scan(state, ws, hp, rng)
     state.noise_prec = np.inf
-    direct = float(np.sum((ws.centred - fitted_curves(state.scores,
-                                                      ws.eigenfunctions)) ** 2))
+    direct = residual_ssr(state.scores, ws.centred, ws.eigenfunctions)
     with np.errstate(invalid="ignore"), pytest.raises(SamplerError, match="log joint"):
         _audit(state, ws, hp, direct, False, 3)
 
