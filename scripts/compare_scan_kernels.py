@@ -103,10 +103,11 @@ def worker_scan(src: str, design_seed: int, start: str, replicates: int,
 def worker_ess(src: str, seeds: list, out: str) -> None:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import ess
+    sys.path.insert(0, src)
+    from mlpp.sampler import SamplerConfig, run_chains
     result = []
     for seed in seeds:
         data, basis, hp = _problem(src, seed * 1000 + 1, seed)
-        from mlpp.sampler import SamplerConfig, run_chains
         cfg = SamplerConfig(n_iter=ITERS, burn_in=BURN_IN, n_chains=CHAINS, seed=seed)
         archives = run_chains(data, basis, hp, cfg)
         values = []
