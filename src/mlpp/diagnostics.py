@@ -9,8 +9,6 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.stats import gaussian_kde
 
 _CONSTANT_TOL = 1e-12
 
@@ -53,12 +51,12 @@ def _autocovariances(arr: np.ndarray) -> np.ndarray:
     sequence equals the linear one), so long chains stay O(n log n).
     """
     m, n = arr.shape
-    size = next_fast_len(2 * n)
+    size = 2 * n
     acov = np.zeros(n)
     for row in arr:
         centred = row - row.mean()
-        spec = rfft(centred, size)
-        acov += irfft(spec * np.conj(spec), size)[:n] / n
+        spec = np.fft.rfft(centred, size)
+        acov += np.fft.irfft(spec * np.conj(spec), size)[:n] / n
     return acov / m
 
 def effective_sample_size(chains) -> float:
@@ -108,6 +106,17 @@ def export_trace(path, chains, name: str = "value") -> None:
                 writer.writerow([c + 1, d + 1, repr(float(v))])
 
 
+def gaussian_density(draws: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density of 1-D draws at the grid points, bandwidth by
+    Scott's rule (sd * n^(-1/5)), as scipy.stats.gaussian_kde computes it;
+    numpy only, since scipy.stats takes longer to import than a diagnose
+    run takes to compute."""
+    n = draws.size
+    bandwidth = draws.std(ddof=1) * n ** -0.2
+    z = (grid[:, None] - draws[None, :]) / bandwidth
+    return np.exp(-0.5 * z * z).sum(axis=1) / (n * bandwidth * np.sqrt(2.0 * np.pi))
+
+
 def export_density(path, chains, name: str = "value", grid_size: int = 256) -> None:
     """Per-chain kernel density on a shared extended grid.
 
@@ -129,7 +138,7 @@ def export_density(path, chains, name: str = "value", grid_size: int = 256) -> N
         for c, row in enumerate(arr):
             if row.std() <= _CONSTANT_TOL * max(1.0, np.abs(row).max()):
                 continue
-            dens = gaussian_kde(row)(grid)
+            dens = gaussian_density(row, grid)
             for g, v in zip(grid, dens):
                 writer.writerow([c + 1, repr(float(g)), repr(float(v))])
 

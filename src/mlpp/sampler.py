@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 from .fpca import GROUP_A, EigenBasis, FunctionalDataset
 from .hyperparams import HyperParams
@@ -150,6 +149,8 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
     1e-12 of the mass (or the shape is nonpositive, which is proper only
     on a truncated domain), rejection from a shifted exponential.
     """
+    from scipy.special import gammaincc     # imported on first use: see truncated_gamma_batch
+
     if rate <= 0:
         raise ValueError("rate must be positive")
     if shape > 0 and (lower <= 0 or gammaincc(shape, rate * lower) >= 1e-12):
@@ -209,6 +210,10 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
     that draw); the others (nonpositive shape, far tail) go in order to
     the scalar sampler's rejection branches.
     """
+    # scipy.special takes 0.3 s to import, which the CLI commands that only
+    # read archives (diagnose, summarize) would pay on every start.
+    from scipy.special import gammaincc, gammainccinv
+
     shape, rate, lower = (np.asarray(a, dtype=float) for a in (shape, rate, lower))
     if np.any(rate <= 0):
         raise ValueError("rate must be positive")
@@ -821,6 +826,18 @@ def save_archives(archives: list, run_dir, extra_meta: dict | None = None) -> No
                                  int(archive.channel_alloc_draws[r, subj, chan, dim])])
 
 
+def _int_rows(path, width: int) -> np.ndarray:
+    """Body of an integer CSV file (header skipped), (rows, width); a file
+    with no rows (labels_eta.csv when no draw has a category-3 subject)
+    gives an empty array."""
+    with open(path) as fh:
+        next(fh)                                      # header
+        lines = fh.readlines()
+    if not lines:
+        return np.empty((0, width), dtype=np.int64)
+    return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+
+
 def load_archives(run_dir) -> list:
     run_dir = Path(run_dir)
     meta = json.loads((run_dir / "meta.json").read_text())
@@ -834,15 +851,11 @@ def load_archives(run_dir) -> list:
                              skiprows=1, ndmin=2)[:, 1:]
         draws = scalars.shape[0]
         alloc = np.zeros((draws, u, k), dtype=np.int8)
-        for row in np.loadtxt(chain_dir / "labels_g.csv", delimiter=",",
-                              skiprows=1, ndmin=2, dtype=int):
-            alloc[row[0] - 1, row[1] - 1, row[2] - 1] = row[3]
+        rows = _int_rows(chain_dir / "labels_g.csv", 4)
+        alloc[tuple(rows[:, :3].T - 1)] = rows[:, 3]
         chan = np.full((draws, u, n, k), -1, dtype=np.int16)
-        with open(chain_dir / "labels_eta.csv") as fh:
-            next(fh)                                  # header
-            for line in fh:
-                row = [int(v) for v in line.split(",")]
-                chan[row[0] - 1, row[1] - 1, row[2] - 1, row[3] - 1] = row[4]
+        rows = _int_rows(chain_dir / "labels_eta.csv", 5)
+        chan[tuple(rows[:, :4].T - 1)] = rows[:, 4]
         archives.append(ChainArchive(
             scalar_names=meta["scalar_names"], scalars=scalars,
             subject_alloc_draws=alloc, channel_alloc_draws=chan,

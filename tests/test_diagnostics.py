@@ -7,7 +7,7 @@ import pytest
 from mlpp.diagnostics import (_autocovariances, diagnose_archives,
                               effective_sample_size, export_density,
                               export_trace, format_diagnostics_table,
-                              split_rhat, write_diagnostics_csv)
+                              gaussian_density, split_rhat, write_diagnostics_csv)
 
 
 def _ar1(rng, rho, n, loc=0.0):
@@ -104,6 +104,15 @@ def test_export_density_integrates_to_one(tmp_path):
         rows = data[data[:, 0] == chain_id]
         integral = np.trapezoid(rows[:, 2], rows[:, 1])
         assert integral == pytest.approx(1.0, abs=5e-3)
+
+
+@pytest.mark.parametrize("n_draws", [5, 150, 2000])
+def test_gaussian_density_matches_scipy_kde(n_draws):
+    from scipy.stats import gaussian_kde
+    draws = np.random.default_rng(n_draws).gamma(2.0, 3.0, size=n_draws)
+    grid = np.linspace(draws.min() - 5.0, draws.max() + 5.0, 256)
+    np.testing.assert_allclose(gaussian_density(draws, grid), gaussian_kde(draws)(grid),
+                               rtol=1e-12, atol=1e-300)
 
 
 def test_export_density_skips_constant_chain(tmp_path):

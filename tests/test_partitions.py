@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from mlpp.partitions import (adjusted_rand_index, credible_ball,
+from mlpp.partitions import (_best_matching_total, adjusted_rand_index, credible_ball,
                              format_partition_table, misclassification_count,
                              partition_draws, similarity_matrix,
                              subject_partition, summarize_dimension,
@@ -149,6 +149,16 @@ def test_credible_ball_degenerate_and_mixed():
 
     with pytest.raises(ValueError, match="level"):
         credible_ball(draws, centre, level=0.0)
+
+
+def test_best_matching_total_matches_scipy_assignment():
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        table = rng.integers(0, 20, size=rng.integers(1, 9, size=2))
+        table[rng.random(table.shape) < 0.4] = 0
+        rows, cols = linear_sum_assignment(-table)
+        assert _best_matching_total(table) == table[rows, cols].sum()
 
 
 def test_misclassification_count_cases():

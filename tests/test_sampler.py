@@ -513,6 +513,21 @@ def test_archive_round_trip(tiny_problem, tmp_path):
         np.testing.assert_array_equal(left.group_codes, right.group_codes)
 
 
+def test_archive_round_trip_without_subject_category(tiny_problem, tmp_path):
+    # No draw has a category-3 subject: labels_eta.csv holds only its header.
+    data, basis, hp = tiny_problem
+    archive = run_chain(data, basis, hp, SamplerConfig(n_iter=12, burn_in=2, seed=4))
+    archive.subject_alloc_draws[:] = 1
+    archive.channel_alloc_draws[:] = -1
+    save_archives([archive], tmp_path)
+    assert (tmp_path / "chain_00" / "labels_eta.csv").read_text().count("\n") == 1
+    back, = load_archives(tmp_path)
+    assert back.channel_alloc_draws.dtype == np.int16
+    assert back.subject_alloc_draws.dtype == np.int8
+    np.testing.assert_array_equal(back.subject_alloc_draws, archive.subject_alloc_draws)
+    np.testing.assert_array_equal(back.channel_alloc_draws, archive.channel_alloc_draws)
+
+
 def test_channel_draws_masked_outside_subject_category(tiny_problem):
     data, basis, hp = tiny_problem
     cfg = SamplerConfig(n_iter=40, burn_in=10, seed=9)

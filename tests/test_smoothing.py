@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mlpp.smoothing import CurveSmoother, basis_matrix, penalty_matrix
+from mlpp.smoothing import (SPLINE_DEGREE, CurveSmoother, _bspline_values, _knot_vector,
+                            basis_matrix, penalty_matrix)
 
 
 def test_basis_partition_of_unity():
@@ -10,6 +11,20 @@ def test_basis_partition_of_unity():
     assert b.shape == (40, 12)
     np.testing.assert_allclose(b.sum(axis=1), 1.0, atol=1e-10)
     assert b.min() > -1e-12
+
+
+@pytest.mark.parametrize("n_points,size", [(150, 25), (37, 4), (12, 12), (60, 9)])
+def test_basis_and_derivatives_match_scipy_bspline(n_points, size):
+    from scipy.interpolate import BSpline
+    rng = np.random.default_rng(n_points)
+    grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, n_points - 2)), [3.0]])
+    knots = _knot_vector(grid, size)
+    ref = BSpline(knots, np.eye(size), SPLINE_DEGREE)
+    np.testing.assert_allclose(basis_matrix(grid, size), ref(grid), rtol=0, atol=1e-14)
+    for deriv in (1, 2):
+        theirs = ref.derivative(deriv)(grid)
+        np.testing.assert_allclose(_bspline_values(knots, grid, deriv), theirs, rtol=0,
+                                   atol=1e-14 * np.abs(theirs).max())
 
 
 def test_penalty_matrix_symmetric_psd_with_linear_nullspace():
