@@ -1,0 +1,165 @@
+"""Compare every file two source trees of mlpp write, byte for byte.
+
+Each tree runs the same commands with the same seeds, in its own work
+directory and with the same relative paths, so that manifests which
+record paths agree:
+
+    mlpp simulate --subjects U --channels N --timepoints T --seed S --out sim
+    mlpp fit --data sim/rep_01 --out run --iters I --burnin B --thin 2 --seed S
+    mlpp diagnose --run run --trace noise_prec --trace "common_mean[1]"
+    mlpp summarize --run run --truth sim/rep_01/truth.json
+
+plus one library chain on the same data that checkpoints along the way
+(chain/checkpoint), is resumed from its last checkpoint, and saves both
+the uninterrupted and the resumed chain as run archives (chain/straight,
+chain/resumed).
+
+The report lists every file that differs or exists in one tree only; for
+JSON files it also names the keys that differ.  Within each tree it
+checks that the resumed chain's files equal the uninterrupted chain's.
+The exit status is 0 when no file differs and both resumes reproduce.
+
+Usage:
+    python scripts/compare_outputs.py REF_SRC NEW_SRC [--size R|D]
+        [--iters I] [--burnin B] [--seed S] [--workdir DIR]
+
+REF_SRC and NEW_SRC are the ``src`` directories of the two trees.  Size R
+is 20 subjects x 20 channels x 100 time points, size D (the CLI default)
+40 x 50 x 150.  Without --workdir the work directories are temporary.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIZES = {"R": (20, 20, 100), "D": (40, 50, 150)}
+
+
+def worker_chain(iters: int, burn_in: int, seed: int) -> None:
+    """The checkpointed and resumed library chain, run in the work directory
+    with the tree under test first on the import path."""
+    from mlpp.fpca import fit_fpca, read_dataset_csv, smooth_dataset
+    from mlpp.hyperparams import estimate_hyperparams
+    from mlpp.sampler import SamplerConfig, run_chain, save_archives
+
+    raw = read_dataset_csv("sim/rep_01/data.csv", "sim/rep_01/time_grid.csv")
+    data = smooth_dataset(raw, 25)
+    basis = fit_fpca(data)
+    hp = estimate_hyperparams(basis, raw.group_codes, seed=seed)
+    cfg = SamplerConfig(n_iter=iters, burn_in=burn_in, thin=2, seed=seed,
+                        checkpoint_every=max(1, iters // 3))
+    checkpoint = Path("chain/checkpoint")
+    checkpoint.mkdir(parents=True)
+    straight = run_chain(data, basis, hp, cfg, checkpoint_dir=checkpoint)
+    resumed = run_chain(data, basis, hp, cfg, resume_from=checkpoint)
+    save_archives([straight], "chain/straight")
+    save_archives([resumed], "chain/resumed")
+
+
+def run_tree(src: Path, work: Path, size: str, iters: int, burn_in: int,
+             seed: int) -> None:
+    work.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    u, n, t = SIZES[size]
+    cli = [sys.executable, "-m", "mlpp.cli"]
+    steps = [
+        cli + ["simulate", "--subjects", str(u), "--channels", str(n),
+               "--timepoints", str(t), "--seed", str(seed), "--out", "sim"],
+        cli + ["fit", "--data", "sim/rep_01", "--out", "run", "--iters", str(iters),
+               "--burnin", str(burn_in), "--thin", "2", "--seed", str(seed)],
+        cli + ["diagnose", "--run", "run", "--trace", "noise_prec",
+               "--trace", "common_mean[1]"],
+        cli + ["summarize", "--run", "run", "--truth", "sim/rep_01/truth.json"],
+        [sys.executable, str(Path(__file__).resolve()), "--worker-chain",
+         str(iters), str(burn_in), str(seed)],
+    ]
+    for cmd in steps:
+        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+        # diagnose exits 2 when it flags a parameter, which short chains do
+        if done.returncode not in ((0, 2) if "diagnose" in cmd else (0,)):
+            sys.exit(f"{src}: {' '.join(cmd[1:])} failed:\n{done.stderr}")
+
+
+def files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def json_differences(a, b, where: str = "") -> list:
+    """Paths (key and list positions) at which two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b)):
+            here = f"{where}.{key}" if where else key
+            if key not in b:
+                out.append(f"{here} only in REF")
+            elif key not in a:
+                out.append(f"{here} only in NEW")
+            else:
+                out += json_differences(a[key], b[key], here)
+        return out
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b))
+                for d in json_differences(x, y, f"{where}[{i}]")]
+    return [] if a == b else [where or "(whole file)"]
+
+
+def compare(ref: Path, new: Path) -> list:
+    left, right = files(ref), files(new)
+    lines = []
+    for name in sorted(set(left) | set(right)):
+        if name not in right:
+            lines.append(f"only in REF: {name}")
+        elif name not in left:
+            lines.append(f"only in NEW: {name}")
+        elif left[name].read_bytes() != right[name].read_bytes():
+            detail = ""
+            if name.endswith(".json"):
+                keys = json_differences(json.loads(left[name].read_text()),
+                                        json.loads(right[name].read_text()))
+                detail = " (" + "; ".join(keys[:6]) + (" ..." if len(keys) > 6 else "") + ")"
+            lines.append(f"differs: {name}{detail}")
+    return lines
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--worker-chain"]:
+        worker_chain(*map(int, sys.argv[2:5]))
+        return
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--size", choices=sorted(SIZES), default="R")
+    parser.add_argument("--iters", type=int, default=400)
+    parser.add_argument("--burnin", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--workdir", type=Path, default=None)
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        base = args.workdir or Path(tmp)
+        trees = {"REF": (args.ref_src, base / "ref"), "NEW": (args.new_src, base / "new")}
+        for src, work in trees.values():
+            run_tree(src.resolve(), work, args.size, args.iters, args.burnin, args.seed)
+        ref, new = trees["REF"][1], trees["NEW"][1]
+        differing = compare(ref, new)
+        print(f"size {args.size} {SIZES[args.size]}, {args.iters} iterations, seed {args.seed}: "
+              f"{len(files(ref))} files in REF, {len(files(new))} in NEW, "
+              f"{len(differing)} differing")
+        for line in differing:
+            print("  " + line)
+        resumes_ok = True
+        for label, (_, work) in trees.items():
+            mismatch = compare(work / "chain/straight", work / "chain/resumed")
+            resumes_ok &= not mismatch
+            print(f"{label}: resumed chain {'differs from' if mismatch else 'reproduces'} "
+                  f"the uninterrupted chain" + "".join(f"\n  {line}" for line in mismatch))
+    sys.exit(0 if not differing and resumes_ok else 1)
+
+
+if __name__ == "__main__":
+    main()

@@ -6,9 +6,9 @@ trace/density exports for visual checks.
 """
 from __future__ import annotations
 
-import csv
-
 import numpy as np
+
+from .tables import grid_index, write_table
 
 _CONSTANT_TOL = 1e-12
 
@@ -98,12 +98,7 @@ def effective_sample_size(chains) -> float:
 def export_trace(path, chains, name: str = "value") -> None:
     """Long-format trace: one row per (chain, draw)."""
     arr = _as_matrix(chains)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "draw", name])
-        for c, row in enumerate(arr):
-            for d, v in enumerate(row):
-                writer.writerow([c + 1, d + 1, repr(float(v))])
+    write_table(path, ["chain", "draw", name], grid_index(arr.shape, 1), arr.ravel())
 
 
 def gaussian_density(draws: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -125,22 +120,17 @@ def export_density(path, chains, name: str = "value", grid_size: int = 256) -> N
     is singular there.
     """
     arr = _as_matrix(chains)
-    keep = [row for row in arr if row.std() > _CONSTANT_TOL * max(1.0, np.abs(row).max())]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", name, "density"])
-        if not keep:
-            return
-        lo = min(row.min() for row in keep)
-        hi = max(row.max() for row in keep)
+    moving = [c for c, row in enumerate(arr)
+              if row.std() > _CONSTANT_TOL * max(1.0, np.abs(row).max())]
+    grid = np.empty(0)
+    if moving:
+        lo, hi = arr[moving].min(), arr[moving].max()
         span = hi - lo
         grid = np.linspace(lo - 0.1 * span, hi + 0.1 * span, grid_size)
-        for c, row in enumerate(arr):
-            if row.std() <= _CONSTANT_TOL * max(1.0, np.abs(row).max()):
-                continue
-            dens = gaussian_density(row, grid)
-            for g, v in zip(grid, dens):
-                writer.writerow([c + 1, repr(float(g)), repr(float(v))])
+    dens = [gaussian_density(arr[c], grid) for c in moving]
+    write_table(path, ["chain", name, "density"],
+                np.repeat(np.array(moving, dtype=int) + 1, grid.size),
+                np.tile(grid, len(moving)), np.concatenate(dens) if dens else grid)
 
 
 def diagnose_archives(archives, rhat_threshold: float = 1.1,
@@ -190,10 +180,6 @@ def format_diagnostics_table(rows: list) -> str:
 
 
 def write_diagnostics_csv(path, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "mean", "sd", "rhat", "ess", "flags"])
-        for row in rows:
-            writer.writerow([row["name"], repr(row["mean"]), repr(row["sd"]),
-                             repr(row["rhat"]), repr(row["ess"]),
-                             ";".join(row["flags"])])
+    columns = [[row[key] for row in rows] for key in ("name", "mean", "sd", "rhat", "ess")]
+    write_table(path, ["parameter", "mean", "sd", "rhat", "ess", "flags"], *columns,
+                [";".join(row["flags"]) for row in rows])

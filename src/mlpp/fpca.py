@@ -9,7 +9,6 @@ eigenfunctions.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .smoothing import CurveSmoother
+from .tables import grid_index, read_header, read_table, scatter, write_table
 
 GROUP_A = 2
 GROUP_B = 3
@@ -194,75 +194,59 @@ def reconstruct(basis: EigenBasis, subject: int, channel: int) -> np.ndarray:
 
 def write_dataset_csv(data: FunctionalDataset, path) -> None:
     """One row per curve: subject_id, channel_id, group_code, T values."""
-    t = data.n_timepoints
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "channel_id", "group_code"]
-                        + [f"t{j}" for j in range(t)])
-        for u in range(data.n_subjects):
-            for i in range(data.n_channels):
-                writer.writerow([data.subject_ids[u], i + 1, data.group_codes[u]]
-                                + [repr(float(v)) for v in data.values[u, i]])
+    u, n, t = data.values.shape
+    write_table(path, ["subject_id", "channel_id", "group_code"]
+                + [f"t{j}" for j in range(t)],
+                np.repeat(np.array(data.subject_ids, dtype=object), n),
+                np.tile(np.arange(1, n + 1), u), np.repeat(data.group_codes, n),
+                data.values.reshape(u * n, t))
 
 
 def write_time_grid_csv(time_grid: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"])
-        for v in time_grid:
-            writer.writerow([repr(float(v))])
+    write_table(path, ["time"], time_grid)
 
 
 def read_time_grid_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["time"]:
-        raise ValueError(f"{path}: expected a single 'time' column")
-    return np.array([float(r[0]) for r in rows[1:]])
+    return read_table(path, ["time"])[:, 0]
 
 
 def read_dataset_csv(path, time_grid_path) -> FunctionalDataset:
     time_grid = read_time_grid_csv(time_grid_path)
     t = time_grid.size
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["subject_id", "channel_id", "group_code"]:
-            raise ValueError(f"{path}: expected subject_id, channel_id, group_code columns")
-        if len(header) != 3 + t:
-            raise ValueError(f"{path}: {len(header) - 3} value columns but "
-                             f"{t} time points in the grid")
-        per_subject: dict = {}
-        groups: dict = {}
-        for row in reader:
-            sid = row[0]
-            groups.setdefault(sid, int(row[2]))
-            if groups[sid] != int(row[2]):
-                raise ValueError(f"{path}: subject {sid} has inconsistent group codes")
-            curves = per_subject.setdefault(sid, {})
-            channel = int(row[1])
-            if channel in curves:
-                raise ValueError(f"{path}: subject {sid} repeats channel {channel}")
-            curves[channel] = np.array([float(v) for v in row[3:]])
-    if not per_subject:
+    header = read_header(path)
+    if header[:3] != ["subject_id", "channel_id", "group_code"]:
+        raise ValueError(f"{path}: expected subject_id, channel_id, group_code columns")
+    if len(header) != 3 + t:
+        raise ValueError(f"{path}: {len(header) - 3} value columns but "
+                         f"{t} time points in the grid")
+    rows = read_table(path, header, dtype=[("sid", object), ("channel", np.int64),
+                                           ("group", np.int64), ("values", float, (t,))])
+    if not rows.size:
         raise ValueError(f"{path}: no curves found")
-    n_channels = {len(v) for v in per_subject.values()}
-    if len(n_channels) != 1:
+    # subjects numbered in order of first appearance
+    sids, first, subject = np.unique(rows["sid"].astype(str), return_index=True,
+                                     return_inverse=True)
+    appearance = np.argsort(first)
+    sids, first, subject = sids[appearance], first[appearance], np.argsort(appearance)[subject]
+    channel, group = rows["channel"], rows["group"][first]
+    bad = np.flatnonzero(rows["group"] != group[subject])
+    if bad.size:
+        raise ValueError(f"{path}: subject {sids[subject[bad[0]]]} has inconsistent group codes")
+    order = np.lexsort((channel, subject))
+    repeats = order[1:][(np.diff(subject[order]) == 0) & (np.diff(channel[order]) == 0)]
+    if repeats.size:
+        row = repeats.min()
+        raise ValueError(f"{path}: subject {sids[subject[row]]} repeats channel {channel[row]}")
+    per_subject = np.bincount(subject)
+    if np.any(per_subject != per_subject[0]):
         raise ValueError(f"{path}: subjects have unequal channel counts")
-    subject_ids = list(per_subject)
-    first = subject_ids[0]
-    for sid in subject_ids[1:]:
-        extra = sorted(per_subject[sid].keys() - per_subject[first].keys())
-        if extra:
-            raise ValueError(f"{path}: subject {sid} has channel {extra[0]}, "
-                             f"which subject {first} lacks")
-    values = np.empty((len(subject_ids), n_channels.pop(), t))
-    for u, sid in enumerate(subject_ids):
-        for slot, channel in enumerate(sorted(per_subject[sid])):
-            values[u, slot] = per_subject[sid][channel]
-    ids = [int(s) if s.lstrip("-").isdigit() else s for s in subject_ids]
-    return FunctionalDataset(values, time_grid,
-                             np.array([groups[s] for s in subject_ids]), ids)
+    extra = order[~np.isin(channel[order], channel[subject == 0])]
+    if extra.size:
+        raise ValueError(f"{path}: subject {sids[subject[extra[0]]]} has channel "
+                         f"{channel[extra[0]]}, which subject {sids[0]} lacks")
+    values = rows["values"][order].reshape(sids.size, per_subject[0], t)
+    ids = [int(s) if s.lstrip("-").isdigit() else s for s in sids.tolist()]
+    return FunctionalDataset(values, time_grid, group, ids)
 
 
 def write_basis(basis: EigenBasis, directory) -> None:
@@ -277,38 +261,36 @@ def write_basis(basis: EigenBasis, directory) -> None:
         "n_channels": int(basis.scores.shape[1]),
     }
     (directory / "basis.json").write_text(json.dumps(header, indent=2) + "\n")
-    k = basis.n_components
-    with open(directory / "mean_curve.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "mean"])
-        for tv, mv in zip(basis.time_grid, basis.mean_curve):
-            writer.writerow([repr(float(tv)), repr(float(mv))])
-    with open(directory / "eigenfunctions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time"] + [f"component_{j + 1}" for j in range(k)])
-        for tv, row in zip(basis.time_grid, basis.eigenfunctions):
-            writer.writerow([repr(float(tv))] + [repr(float(v)) for v in row])
-    with open(directory / "scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject", "channel"] + [f"score_{j + 1}" for j in range(k)])
-        u, n, _ = basis.scores.shape
-        for s in range(u):
-            for i in range(n):
-                writer.writerow([s + 1, i + 1]
-                                + [repr(float(v)) for v in basis.scores[s, i]])
+    u, n, k = basis.scores.shape
+    eig_header, score_header = _basis_headers(k)
+    write_table(directory / "mean_curve.csv", ["time", "mean"],
+                basis.time_grid, basis.mean_curve)
+    write_table(directory / "eigenfunctions.csv", eig_header,
+                basis.time_grid, basis.eigenfunctions)
+    write_table(directory / "scores.csv", score_header,
+                grid_index((u, n), 1), basis.scores.reshape(u * n, k))
+
+
+def _basis_headers(k: int) -> tuple:
+    """Headers of eigenfunctions.csv and scores.csv (subjects and channels
+    counted from 1)."""
+    return (["time"] + [f"component_{j + 1}" for j in range(k)],
+            ["subject", "channel"] + [f"score_{j + 1}" for j in range(k)])
 
 
 def read_basis(directory) -> EigenBasis:
     directory = Path(directory)
     header = json.loads((directory / "basis.json").read_text())
     k = header["n_components"]
-    mean_rows = np.loadtxt(directory / "mean_curve.csv", delimiter=",", skiprows=1, ndmin=2)
-    eig_rows = np.loadtxt(directory / "eigenfunctions.csv", delimiter=",", skiprows=1, ndmin=2)
-    score_rows = np.loadtxt(directory / "scores.csv", delimiter=",", skiprows=1, ndmin=2)
     u, n = header["n_subjects"], header["n_channels"]
-    scores = np.empty((u, n, k))
-    for row in score_rows:
-        scores[int(row[0]) - 1, int(row[1]) - 1] = row[2:]
+    eig_header, score_header = _basis_headers(k)
+    mean_rows = read_table(directory / "mean_curve.csv", ["time", "mean"])
+    eig_rows = read_table(directory / "eigenfunctions.csv", eig_header)
+    if not np.array_equal(eig_rows[:, 0], mean_rows[:, 0]):
+        raise ValueError(f"{directory / 'eigenfunctions.csv'}: time column differs "
+                         f"from mean_curve.csv")
+    path = directory / "scores.csv"
+    scores = scatter(path, read_table(path, score_header), (u, n), 1, complete=True)
     return EigenBasis(
         mean_curve=mean_rows[:, 1],
         eigenfunctions=eig_rows[:, 1:],

@@ -10,7 +10,6 @@ in the sampler reads cluster parameters through that label.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,6 +18,7 @@ import numpy as np
 
 from .fpca import GROUP_A, GROUP_B
 from .hyperparams import HyperParams
+from .tables import grid_index, read_table, scatter, write_table
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -112,24 +112,34 @@ def refresh_cluster_labels(state: ModelState) -> None:
         state.subject_alloc, state.channel_alloc, state.group_codes)
 
 
-def cluster_params_for_labels(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
-    """Gather (mean, precision) per (subject, channel, dimension) label."""
+def cluster_index(state: ModelState) -> np.ndarray:
+    """Flat index of the cluster each score belongs to, (U, n, K).
+
+    Every dimension has 3 + U*J clusters: slot 0 the common cluster,
+    slots 1-2 the two group clusters (group-code order), slot 3 + u*J + j
+    subject u's cluster j; dimension k's slots start at k * (3 + U*J).
+    """
     u, _, k = state.scores.shape
     j = state.max_subject_clusters
-    stacked_mean = np.concatenate([
-        np.broadcast_to(state.common_mean[None, :, None], (u, k, 1)),
-        np.broadcast_to(state.group_mean[None, :, :], (u, k, 2)),
-        state.subject_mean,
-    ], axis=2)
-    stacked_prec = np.concatenate([
-        np.broadcast_to(state.common_prec[None, :, None], (u, k, 1)),
-        np.broadcast_to(state.group_prec[None, :, :], (u, k, 2)),
-        state.subject_prec,
-    ], axis=2)
-    idx = state.cluster_label - 1                      # labels 1..3+J -> 0..2+J
-    uu = np.arange(u)[:, None, None]
-    kk = np.arange(k)[None, None, :]
-    return stacked_mean[uu, kk, idx], stacked_prec[uu, kk, idx]
+    label = state.cluster_label
+    slot = np.where(label < FIRST_SUBJECT_LABEL, label - 1,
+                    3 + j * np.arange(u)[:, None, None] + label - FIRST_SUBJECT_LABEL)
+    return slot + (3 + u * j) * np.arange(k)
+
+
+def stack_clusters(common, group, subject) -> np.ndarray:
+    """One (K, 3 + U*J) grid from common (K,), group (K, 2) and subject
+    (U, K, J) values, in cluster_index slot order."""
+    subject = np.swapaxes(subject, 0, 1).reshape(common.shape[0], -1)
+    return np.concatenate([common[:, None], group, subject], axis=1)
+
+
+def cluster_params_for_labels(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
+    """Gather (mean, precision) per (subject, channel, dimension) label."""
+    index = cluster_index(state)
+    means = stack_clusters(state.common_mean, state.group_mean, state.subject_mean)
+    precs = stack_clusters(state.common_prec, state.group_prec, state.subject_prec)
+    return means.ravel()[index], precs.ravel()[index]
 
 
 def fitted_curves(scores: np.ndarray, eigenfunctions: np.ndarray) -> np.ndarray:
@@ -193,8 +203,8 @@ def validate_state(state: ModelState, hp: HyperParams | None = None,
     j = state.max_subject_clusters
     if not np.all(np.isfinite(state.scores)):
         raise ValueError("scores must be finite")
-    if not state.noise_prec > 0:
-        raise ValueError("noise precision must be positive")
+    if not (np.isfinite(state.noise_prec) and state.noise_prec > 0):
+        raise ValueError("noise precision must be finite and positive")
     if not set(np.unique(state.group_codes)) <= {GROUP_A, GROUP_B}:
         raise ValueError("group codes must be 2 or 3")
     if np.any(state.channel_alloc < FIRST_SUBJECT_LABEL) or \
@@ -222,77 +232,48 @@ def validate_state(state: ModelState, hp: HyperParams | None = None,
 
 
 # ---------------------------------------------------------------------------
-# State snapshots (JSON for scalars and labels, CSV for real tensors)
+# State snapshots (JSON for scalars and labels, CSV for real tensors, with
+# 0-based indices)
 # ---------------------------------------------------------------------------
+
+_JSON_ARRAYS = ("subject_alloc", "channel_alloc", "group_codes", "common_mean",
+                "common_prec", "group_mean", "group_prec", "category_weights",
+                "raw_sticks")
+_INT_ARRAYS = ("subject_alloc", "channel_alloc", "group_codes")
+_SCORE_HEADER = ["subject", "channel", "dim", "value"]
+_CLUSTER_HEADER = ["subject", "dim", "label", "mean", "prec"]
+
 
 def save_state(state: ModelState, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "noise_prec": state.noise_prec,
-        "subject_alloc": state.subject_alloc.tolist(),
-        "channel_alloc": state.channel_alloc.tolist(),
-        "group_codes": state.group_codes.tolist(),
-        "common_mean": state.common_mean.tolist(),
-        "common_prec": state.common_prec.tolist(),
-        "group_mean": state.group_mean.tolist(),
-        "group_prec": state.group_prec.tolist(),
-        "category_weights": state.category_weights.tolist(),
-        "raw_sticks": state.raw_sticks.tolist(),
-        "shape": list(state.scores.shape) + [state.max_subject_clusters],
-    }
+    doc = {"noise_prec": state.noise_prec,
+           **{name: getattr(state, name).tolist() for name in _JSON_ARRAYS},
+           "shape": list(state.scores.shape) + [state.max_subject_clusters]}
     (directory / "state.json").write_text(json.dumps(doc) + "\n")
-    with open(directory / "scores.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject", "channel", "dim", "value"])
-        u, n, k = state.scores.shape
-        for s in range(u):
-            for i in range(n):
-                for d in range(k):
-                    writer.writerow([s, i, d, repr(float(state.scores[s, i, d]))])
-    with open(directory / "subject_clusters.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject", "dim", "label", "mean", "prec"])
-        u, k, j = state.subject_mean.shape
-        for s in range(u):
-            for d in range(k):
-                for lab in range(j):
-                    writer.writerow([s, d, lab,
-                                     repr(float(state.subject_mean[s, d, lab])),
-                                     repr(float(state.subject_prec[s, d, lab]))])
+    write_table(directory / "scores.csv", _SCORE_HEADER,
+                grid_index(state.scores.shape, 0), state.scores.ravel())
+    write_table(directory / "subject_clusters.csv", _CLUSTER_HEADER,
+                grid_index(state.subject_mean.shape, 0), state.subject_mean.ravel(),
+                state.subject_prec.ravel())
 
 
 def load_state(directory) -> ModelState:
     directory = Path(directory)
     doc = json.loads((directory / "state.json").read_text())
     u, n, k, j = doc["shape"]
-    scores = np.zeros((u, n, k))
-    for row in np.loadtxt(directory / "scores.csv", delimiter=",",
-                          skiprows=1, ndmin=2):
-        scores[int(row[0]), int(row[1]), int(row[2])] = row[3]
-    subject_mean = np.zeros((u, k, j))
-    subject_prec = np.zeros((u, k, j))
-    for row in np.loadtxt(directory / "subject_clusters.csv", delimiter=",",
-                          skiprows=1, ndmin=2):
-        subject_mean[int(row[0]), int(row[1]), int(row[2])] = row[3]
-        subject_prec[int(row[0]), int(row[1]), int(row[2])] = row[4]
-    raw_sticks = np.array(doc["raw_sticks"])
+    path = directory / "scores.csv"
+    scores = scatter(path, read_table(path, _SCORE_HEADER), (u, n, k), 0,
+                     complete=True)[..., 0]
+    path = directory / "subject_clusters.csv"
+    clusters = scatter(path, read_table(path, _CLUSTER_HEADER), (u, k, j), 0,
+                       complete=True)
+    arrays = {name: np.array(doc[name], dtype=int if name in _INT_ARRAYS else float)
+              for name in _JSON_ARRAYS}
     state = ModelState(
-        scores=scores,
-        noise_prec=doc["noise_prec"],
-        subject_alloc=np.array(doc["subject_alloc"], dtype=int),
-        channel_alloc=np.array(doc["channel_alloc"], dtype=int),
+        scores=scores, noise_prec=doc["noise_prec"],
         cluster_label=np.zeros((u, n, k), dtype=int),
-        common_mean=np.array(doc["common_mean"]),
-        common_prec=np.array(doc["common_prec"]),
-        group_mean=np.array(doc["group_mean"]),
-        group_prec=np.array(doc["group_prec"]),
-        subject_mean=subject_mean,
-        subject_prec=subject_prec,
-        category_weights=np.array(doc["category_weights"]),
-        raw_sticks=raw_sticks,
-        stick_weights=sticks_to_weights(raw_sticks),
-        group_codes=np.array(doc["group_codes"], dtype=int),
-    )
+        subject_mean=clusters[..., 0].copy(), subject_prec=clusters[..., 1].copy(),
+        stick_weights=sticks_to_weights(arrays["raw_sticks"]), **arrays)
     refresh_cluster_labels(state)
     return state

@@ -8,7 +8,6 @@ estimate with a credible ball around it.
 """
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .fpca import GROUP_A
 from .model import CAT_COMMON, CAT_GROUP, CAT_SUBJECT
+from .tables import write_table
 
 
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -280,13 +280,9 @@ def summarize_dimension(subject_alloc_draws: np.ndarray, group_codes: np.ndarray
 
 def write_similarity_csv(path, sim: np.ndarray, subject_ids=None) -> None:
     sim = np.asarray(sim)
-    n = sim.shape[0]
-    ids = subject_ids if subject_ids is not None else np.arange(1, n + 1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id"] + [str(int(i)) for i in ids])
-        for i in range(n):
-            writer.writerow([str(int(ids[i]))] + [repr(float(v)) for v in sim[i]])
+    ids = np.arange(1, sim.shape[0] + 1) if subject_ids is None \
+        else np.array([int(i) for i in subject_ids])
+    write_table(path, ["subject_id"] + [str(i) for i in ids.tolist()], ids, sim)
 
 
 def write_partition_report(path, reports: list) -> None:

@@ -11,18 +11,17 @@ subject/channel allocations, category weights, stick proportions.
   means, then all precisions, in array calls; only far-tail or
   nonpositive-shape precisions take the scalar rejection sampler.
 - The allocation update marginalizes the channel labels when choosing
-  each subject's category (the uncollapsed variant is kept behind a flag
-  for equivalence testing); one exponentiation of the per-channel mixture
+  each subject's category; one exponentiation of the per-channel mixture
   densities serves both that weight and the channel-label posterior.
 
 The optional audit (``audit_every``) validates the state, checks the
 scan's sufficient-statistic SSR against the direct residual sum, and
 requires a finite log joint.  Chains are deterministic given (seed,
-inputs).
+inputs).  Kept draws have one on-disk format, the chain files of a run
+directory, which checkpoints also use.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -33,10 +32,12 @@ import numpy as np
 from .fpca import GROUP_A, EigenBasis, FunctionalDataset
 from .hyperparams import HyperParams
 from .model import (CAT_COMMON, CAT_GROUP, CAT_SUBJECT, FIRST_SUBJECT_LABEL,
-                    LOG_2PI, ModelState, cluster_params_for_labels,
+                    LOG_2PI, ModelState, cluster_index, cluster_params_for_labels,
                     fitted_curves, load_state, noise_loglik,
                     refresh_cluster_labels, residual_ssr, save_state,
-                    scores_logprior, sticks_to_weights, validate_state)
+                    scores_logprior, stack_clusters, sticks_to_weights,
+                    validate_state)
+from .tables import grid_index, read_table, scatter, write_table
 
 # Audit tolerance on the residual sum of squares, relative to the scale of
 # its rounding error (||c||^2 plus the sum itself): the expansion from
@@ -59,7 +60,6 @@ class SamplerConfig:
     init_mode: str = "empirical"        # or "prior_draw"
     audit_every: int = 0
     checkpoint_every: int = 0
-    collapsed_alloc: bool = True
     likelihood_off: bool = False
 
     def __post_init__(self):
@@ -341,10 +341,12 @@ def draw_observations(state: ModelState, eigenfunctions: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def score_update_params(state: ModelState, ws: Workspace, dim: int,
-                        likelihood_off: bool = False):
+                        likelihood_off: bool = False, cluster_params=None):
     """Posterior mean and variance of every score in one dimension,
-    holding the other dimensions at their current values."""
-    means_z, precs_z = cluster_params_for_labels(state)
+    holding the other dimensions at their current values; cluster_params
+    is the cluster_params_for_labels gather, taken here when not given."""
+    means_z, precs_z = cluster_params if cluster_params is not None \
+        else cluster_params_for_labels(state)
     mu, s = means_z[:, :, dim], precs_z[:, :, dim]
     if likelihood_off:
         return mu, 1.0 / s
@@ -358,8 +360,10 @@ def score_update_params(state: ModelState, ws: Workspace, dim: int,
 def update_scores(state: ModelState, ws: Workspace, rng: np.random.Generator,
                   likelihood_off: bool = False) -> None:
     u, n, k = state.scores.shape
+    # labels and cluster parameters do not change within the block
+    params = cluster_params_for_labels(state)
     for dim in range(k):
-        mean, var = score_update_params(state, ws, dim, likelihood_off)
+        mean, var = score_update_params(state, ws, dim, likelihood_off, params)
         state.scores[:, :, dim] = mean + np.sqrt(var) * rng.standard_normal((u, n))
 
 
@@ -384,34 +388,12 @@ def update_noise_prec(state: ModelState, ws: Workspace, hp: HyperParams,
     state.noise_prec = float(rng.gamma(shape, 1.0 / rate))
 
 
-def cluster_index(state: ModelState) -> np.ndarray:
-    """Flat index of the cluster each score belongs to, (U, n, K).
-
-    Every dimension has 3 + U*J clusters: slot 0 the common cluster,
-    slots 1-2 the two group clusters (group-code order), slot 3 + u*J + j
-    subject u's cluster j; dimension k's slots start at k * (3 + U*J).
-    """
-    u, _, k = state.scores.shape
-    j = state.max_subject_clusters
-    label = state.cluster_label
-    slot = np.where(label < FIRST_SUBJECT_LABEL, label - 1,
-                    3 + j * np.arange(u)[:, None, None] + label - FIRST_SUBJECT_LABEL)
-    return slot + (3 + u * j) * np.arange(k)
-
-
 def _segment_sum(index: np.ndarray, n_dims: int, n_clusters: int,
                  values: np.ndarray | None = None) -> np.ndarray:
     """Per-cluster sums of values (member counts without values), (K, C)."""
     weights = None if values is None else values.ravel()
     return np.bincount(index.ravel(), weights=weights,
                        minlength=n_dims * n_clusters).reshape(n_dims, n_clusters)
-
-
-def _stack_clusters(common, group, subject) -> np.ndarray:
-    """One (K, 3 + U*J) grid from common (K,), group (K, 2) and subject
-    (U, K, J) values, in cluster_index slot order."""
-    subject = np.swapaxes(subject, 0, 1).reshape(common.shape[0], -1)
-    return np.concatenate([common[:, None], group, subject], axis=1)
 
 
 def _subject_prior(values, state: ModelState) -> np.ndarray:
@@ -436,11 +418,11 @@ def cluster_mean_params(state: ModelState, hp: HyperParams, index: np.ndarray,
     prior."""
     k = state.n_components
     sums = _segment_sum(index, *counts.shape, state.scores)
-    mean0 = _stack_clusters(np.zeros(k), hp.group_mean_loc,
+    mean0 = stack_clusters(np.zeros(k), hp.group_mean_loc,
                             _subject_prior(hp.subject_mean_loc, state))
-    prec0 = _stack_clusters(hp.common_mean_prec, hp.group_mean_prec,
+    prec0 = stack_clusters(hp.common_mean_prec, hp.group_mean_prec,
                             _subject_prior(hp.subject_mean_prec, state))
-    cur_prec = _stack_clusters(state.common_prec, state.group_prec, state.subject_prec)
+    cur_prec = stack_clusters(state.common_prec, state.group_prec, state.subject_prec)
     post_prec = prec0 + counts * cur_prec
     return (prec0 * mean0 + cur_prec * sums) / post_prec, post_prec
 
@@ -458,7 +440,7 @@ def cluster_prec_params(state: ModelState, hp: HyperParams, index: np.ndarray,
     """
     dev = state.scores - means.ravel()[index]
     ss = _segment_sum(index, *counts.shape, dev * dev)
-    bound = _stack_clusters(hp.common_sd_bound, hp.group_sd_bound,
+    bound = stack_clusters(hp.common_sd_bound, hp.group_sd_bound,
                             _subject_prior(hp.subject_sd_bound, state))
     return 0.5 * counts - 0.5, 0.5 * ss, bound
 
@@ -484,11 +466,12 @@ def update_cluster_params(state: ModelState, hp: HyperParams,
     state.subject_prec = np.swapaxes(precs[:, 3:].reshape(k, u, j), 0, 1)
 
 
-def alloc_log_weights(state: ModelState, dim: int, collapsed: bool = True):
+def alloc_log_weights(state: ModelState, dim: int):
     """Per-subject log weights of the three categories in one dimension,
-    (U, 3), and the unnormalized channel-label posterior under category
-    3, laid out label-first as (J, U, n) so that the reductions over
-    labels run across whole (U, n) planes."""
+    (U, 3), the channel labels marginalized in category 3, and the
+    unnormalized channel-label posterior under category 3, laid out
+    label-first as (J, U, n) so that the reductions over labels run
+    across whole (U, n) planes."""
     gidx = state.group_codes - GROUP_A
     x = state.scores[:, :, dim]
     log_common = _norm_logpdf(x, state.common_mean[dim], state.common_prec[dim])
@@ -501,11 +484,7 @@ def alloc_log_weights(state: ModelState, dim: int, collapsed: bool = True):
     top = chan_post.max(axis=0)
     chan_post -= top
     np.exp(chan_post, out=chan_post)
-    if collapsed:
-        third = (top + np.log(chan_post.sum(axis=0))).sum(axis=1)
-    else:
-        cur = state.channel_alloc[:, :, dim] - FIRST_SUBJECT_LABEL
-        third = np.take_along_axis(log_subj, cur[None], axis=0)[0].sum(axis=1)
+    third = (top + np.log(chan_post.sum(axis=0))).sum(axis=1)
     log_omega = np.log(np.maximum(state.category_weights[dim], 1e-300))
     weights = np.stack([log_omega[0] + log_common.sum(axis=1),
                         log_omega[1] + log_group.sum(axis=1),
@@ -514,13 +493,13 @@ def alloc_log_weights(state: ModelState, dim: int, collapsed: bool = True):
 
 
 def update_subject_alloc(state: ModelState, hp: HyperParams,
-                         rng: np.random.Generator, collapsed: bool = True) -> None:
+                         rng: np.random.Generator) -> None:
     """Draw each subject's category, then every channel label: from its
     posterior where the subject is in category 3, from the stick prior
     elsewhere."""
     gidx = state.group_codes - GROUP_A
     for dim in range(state.n_components):
-        weights, chan_post = alloc_log_weights(state, dim, collapsed)
+        weights, chan_post = alloc_log_weights(state, dim)
         top = weights.max(axis=1, keepdims=True)
         if not np.all(np.isfinite(top)):
             raise SamplerError(
@@ -549,27 +528,18 @@ def update_category_weights(state: ModelState, hp: HyperParams,
         state.category_weights[dim] = np.maximum(rng.dirichlet(conc[dim]), 1e-300)
 
 
-def stick_counts(state: ModelState, include_all_channels: bool = False) -> np.ndarray:
-    """Channel-label counts n[k, group, j] among subject-specific scores
-    (or among all channels, for the uncollapsed sampler variant)."""
-    u, n, k = state.scores.shape
-    j = state.max_subject_clusters
-    gidx = state.group_codes - GROUP_A
-    counts = np.zeros((k, 2, j), dtype=int)
-    for dim in range(k):
-        for col in range(2):
-            mask = gidx == col
-            if not include_all_channels:
-                mask = mask & (state.subject_alloc[:, dim] == CAT_SUBJECT)
-            labels = state.channel_alloc[mask, :, dim] - FIRST_SUBJECT_LABEL
-            counts[dim, col] = np.bincount(labels.ravel(), minlength=j)
-    return counts
+def stick_counts(state: ModelState) -> np.ndarray:
+    """Channel-label counts n[k, group, j] among subject-specific scores."""
+    k, j = state.n_components, state.max_subject_clusters
+    subj, dim = np.nonzero(state.subject_alloc == CAT_SUBJECT)
+    flat = ((2 * dim + state.group_codes[subj] - GROUP_A) * j)[:, None] \
+        + state.channel_alloc[subj, :, dim] - FIRST_SUBJECT_LABEL    # (subject dims, n)
+    return np.bincount(flat.ravel(), minlength=k * 2 * j).reshape(k, 2, j)
 
 
-def stick_params(state: ModelState, hp: HyperParams,
-                 include_all_channels: bool = False):
+def stick_params(state: ModelState, hp: HyperParams):
     """Beta(a, b) parameters of every stick conditional, each (K, 2, J)."""
-    counts = stick_counts(state, include_all_channels)
+    counts = stick_counts(state)
     total = counts.sum(axis=2, keepdims=True)
     tail = total - np.cumsum(counts, axis=2)
     a = 1.0 + counts
@@ -577,16 +547,14 @@ def stick_params(state: ModelState, hp: HyperParams,
     return a, b
 
 
-def update_sticks(state: ModelState, hp: HyperParams, rng: np.random.Generator,
-                  include_all_channels: bool = False) -> None:
-    a, b = stick_params(state, hp, include_all_channels)
+def update_sticks(state: ModelState, hp: HyperParams, rng: np.random.Generator) -> None:
+    a, b = stick_params(state, hp)
     state.raw_sticks = np.clip(rng.beta(a, b), 1e-12, 1.0 - 1e-12)
     state.stick_weights = sticks_to_weights(state.raw_sticks)
 
 
 def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
-               rng: np.random.Generator, collapsed: bool = True,
-               likelihood_off: bool = False) -> float | None:
+               rng: np.random.Generator, likelihood_off: bool = False) -> float | None:
     """One systematic scan over all six blocks.
 
     Returns the residual sum of squares the noise update used (None with
@@ -596,9 +564,9 @@ def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
     ssr = None if likelihood_off else sufficient_ssr(state.scores, ws)
     update_noise_prec(state, ws, hp, rng, ssr=ssr, likelihood_off=likelihood_off)
     update_cluster_params(state, hp, rng)
-    update_subject_alloc(state, hp, rng, collapsed)
+    update_subject_alloc(state, hp, rng)
     update_category_weights(state, hp, rng)
-    update_sticks(state, hp, rng, include_all_channels=not collapsed)
+    update_sticks(state, hp, rng)
     return ssr
 
 
@@ -685,29 +653,29 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
     seed_seq = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)[chain_index]
     rng = np.random.default_rng(seed_seq)
     start_iter = 0
+    scalars, alloc_draws, chan_draws = [], [], []
     if resume_from is not None:
         state, rng, start_iter, kept = _load_checkpoint(resume_from)
+        scalars, alloc_draws, chan_draws = (list(draws) for draws in kept)
+    elif cfg.init_mode == "prior_draw":
+        state = draw_state_from_prior(hp, data.n_subjects, data.n_channels,
+                                      data.group_codes, rng)
     else:
-        if cfg.init_mode == "prior_draw":
-            state = draw_state_from_prior(hp, data.n_subjects, data.n_channels,
-                                          data.group_codes, rng)
-        else:
-            state = initial_state_empirical(basis, hp, ws, rng)
-        kept = []
+        state = initial_state_empirical(basis, hp, ws, rng)
 
     u, n, k = state.scores.shape
     names = scalar_names(k)
-    alloc_draws = []
-    chan_draws = []
-    scalars = []
-    for row in kept:
-        scalars.append(row[0])
-        alloc_draws.append(row[1])
-        chan_draws.append(row[2])
+
+    def archive(meta=None) -> ChainArchive:
+        return ChainArchive(
+            scalar_names=names,
+            scalars=np.array(scalars, dtype=float).reshape(-1, len(names)),
+            subject_alloc_draws=np.array(alloc_draws, dtype=np.int8).reshape(-1, u, k),
+            channel_alloc_draws=np.array(chan_draws, dtype=np.int16).reshape(-1, u, n, k),
+            group_codes=data.group_codes.copy(), meta=meta or {})
 
     for it in range(start_iter + 1, cfg.n_iter + 1):
-        ssr = gibbs_scan(state, ws, hp, rng, collapsed=cfg.collapsed_alloc,
-                         likelihood_off=cfg.likelihood_off)
+        ssr = gibbs_scan(state, ws, hp, rng, likelihood_off=cfg.likelihood_off)
         _check_finite(state, it)
         if cfg.audit_every and it % cfg.audit_every == 0:
             _audit(state, ws, hp, ssr, cfg.likelihood_off, it)
@@ -719,20 +687,12 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
                 state.channel_alloc, -1).astype(np.int16))
         if checkpoint_dir is not None and cfg.checkpoint_every \
                 and it % cfg.checkpoint_every == 0 and it < cfg.n_iter:
-            _save_checkpoint(checkpoint_dir, state, rng, it,
-                             list(zip(scalars, alloc_draws, chan_draws)))
+            _save_checkpoint(checkpoint_dir, state, rng, it, archive())
 
-    return ChainArchive(
-        scalar_names=names,
-        scalars=np.array(scalars, dtype=float),
-        subject_alloc_draws=np.array(alloc_draws, dtype=np.int8),
-        channel_alloc_draws=np.array(chan_draws, dtype=np.int16),
-        group_codes=data.group_codes.copy(),
-        meta={"chain_index": chain_index, "seed": cfg.seed,
-              "n_iter": cfg.n_iter, "burn_in": cfg.burn_in, "thin": cfg.thin,
-              "init_mode": cfg.init_mode, "collapsed_alloc": cfg.collapsed_alloc,
-              "n_subjects": int(u), "n_channels": int(n), "n_components": int(k)},
-    )
+    return archive({"chain_index": chain_index, "seed": cfg.seed,
+                    "n_iter": cfg.n_iter, "burn_in": cfg.burn_in, "thin": cfg.thin,
+                    "init_mode": cfg.init_mode,
+                    "n_subjects": int(u), "n_channels": int(n), "n_components": int(k)})
 
 
 def _worker_count(requested: int) -> int:
@@ -761,16 +721,16 @@ def run_chains(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Checkpoints: state snapshot, RNG state, and the draws kept so far as
+# chain files
 # ---------------------------------------------------------------------------
 
 def _save_checkpoint(directory, state: ModelState, rng: np.random.Generator,
-                     iteration: int, kept: list) -> None:
+                     iteration: int, kept: ChainArchive) -> None:
     directory = Path(directory)
     save_state(state, directory / "state")
-    doc = {"iteration": iteration, "rng_state": rng.bit_generator.state,
-           "kept": [[list(map(float, row)), alloc.tolist(), chan.tolist()]
-                    for row, alloc, chan in kept]}
+    _write_chain(kept, directory)
+    doc = {"iteration": iteration, "rng_state": rng.bit_generator.state}
     (directory / "checkpoint.json").write_text(json.dumps(doc) + "\n")
 
 
@@ -780,14 +740,47 @@ def _load_checkpoint(directory):
     state = load_state(directory / "state")
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
-    kept = [(row, np.array(alloc, dtype=np.int8), np.array(chan, dtype=np.int16))
-            for row, alloc, chan in doc["kept"]]
+    kept = _read_chain(directory, scalar_names(state.n_components), state.scores.shape)
     return state, rng, doc["iteration"], kept
 
 
 # ---------------------------------------------------------------------------
-# Archive files
+# Archive files (draws, subjects, channels and dimensions counted from 1)
 # ---------------------------------------------------------------------------
+
+_LABELS_G_HEADER = ["draw", "subject", "dim", "category"]
+_LABELS_ETA_HEADER = ["draw", "subject", "channel", "dim", "label"]
+
+
+def _write_chain(archive: ChainArchive, chain_dir: Path) -> None:
+    """draws_scalar.csv, labels_g.csv and labels_eta.csv (category-3
+    channel labels only) of one chain."""
+    write_table(chain_dir / "draws_scalar.csv", ["draw"] + archive.scalar_names,
+                np.arange(1, archive.n_draws + 1), archive.scalars)
+    write_table(chain_dir / "labels_g.csv", _LABELS_G_HEADER,
+                grid_index(archive.subject_alloc_draws.shape, 1),
+                archive.subject_alloc_draws.ravel())
+    cells = np.argwhere(archive.channel_alloc_draws >= 0)
+    write_table(chain_dir / "labels_eta.csv", _LABELS_ETA_HEADER, cells + 1,
+                archive.channel_alloc_draws[tuple(cells.T)])
+
+
+def _read_chain(chain_dir: Path, names: list, shape) -> tuple:
+    """Scalars, subject categories and channel labels (-1 outside category
+    3) of one chain's files; shape is (U, n, K)."""
+    u, n, k = shape
+    path = chain_dir / "draws_scalar.csv"
+    table = read_table(path, ["draw"] + names)
+    draws = len(table)
+    scalars = scatter(path, table, (draws,), 1, complete=True)
+    path = chain_dir / "labels_g.csv"
+    alloc = scatter(path, read_table(path, _LABELS_G_HEADER, np.int64), (draws, u, k),
+                    1, dtype=np.int8, complete=True)[..., 0]
+    path = chain_dir / "labels_eta.csv"
+    chan = scatter(path, read_table(path, _LABELS_ETA_HEADER, np.int64),
+                   (draws, u, n, k), 1, fill=-1, dtype=np.int16)[..., 0]
+    return scalars, alloc, chan
+
 
 def save_archives(archives: list, run_dir, extra_meta: dict | None = None) -> None:
     """One directory per run: meta.json plus per-chain scalar and label CSVs."""
@@ -802,40 +795,7 @@ def save_archives(archives: list, run_dir, extra_meta: dict | None = None) -> No
     for idx, archive in enumerate(archives):
         chain_dir = run_dir / f"chain_{idx:02d}"
         chain_dir.mkdir(exist_ok=True)
-        with open(chain_dir / "draws_scalar.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["draw"] + archive.scalar_names)
-            for r, row in enumerate(archive.scalars):
-                writer.writerow([r + 1] + [repr(float(v)) for v in row])
-        with open(chain_dir / "labels_g.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["draw", "subject", "dim", "category"])
-            draws, u, k = archive.subject_alloc_draws.shape
-            for r in range(draws):
-                for subj in range(u):
-                    for dim in range(k):
-                        writer.writerow([r + 1, subj + 1, dim + 1,
-                                         int(archive.subject_alloc_draws[r, subj, dim])])
-        with open(chain_dir / "labels_eta.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["draw", "subject", "channel", "dim", "label"])
-            rr, uu, nn, kk = archive.channel_alloc_draws.shape
-            idx_rows = np.argwhere(archive.channel_alloc_draws >= 0)
-            for r, subj, chan, dim in idx_rows:
-                writer.writerow([r + 1, subj + 1, chan + 1, dim + 1,
-                                 int(archive.channel_alloc_draws[r, subj, chan, dim])])
-
-
-def _int_rows(path, width: int) -> np.ndarray:
-    """Body of an integer CSV file (header skipped), (rows, width); a file
-    with no rows (labels_eta.csv when no draw has a category-3 subject)
-    gives an empty array."""
-    with open(path) as fh:
-        next(fh)                                      # header
-        lines = fh.readlines()
-    if not lines:
-        return np.empty((0, width), dtype=np.int64)
-    return np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2)
+        _write_chain(archive, chain_dir)
 
 
 def load_archives(run_dir) -> list:
@@ -843,19 +803,11 @@ def load_archives(run_dir) -> list:
     meta = json.loads((run_dir / "meta.json").read_text())
     archives = []
     for idx in range(meta["n_chains"]):
-        chain_dir = run_dir / f"chain_{idx:02d}"
         chain_meta = meta["chains"][idx]
-        u, n, k = (chain_meta["n_subjects"], chain_meta["n_channels"],
-                   chain_meta["n_components"])
-        scalars = np.loadtxt(chain_dir / "draws_scalar.csv", delimiter=",",
-                             skiprows=1, ndmin=2)[:, 1:]
-        draws = scalars.shape[0]
-        alloc = np.zeros((draws, u, k), dtype=np.int8)
-        rows = _int_rows(chain_dir / "labels_g.csv", 4)
-        alloc[tuple(rows[:, :3].T - 1)] = rows[:, 3]
-        chan = np.full((draws, u, n, k), -1, dtype=np.int16)
-        rows = _int_rows(chain_dir / "labels_eta.csv", 5)
-        chan[tuple(rows[:, :4].T - 1)] = rows[:, 4]
+        shape = (chain_meta["n_subjects"], chain_meta["n_channels"],
+                 chain_meta["n_components"])
+        scalars, alloc, chan = _read_chain(run_dir / f"chain_{idx:02d}",
+                                           meta["scalar_names"], shape)
         archives.append(ChainArchive(
             scalar_names=meta["scalar_names"], scalars=scalars,
             subject_alloc_draws=alloc, channel_alloc_draws=chan,

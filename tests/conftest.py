@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 
 from mlpp.hyperparams import HyperParams
+from mlpp.model import refresh_cluster_labels
 from mlpp.sampler import Workspace, draw_state_from_prior
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -147,3 +148,70 @@ def naive_cluster_conditionals(state, hp, means):
         ss = sum((x - means[key]) ** 2 for x in xs)
         out[key] = (len(xs), loc, post_prec, 0.5 * len(xs) - 0.5, 0.5 * ss, bound)
     return out
+
+
+def _log_normal(x, mean, prec):
+    return 0.5 * (np.log(prec) - np.log(2 * np.pi)) - 0.5 * prec * (x - mean) ** 2
+
+
+def label_conditioned_weights(state, dim):
+    """Category log weights of every subject in one dimension, (U, 3), with
+    category 3 conditioned on the current channel labels instead of
+    marginalizing them: the sum of each score's density under its own
+    subject cluster (the labels' stick prior cancels between categories).
+    This is the allocation step of the uncollapsed sampler variant."""
+    u, n, _ = state.scores.shape
+    out = np.empty((u, 3))
+    for subj in range(u):
+        col = state.group_codes[subj] - 2
+        xs = state.scores[subj, :, dim]
+        out[subj, 0] = np.log(state.category_weights[dim, 0]) + sum(
+            _log_normal(x, state.common_mean[dim], state.common_prec[dim]) for x in xs)
+        out[subj, 1] = np.log(state.category_weights[dim, 1]) + sum(
+            _log_normal(x, state.group_mean[dim, col], state.group_prec[dim, col])
+            for x in xs)
+        third = 0.0
+        for chan in range(n):
+            lab = state.channel_alloc[subj, chan, dim] - 4
+            third += _log_normal(xs[chan], state.subject_mean[subj, dim, lab],
+                                 state.subject_prec[subj, dim, lab])
+        out[subj, 2] = np.log(state.category_weights[dim, 2]) + third
+    return out
+
+
+def label_conditioned_alloc_update(state, rng):
+    """One allocation step of the uncollapsed variant, by explicit loops:
+    each subject's category from label_conditioned_weights, then each
+    channel label from its posterior (category 3) or its stick prior."""
+    u, n, k = state.scores.shape
+    j = state.max_subject_clusters
+    for dim in range(k):
+        weights = label_conditioned_weights(state, dim)
+        for subj in range(u):
+            probs = np.exp(weights[subj] - weights[subj].max())
+            cat = 1 + rng.choice(3, p=probs / probs.sum())
+            state.subject_alloc[subj, dim] = cat
+            sticks = state.stick_weights[dim, state.group_codes[subj] - 2]
+            for chan in range(n):
+                probs = sticks.copy()
+                if cat == 3:
+                    probs *= [np.exp(_log_normal(state.scores[subj, chan, dim],
+                                                 state.subject_mean[subj, dim, lab],
+                                                 state.subject_prec[subj, dim, lab]))
+                              for lab in range(j)]
+                state.channel_alloc[subj, chan, dim] = 4 + rng.choice(j, p=probs / probs.sum())
+    refresh_cluster_labels(state)
+
+
+def all_channel_stick_counts(state):
+    """Channel-label counts n[k, group, j] over every channel of every
+    subject, whatever its category (the stick counts of the uncollapsed
+    variant)."""
+    u, n, k = state.scores.shape
+    counts = np.zeros((k, 2, state.max_subject_clusters), dtype=int)
+    for subj in range(u):
+        for chan in range(n):
+            for dim in range(k):
+                counts[dim, state.group_codes[subj] - 2,
+                       state.channel_alloc[subj, chan, dim] - 4] += 1
+    return counts

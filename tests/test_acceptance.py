@@ -30,10 +30,11 @@ from mlpp.partitions import (adjusted_rand_index, misclassification_count,
 from mlpp.sampler import (SamplerConfig, Workspace, category_weight_params,
                           draw_observations, draw_state_from_prior,
                           gibbs_scan, noise_prec_params, run_chain,
-                          score_update_params, stick_params,
+                          score_update_params, stick_counts, stick_params,
                           truncated_gamma_sample)
 from mlpp.simgen import SimDesign, make_eigenfunctions, simulate
-from conftest import all_partitions, random_state_and_workspace
+from conftest import (all_channel_stick_counts, all_partitions,
+                      random_state_and_workspace)
 
 # ---------------------------------------------------------------------------
 # Independent partition-metric oracles (bitmask pair counting / entropy)
@@ -309,8 +310,14 @@ def test_criterion_04_conditional_parameters_and_gamma_moments():
                 assert conc[dim, c - 1] == pytest.approx(
                     hp.category_conc[c - 1] + count, rel=1e-12)
 
+        # the all-channel counts of the uncollapsed variant (tests/conftest.py)
+        # follow the same closed form and equal the sampler's counts once
+        # every subject is in category 3
+        everyone = state.copy()
+        everyone.subject_alloc[:] = 3
+        assert np.array_equal(stick_counts(everyone), all_channel_stick_counts(state))
         for include_all in (False, True):
-            a, b = stick_params(state, hp, include_all)
+            a, b = stick_params(everyone if include_all else state, hp)
             jmax = hp.max_subject_clusters
             for dim in range(k):
                 for col, code in enumerate((2, 3)):

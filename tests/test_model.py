@@ -116,6 +116,14 @@ def test_validate_state_catches_corruption():
         validate_state(bad)
 
 
+@pytest.mark.parametrize("noise_prec", [np.inf, np.nan, 0.0, -1.0])
+def test_validate_state_requires_finite_positive_noise_precision(noise_prec):
+    state, hp, _, _ = random_state_and_workspace(4)
+    state.noise_prec = noise_prec
+    with pytest.raises(ValueError, match="noise precision must be finite and positive"):
+        validate_state(state, hp)
+
+
 def test_copy_is_independent():
     state, _, _, _ = random_state_and_workspace(5)
     clone = state.copy()

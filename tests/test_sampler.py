@@ -16,12 +16,14 @@ from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
                           draw_state_from_prior, gibbs_scan,
                           initial_state_empirical, load_archives, make_workspace,
                           noise_prec_params, run_chain, run_chains, save_archives,
-                          scalar_names, score_update_params, stick_params,
-                          sufficient_ssr, truncated_gamma_batch,
+                          scalar_names, score_update_params, stick_counts,
+                          stick_params, sufficient_ssr, truncated_gamma_batch,
                           truncated_gamma_sample, update_cluster_params,
                           update_noise_prec, update_subject_alloc)
 from mlpp.simgen import SimDesign, simulate
-from conftest import naive_cluster_conditionals, random_state_and_workspace
+from conftest import (all_channel_stick_counts, label_conditioned_alloc_update,
+                      label_conditioned_weights, naive_cluster_conditionals,
+                      random_state_and_workspace)
 
 
 @pytest.fixture(scope="module")
@@ -221,11 +223,17 @@ def test_category_weight_update_matches_counts():
 
 
 def test_stick_update_matches_closed_form():
+    # counted among category-3 subjects; the all-channel counts of the
+    # uncollapsed variant (tests/conftest.py) follow the same closed form
+    # and equal the sampler's once every subject is in category 3
     state, hp, _, _ = random_state_and_workspace(5, u=8, n=6)
     u, n, k = state.scores.shape
     j = state.max_subject_clusters
+    everyone = state.copy()
+    everyone.subject_alloc[:] = 3
+    np.testing.assert_array_equal(stick_counts(everyone), all_channel_stick_counts(state))
     for include_all in (False, True):
-        a, b = stick_params(state, hp, include_all_channels=include_all)
+        a, b = stick_params(everyone if include_all else state, hp)
         for dim in range(k):
             for col, code in ((0, 2), (1, 3)):
                 counts = np.zeros(j)
@@ -245,7 +253,7 @@ def test_subject_alloc_weights_closed_form():
     state, _, _, _ = random_state_and_workspace(6)
     u, n, k = state.scores.shape
     for dim in range(k):
-        weights, *_ = alloc_log_weights(state, dim, collapsed=True)
+        weights, *_ = alloc_log_weights(state, dim)
         gidx = state.group_codes - 2
         for subj in range(u):
             x = state.scores[subj, :, dim]
@@ -275,8 +283,8 @@ def test_conditioned_weight_uses_current_labels():
     state, _, _, _ = random_state_and_workspace(7)
     u, n, k = state.scores.shape
     for dim in range(k):
-        cond, _ = alloc_log_weights(state, dim, collapsed=False)
-        coll, _ = alloc_log_weights(state, dim, collapsed=True)
+        cond = label_conditioned_weights(state, dim)
+        coll, _ = alloc_log_weights(state, dim)
         for subj in range(u):
             manual = 0.0
             for chan in range(n):
@@ -362,10 +370,12 @@ def test_empty_cluster_draws_stay_inside_prior_bounds():
 def test_alloc_update_keeps_state_valid():
     state, hp, _, rng = random_state_and_workspace(9)
     for _ in range(25):
-        update_subject_alloc(state, hp, rng, collapsed=True)
+        update_subject_alloc(state, hp, rng)
         validate_state(state)
     for _ in range(25):
-        update_subject_alloc(state, hp, rng, collapsed=False)
+        label_conditioned_alloc_update(state, rng)
+        validate_state(state)
+        update_subject_alloc(state, hp, rng)
         validate_state(state)
 
 
@@ -426,9 +436,7 @@ def test_run_chain_is_deterministic(tiny_problem):
 
 def test_audit_passes_in_all_sampler_variants(tiny_problem):
     data, basis, hp = tiny_problem
-    for kwargs in ({"collapsed_alloc": True},
-                   {"collapsed_alloc": False},
-                   {"likelihood_off": True, "init_mode": "prior_draw"}):
+    for kwargs in ({}, {"likelihood_off": True, "init_mode": "prior_draw"}):
         cfg = SamplerConfig(n_iter=40, seed=3, audit_every=1, **kwargs)
         archive = run_chain(data, basis, hp, cfg)
         assert archive.n_draws == 40
@@ -446,11 +454,17 @@ def test_audit_catches_tampered_workspace_and_ssr():
     with pytest.raises(SamplerError, match="residual sum of squares"):
         _audit(state, ws, hp, ssr, False, 2)
 
+    # a finite noise precision so large that the log likelihood overflows
+    # passes validate_state and is caught by the log-joint check; an
+    # infinite one is rejected by validate_state itself
     state, hp, ws, rng = random_state_and_workspace(18)
     ssr = gibbs_scan(state, ws, hp, rng)
-    state.noise_prec = np.inf
+    state.noise_prec = 1e308
     direct = residual_ssr(state.scores, ws.centred, ws.eigenfunctions)
-    with np.errstate(invalid="ignore"), pytest.raises(SamplerError, match="log joint"):
+    with pytest.raises(SamplerError, match="log joint"):
+        _audit(state, ws, hp, direct, False, 3)
+    state.noise_prec = np.inf
+    with pytest.raises(ValueError, match="finite and positive"):
         _audit(state, ws, hp, direct, False, 3)
 
 
