@@ -8,11 +8,15 @@ record paths agree:
     mlpp fit --data sim/rep_01 --out run --iters I --burnin B --thin 2 --seed S
     mlpp diagnose --run run --trace noise_prec --trace "common_mean[1]"
     mlpp summarize --run run --truth sim/rep_01/truth.json
+    mlpp summarize --run run_level50 --truth sim/rep_01/truth.json --level 0.5
+    mlpp summarize --run run_no_truth
 
-plus one library chain on the same data that checkpoints along the way
-(chain/checkpoint), is resumed from its last checkpoint, and saves both
-the uninterrupted and the resumed chain as run archives (chain/straight,
-chain/resumed).
+where run_level50 and run_no_truth are copies of the fitted run made
+before diagnose, so the credible ball is compared at a second radius and
+the report without the truth is compared too.  One library chain on the
+same data then checkpoints along the way (chain/checkpoint), is resumed
+from its last checkpoint, and saves both the uninterrupted and the
+resumed chain as run archives (chain/straight, chain/resumed).
 
 The report lists every file that differs or exists in one tree only; for
 JSON files it also names the keys that differ.  Within each tree it
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -67,18 +72,26 @@ def run_tree(src: Path, work: Path, size: str, iters: int, burn_in: int,
     env = dict(os.environ, PYTHONPATH=str(src))
     u, n, t = SIZES[size]
     cli = [sys.executable, "-m", "mlpp.cli"]
+    truth = ["--truth", "sim/rep_01/truth.json"]
     steps = [
         cli + ["simulate", "--subjects", str(u), "--channels", str(n),
                "--timepoints", str(t), "--seed", str(seed), "--out", "sim"],
         cli + ["fit", "--data", "sim/rep_01", "--out", "run", "--iters", str(iters),
                "--burnin", str(burn_in), "--thin", "2", "--seed", str(seed)],
+        ("copy", "run", "run_level50"),
+        ("copy", "run", "run_no_truth"),
         cli + ["diagnose", "--run", "run", "--trace", "noise_prec",
                "--trace", "common_mean[1]"],
-        cli + ["summarize", "--run", "run", "--truth", "sim/rep_01/truth.json"],
+        cli + ["summarize", "--run", "run"] + truth,
+        cli + ["summarize", "--run", "run_level50", "--level", "0.5"] + truth,
+        cli + ["summarize", "--run", "run_no_truth"],
         [sys.executable, str(Path(__file__).resolve()), "--worker-chain",
          str(iters), str(burn_in), str(seed)],
     ]
     for cmd in steps:
+        if cmd[0] == "copy":
+            shutil.copytree(work / cmd[1], work / cmd[2])
+            continue
         done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
         # diagnose exits 2 when it flags a parameter, which short chains do
         if done.returncode not in ((0, 2) if "diagnose" in cmd else (0,)):

@@ -100,6 +100,13 @@ def _parse_overrides(parser, pairs) -> dict:
 
 
 def cmd_fit(parser, args) -> int:
+    try:
+        cfg = SamplerConfig(n_iter=args.iters, burn_in=args.burnin, thin=args.thin,
+                            n_chains=args.chains, seed=args.seed,
+                            init_mode=args.init, audit_every=args.audit_every)
+    except ValueError as err:
+        parser.error(f"--iters {args.iters} --burnin {args.burnin} --thin {args.thin} "
+                     f"--chains {args.chains}: {err}")
     data_dir = Path(args.data)
     data_csv = data_dir / "data.csv"
     grid_csv = data_dir / "time_grid.csv"
@@ -120,10 +127,6 @@ def cmd_fit(parser, args) -> int:
     else:
         hp = estimate_hyperparams(basis, raw.group_codes, seed=args.seed)
     hp = apply_scenario(hp, args.scenario, _parse_overrides(parser, args.set))
-
-    cfg = SamplerConfig(n_iter=args.iters, burn_in=args.burnin, thin=args.thin,
-                        n_chains=args.chains, seed=args.seed,
-                        init_mode=args.init, audit_every=args.audit_every)
     archives = run_chains(smoothed, basis, hp, cfg)
 
     write_basis(basis, out / "basis")
@@ -188,6 +191,13 @@ def cmd_summarize(parser, args) -> int:
     return 0
 
 
+def credible_level(text: str) -> float:
+    level = float(text)
+    if not 0.0 < level <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} lies outside (0, 1]")
+    return level
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlpp",
@@ -243,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("summarize", help="partition point estimates and credible balls")
     p.add_argument("--run", required=True)
     p.add_argument("--truth", default=None, help="planted-truth JSON for scoring")
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=credible_level, default=0.95,
+                   help="posterior mass of the credible ball, in (0, 1]")
     p.set_defaults(func=cmd_summarize)
     return parser
 

@@ -5,6 +5,11 @@ subjects: one shared block, blocks by clinical group, or singletons.
 This module scores partitions (adjusted Rand index, variation of
 information), builds posterior similarity matrices, and reports a point
 estimate with a credible ball around it.
+
+A run keeps thousands of draws but visits few distinct partitions, so
+every summary is computed once per distinct partition and weighted by
+its count: post-processing cost scales with the number of distinct
+partitions, not with the number of draws.
 """
 from __future__ import annotations
 
@@ -19,15 +24,17 @@ from .tables import write_table
 
 
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counts of items per (block of a, block of b); rows follow the sorted
+    labels of a, columns the sorted labels of b."""
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     if a.size != b.size:
         raise ValueError("partitions must label the same items")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-    return table
+    labels, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
+    m = labels.size
+    table = np.bincount(inv[:a.size] * m + inv[a.size:],
+                        minlength=m * m).reshape(m, m)
+    return table[table.any(axis=1)][:, table.any(axis=0)]
 
 
 def adjusted_rand_index(a, b) -> float:
@@ -71,40 +78,48 @@ def subject_partition(subject_alloc_dim: np.ndarray,
                       group_codes: np.ndarray) -> np.ndarray:
     """Canonical subject labels for one dimension: category 1 maps to a
     single shared block, category 2 to one block per clinical group, and
-    category 3 to a singleton per subject."""
+    category 3 to a singleton per subject.  Leading axes (one row per
+    draw) are kept; the last axis runs over subjects."""
     alloc = np.asarray(subject_alloc_dim, dtype=int)
     codes = np.asarray(group_codes, dtype=int)
-    if alloc.shape != codes.shape:
+    if alloc.shape[-1:] != codes.shape:
         raise ValueError("one category per subject expected")
-    labels = np.empty(alloc.size, dtype=int)
-    labels[alloc == CAT_COMMON] = 0
-    grp = alloc == CAT_GROUP
-    labels[grp] = 1 + (codes[grp] - GROUP_A)
-    own = alloc == CAT_SUBJECT
-    labels[own] = 3 + np.nonzero(own)[0]
-    return labels
+    return np.where(alloc == CAT_COMMON, 0,
+                    np.where(alloc == CAT_GROUP, 1 + (codes - GROUP_A),
+                             3 + np.arange(codes.size)))
 
 
 def partition_draws(subject_alloc_draws: np.ndarray, group_codes: np.ndarray,
                     dim: int) -> np.ndarray:
     """Canonical subject partitions, one row per kept draw."""
-    draws = subject_alloc_draws[:, :, dim]
-    return np.stack([subject_partition(row, group_codes) for row in draws])
+    return subject_partition(np.asarray(subject_alloc_draws)[:, :, dim], group_codes)
+
+
+def _distinct(draws: np.ndarray):
+    """Distinct rows of an (R, n) array of integer labels in order of first
+    occurrence, how many draws hold each, and each draw's index into them.
+
+    Rows are compared as raw bytes: a one-dimensional np.unique over them
+    sorts several times faster than np.unique(axis=0), which compares
+    them field by field."""
+    draws = np.ascontiguousarray(draws)
+    keys = draws.view(np.dtype((np.void, draws.dtype.itemsize * draws.shape[1])))
+    _, first, inverse, counts = np.unique(
+        keys.ravel(), return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return draws[first[order]], counts[order], rank[inverse]
 
 
 def similarity_matrix(draws: np.ndarray) -> np.ndarray:
     """Posterior co-clustering frequencies; draws is (R, n) labels."""
     draws = np.asarray(draws)
-    r, n = draws.shape
-    sim = np.zeros((n, n))
-    for row in draws:
-        sim += row[:, None] == row[None, :]
-    return sim / r
-
-
-def _block_sizes_per_item(labels: np.ndarray) -> np.ndarray:
-    _, inv, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    return counts[inv]
+    rows, counts, _ = _distinct(draws)
+    together = np.zeros((draws.shape[1],) * 2, dtype=np.int64)
+    for row, count in zip(rows, counts):
+        together += count * (row[:, None] == row[None, :])
+    return together / draws.shape[0]
 
 
 def vi_point_estimate(draws: np.ndarray):
@@ -115,27 +130,20 @@ def vi_point_estimate(draws: np.ndarray):
     draw.  Returns (labels, bound_value).
     """
     draws = np.asarray(draws)
-    r, n = draws.shape
+    n = draws.shape[1]
     sim = similarity_matrix(draws)
-    mean_log_sizes = np.mean([np.sum(np.log2(_block_sizes_per_item(row)))
-                              for row in draws]) / n
-
-    candidates, first_idx = np.unique(draws, axis=0, return_index=True)
-    order = np.argsort(first_idx)
-    candidates, first_idx = candidates[order], first_idx[order]
-    best = None
-    for cand in candidates:
-        sizes = _block_sizes_per_item(cand)
+    candidates, _, inverse = _distinct(draws)
+    log_sizes = np.empty(len(candidates))
+    log_overlaps = np.empty(len(candidates))
+    for i, cand in enumerate(candidates):
         same = cand[:, None] == cand[None, :]
-        expected_overlap = np.sum(sim * same, axis=1)
-        bound = (np.sum(np.log2(sizes)) / n + mean_log_sizes
-                 - 2.0 * np.sum(np.log2(expected_overlap)) / n)
-        n_blocks = np.unique(cand).size
-        key = (bound, n_blocks)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    key, labels = best
-    return labels.copy(), float(key[0])
+        log_sizes[i] = np.sum(np.log2(same.sum(axis=1)))
+        log_overlaps[i] = np.sum(np.log2(np.sum(sim * same, axis=1)))
+    n_blocks = 1 + np.count_nonzero(np.diff(np.sort(candidates, axis=1), axis=1), axis=1)
+    mean_log_sizes = np.mean(log_sizes[inverse]) / n
+    bounds = log_sizes / n + mean_log_sizes - 2.0 * log_overlaps / n
+    best = np.lexsort((n_blocks, bounds))[0]
+    return candidates[best].copy(), float(bounds[best])
 
 
 def _partition_key(labels: np.ndarray) -> tuple:
@@ -158,17 +166,19 @@ def credible_ball(draws: np.ndarray, centre: np.ndarray, level: float = 0.95):
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
     r = draws.shape[0]
-    dist = np.array([variation_of_information(centre, row) for row in draws])
-    order = np.sort(dist)
-    radius = float(order[int(np.ceil(level * r)) - 1])
-    inside = dist <= radius + 1e-12
+    rows, counts, inverse = _distinct(draws)
+    row_dist = np.array([variation_of_information(centre, row) for row in rows])
+    radius = float(np.sort(row_dist[inverse])[int(np.ceil(level * r)) - 1])
+    row_inside = row_dist <= radius + 1e-12
 
+    # Label vectors that differ can name the same partition; the first
+    # sampled labelling represents it.
     freq: dict = {}
     rep: dict = {}
     rep_dist: dict = {}
-    for row, d in zip(draws[inside], dist[inside]):
+    for row, count, d in zip(rows[row_inside], counts[row_inside], row_dist[row_inside]):
         key = _partition_key(row)
-        freq[key] = freq.get(key, 0) + 1
+        freq[key] = freq.get(key, 0) + int(count)
         rep.setdefault(key, row)
         rep_dist.setdefault(key, float(d))
 
@@ -193,7 +203,7 @@ def credible_ball(draws: np.ndarray, centre: np.ndarray, level: float = 0.95):
     return {
         "level": level,
         "radius": radius,
-        "coverage": float(inside.mean()),
+        "coverage": float(row_inside[inverse].mean()),
         "vertical_upper": _summaries(
             [k for k in upper_pool if rep_dist[k] == upper_far]),
         "vertical_lower": _summaries(

@@ -10,6 +10,7 @@ import numpy as np
 
 from mlpp.hyperparams import HyperParams
 from mlpp.model import refresh_cluster_labels
+from mlpp.partitions import _partition_key, variation_of_information
 from mlpp.sampler import Workspace, draw_state_from_prior
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -62,6 +63,95 @@ def brute_force_vi(a, b):
             if inter:
                 mutual += inter / n * np.log2(inter * n / (blk_a.size * blk_b.size))
     return h_a + h_b - 2.0 * mutual
+
+
+def naive_contingency(a, b):
+    """Contingency table of two labelings with one np.unique per side and
+    an unbuffered add: rows follow the sorted labels of a, columns those
+    of b."""
+    _, ai = np.unique(np.asarray(a).ravel(), return_inverse=True)
+    _, bi = np.unique(np.asarray(b).ravel(), return_inverse=True)
+    table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
+    np.add.at(table, (ai, bi), 1)
+    return table
+
+
+def naive_similarity_matrix(draws):
+    """Posterior co-clustering frequencies by a float sum over every draw."""
+    draws = np.asarray(draws)
+    r, n = draws.shape
+    sim = np.zeros((n, n))
+    for row in draws:
+        sim += row[:, None] == row[None, :]
+    return sim / r
+
+
+def _naive_block_sizes(labels):
+    _, inv, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    return counts[inv]
+
+
+def naive_vi_point_estimate(draws):
+    """VI-bound point estimate with the per-draw mean log block size and a
+    candidate loop in first-occurrence order; (bound, blocks) ties keep
+    the earlier candidate."""
+    draws = np.asarray(draws)
+    r, n = draws.shape
+    sim = naive_similarity_matrix(draws)
+    mean_log_sizes = np.mean([np.sum(np.log2(_naive_block_sizes(row)))
+                              for row in draws]) / n
+    candidates, first_idx = np.unique(draws, axis=0, return_index=True)
+    candidates = candidates[np.argsort(first_idx)]
+    best = None
+    for cand in candidates:
+        sizes = _naive_block_sizes(cand)
+        same = cand[:, None] == cand[None, :]
+        expected_overlap = np.sum(sim * same, axis=1)
+        bound = (np.sum(np.log2(sizes)) / n + mean_log_sizes
+                 - 2.0 * np.sum(np.log2(expected_overlap)) / n)
+        key = (bound, np.unique(cand).size)
+        if best is None or key < best[0]:
+            best = (key, cand)
+    key, labels = best
+    return labels.copy(), float(key[0])
+
+
+def naive_credible_ball(draws, centre, level=0.95):
+    """Credible ball from one VI distance per draw and a frequency table
+    filled draw by draw."""
+    draws = np.asarray(draws)
+    r = draws.shape[0]
+    dist = np.array([variation_of_information(centre, row) for row in draws])
+    radius = float(np.sort(dist)[int(np.ceil(level * r)) - 1])
+    inside = dist <= radius + 1e-12
+    freq, rep, rep_dist = {}, {}, {}
+    for row, d in zip(draws[inside], dist[inside]):
+        key = _partition_key(row)
+        freq[key] = freq.get(key, 0) + 1
+        rep.setdefault(key, row)
+        rep_dist.setdefault(key, float(d))
+
+    def summaries(keys):
+        return [{"labels": [int(v) for v in rep[key]],
+                 "n_blocks": int(np.unique(rep[key]).size),
+                 "distance": rep_dist[key],
+                 "frequency": freq[key] / r} for key in keys]
+
+    keys = list(freq)
+    blocks = {key: np.unique(rep[key]).size for key in keys}
+    upper = [k for k in keys if blocks[k] == min(blocks.values())]
+    lower = [k for k in keys if blocks[k] == max(blocks.values())]
+    upper_far = max(rep_dist[k] for k in upper)
+    lower_far = max(rep_dist[k] for k in lower)
+    max_dist = max(rep_dist.values())
+    return {
+        "level": level,
+        "radius": radius,
+        "coverage": float(inside.mean()),
+        "vertical_upper": summaries([k for k in upper if rep_dist[k] == upper_far]),
+        "vertical_lower": summaries([k for k in lower if rep_dist[k] == lower_far]),
+        "horizontal": summaries([k for k in keys if rep_dist[k] == max_dist]),
+    }
 
 
 def make_hyperparams(rng, k=2, j=6):

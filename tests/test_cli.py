@@ -104,6 +104,32 @@ def test_fit_bad_override_errors(sim_dir, tmp_path):
         main(base + ["--set", "noise_prec_shape=not-json"])
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--iters", "100", "--burnin", "100"], "burn_in must lie in"),
+    (["--iters", "100", "--burnin", "10", "--thin", "0"], "thin must be a positive integer"),
+    (["--iters", "100", "--burnin", "10", "--chains", "0"], "n_chains must be positive"),
+    (["--iters", "100", "--burnin", "90", "--thin", "20"], "no draws would be kept"),
+])
+def test_fit_rejects_iteration_settings_before_reading(tmp_path, capsys, flags, message):
+    # the data directory does not exist: the settings are checked first
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--data", str(tmp_path / "absent"), "--out", str(out)] + flags)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert message in stderr
+    assert "--iters 100" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level", ["0", "-0.5", "1.5", "nan"])
+def test_summarize_rejects_level_outside_unit_interval(tmp_path, capsys, level):
+    with pytest.raises(SystemExit) as err:
+        main(["summarize", "--run", str(tmp_path), "--level", level])
+    assert err.value.code == 2
+    assert f"argument --level: {level} lies outside (0, 1]" in capsys.readouterr().err
+
+
 def test_diagnose_writes_reports_and_exit_codes(run_dir, capsys):
     rc = main(["diagnose", "--run", str(run_dir),
                "--rhat-threshold", "100", "--ess-threshold", "0.5"])
@@ -158,3 +184,11 @@ def test_summarize_without_truth(run_dir, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "share_subject" in out
+
+
+def test_summarize_level_one(run_dir):
+    assert main(["summarize", "--run", str(run_dir), "--level", "1"]) == 0
+    doc = json.loads((run_dir / "partitions.json").read_text())
+    for rep in doc["dimensions"]:
+        assert rep["credible_ball"]["level"] == 1.0
+        assert rep["credible_ball"]["coverage"] == 1.0

@@ -2,14 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mlpp.partitions import (_best_matching_total, adjusted_rand_index, credible_ball,
+from mlpp.partitions import (_best_matching_total, _contingency,
+                             adjusted_rand_index, credible_ball,
                              format_partition_table, misclassification_count,
                              partition_draws, similarity_matrix,
                              subject_partition, summarize_dimension,
                              variation_of_information, vi_point_estimate,
                              write_partition_report, write_similarity_csv)
-from conftest import BELL, all_partitions, brute_force_ari, brute_force_vi
+from conftest import (BELL, all_partitions, brute_force_ari, brute_force_vi,
+                      naive_contingency, naive_credible_ball,
+                      naive_similarity_matrix, naive_vi_point_estimate)
 
 
 def test_partition_generator_counts():
@@ -88,6 +92,15 @@ def test_subject_partition_mapping():
                                   [0, 0, 1, 2, 7, 8])
     with pytest.raises(ValueError, match="per subject"):
         subject_partition(alloc[:4], codes)
+
+
+def test_partition_draws_matches_per_row_mapping():
+    rng = np.random.default_rng(5)
+    draws = rng.integers(1, 4, size=(30, 7, 2))
+    codes = rng.integers(2, 4, size=7)
+    for dim in range(2):
+        rows = [subject_partition(row, codes) for row in draws[:, :, dim]]
+        np.testing.assert_array_equal(partition_draws(draws, codes, dim), rows)
 
 
 def test_partition_draws_stacks_dimension():
@@ -204,3 +217,67 @@ def test_report_files_and_table(tmp_path):
     rows = (tmp_path / "sim.csv").read_text().strip().splitlines()
     assert rows[0] == "subject_id,1,2,3,4"
     assert len(rows) == 5
+
+
+@st.composite
+def repetitive_draws(draw):
+    """(R, n) label draws over a pool of few distinct rows, each row drawn
+    many times.  Pool rows come from the canonical subject mapping, so a
+    lone category-1 subject (label 0) and a singleton (label 3 + i) can
+    name the same partition, and some rows are relabelled copies of
+    others, which ties their VI bounds exactly."""
+    n = draw(st.integers(1, 7))
+    codes = np.array(draw(st.lists(st.integers(2, 3), min_size=n, max_size=n)))
+    alloc = st.lists(st.integers(1, 3), min_size=n, max_size=n)
+    pool = [subject_partition(np.array(draw(alloc)), codes)
+            for _ in range(draw(st.integers(1, 5)))]
+    for row in list(pool):
+        if draw(st.booleans()):
+            names = np.array(draw(st.permutations(range(n + 3))))
+            pool.append(names[row])
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    return np.array([pool[i] for i in picks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(repetitive_draws(), st.data())
+def test_distinct_partition_summaries_equal_per_draw_loops(draws, data):
+    r = draws.shape[0]
+    level = data.draw(st.sampled_from([1.0, 1.0 / r, 0.5, 0.95])
+                      | st.floats(1e-6, 1.0))
+    sim = similarity_matrix(draws)
+    assert sim.dtype == np.float64
+    assert np.array_equal(sim, naive_similarity_matrix(draws))
+
+    estimate, bound = vi_point_estimate(draws)
+    ref_estimate, ref_bound = naive_vi_point_estimate(draws)
+    assert np.array_equal(estimate, ref_estimate)
+    assert bound == ref_bound
+
+    assert credible_ball(draws, estimate, level) == \
+        naive_credible_ball(draws, estimate, level)
+
+
+def test_credible_ball_merges_labellings_of_one_partition():
+    # a lone category-1 subject (label 0) and a category-3 singleton
+    # (label 3) both leave every subject alone: one partition, whose
+    # first sampled labelling represents it with the summed frequency
+    lone, singletons, grouped = [0, 4, 5], [3, 4, 5], [1, 1, 2]
+    draws = np.array([grouped, lone, singletons, lone, grouped, singletons])
+    ball = credible_ball(draws, np.array(grouped), level=1.0)
+    assert ball == naive_credible_ball(draws, np.array(grouped), level=1.0)
+    assert ball["vertical_lower"] == [{"labels": lone, "n_blocks": 3,
+                                       "distance": ball["radius"],
+                                       "frequency": 4 / 6}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-3, 40), min_size=n, max_size=n),
+    st.lists(st.integers(0, 5), min_size=n, max_size=n))))
+def test_contingency_equals_per_side_unique(pair):
+    a, b = pair
+    table = _contingency(a, b)
+    ref = naive_contingency(a, b)
+    assert table.shape == ref.shape
+    assert np.array_equal(table, ref)
