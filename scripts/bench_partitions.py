@@ -1,12 +1,16 @@
 """Time the partition summaries of two source trees of mlpp on the same draws.
 
-For each case below the script simulates a dataset, fits it once with the
-NEW tree (smooth -> fPCA -> calibrate -> Gibbs chains) and stores the kept
-subject allocations.  Each tree then runs ``summarize_dimension`` over
-every latent dimension of those draws, ``--calls`` times in one process;
-one sample is the wall time of one such pass, as in the ``summarize_s``
-metric of the replication benchmark.  The trees alternate process by
-process, ``--pairs`` times, and the reports of both trees must be equal.
+For each case and seed below the NEW tree simulates and fits one dataset
+with the command line,
+
+    mlpp simulate --subjects U --channels N --timepoints T --snr SNR --seed S --out sim
+    mlpp fit --data sim/rep_01 --out run --iters I --burnin B --thin K --chains C --seed S
+
+Each tree then loads the run and runs ``summarize_dimension`` over every
+latent dimension of its draws, CALLS times in one process; one sample is
+the wall time of one such pass, as in the ``summarize_s`` metric of the
+replication benchmark.  The trees alternate process by process, PAIRS
+times, and the reports of both trees must be equal.
 
 Cases (size R is 20 subjects x 20 channels x 100 time points, size D the
 CLI default 40 x 50 x 150):
@@ -16,16 +20,14 @@ CLI default 40 x 50 x 150):
     D_default       4000 iterations, 1000 burn-in, thin 2, 2 chains (3000 draws)
 
 Usage:
-    python scripts/bench_partitions.py REF_SRC NEW_SRC [--pairs P]
-        [--calls C] [--seeds S ...] [--cases NAME ...] [--out FILE]
+    python scripts/bench_partitions.py REF_SRC NEW_SRC
 
 REF_SRC and NEW_SRC are the ``src`` directories of the two trees.  The
-result (environment, per-case samples, medians and speed-ups, distinct
-partitions per dimension) goes to ``--out`` (BENCH_partitions.json).
+result (environment, per-case samples, medians and speed-ups) goes to
+BENCH_partitions.json in the working directory.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -37,120 +39,103 @@ import tempfile
 import time
 from pathlib import Path
 
-# name: (subjects, channels, time points, snr, iterations, burn-in, thin,
-#        chains, fPCA variance threshold)
+# name: (subjects, channels, time points, snr, iterations, burn-in, thin, chains)
 CASES = {
-    "R_snr6": (20, 20, 100, 6.0, 600, 300, 2, 1, 0.8),
-    "R_snr2": (20, 20, 100, 2.0, 600, 300, 2, 1, 0.8),
-    "D_short": (40, 50, 150, 6.0, 200, 50, 1, 2, 0.9),
-    "D_default": (40, 50, 150, 6.0, 4000, 1000, 2, 2, 0.9),
+    "R_snr6": (20, 20, 100, 6.0, 600, 300, 2, 1),
+    "R_snr2": (20, 20, 100, 2.0, 600, 300, 2, 1),
+    "D_short": (40, 50, 150, 6.0, 200, 50, 1, 2),
+    "D_default": (40, 50, 150, 6.0, 4000, 1000, 2, 2),
 }
+SEEDS = (1, 2)
+PAIRS = 5
+CALLS = 10
+OUT = Path("BENCH_partitions.json")
 
 
-def worker_fit(case: str, seed: int, out: str) -> None:
-    """Simulate and fit one case; save the kept subject allocations."""
+def worker_time(work: str) -> None:
+    """Time summarize_dimension over every dimension of a fitted run; print
+    the walls and the report digests."""
     import numpy as np
-    from mlpp.fpca import fit_fpca, smooth_dataset
-    from mlpp.hyperparams import estimate_hyperparams
-    from mlpp.sampler import SamplerConfig, run_chains
-    from mlpp.simgen import SimDesign, simulate
+    from mlpp.partitions import summarize_dimension
+    from mlpp.sampler import load_archives
+    from mlpp.simgen import read_truth_json
 
-    u, n, t, snr, iters, burn_in, thin, chains, var = CASES[case]
-    data, truth = simulate(SimDesign(n_subjects=u, n_channels=n, n_timepoints=t,
-                                     n_group_a=u // 2, snr=snr, seed=seed))
-    smoothed = smooth_dataset(data, 25, None)
-    basis = fit_fpca(smoothed, var_threshold=var)
-    hp = estimate_hyperparams(basis, data.group_codes, seed=seed)
-    cfg = SamplerConfig(n_iter=iters, burn_in=burn_in, thin=thin, n_chains=chains,
-                        seed=seed)
-    archives = run_chains(smoothed, basis, hp, cfg)
-    np.savez(out, draws=np.concatenate([a.subject_alloc_draws for a in archives]),
-             group_codes=archives[0].group_codes, truth=truth.subject_labels)
-
-
-def worker_time(path: str, calls: int) -> None:
-    """Time summarize_dimension over every dimension of stored draws; print
-    the walls, the report digest and the distinct partitions per dimension."""
-    import numpy as np
-    from mlpp.partitions import partition_draws, summarize_dimension
-
-    saved = np.load(path)
-    draws, codes, truth = saved["draws"], saved["group_codes"], saved["truth"]
-    dims = range(draws.shape[2])
+    archives = load_archives(Path(work) / "run")
+    draws = np.concatenate([a.subject_alloc_draws for a in archives])
+    codes = archives[0].group_codes
+    truth = read_truth_json(Path(work) / "sim/rep_01/truth.json").subject_labels
 
     def summarize():
         return [summarize_dimension(draws, codes, dim,
                                     truth_labels=truth[:, dim] if dim < truth.shape[1]
                                     else None)
-                for dim in dims]
+                for dim in range(draws.shape[2])]
 
     walls, digests = [], set()
-    for _ in range(calls):
+    for _ in range(CALLS):
         start = time.perf_counter()
         reports = summarize()
         walls.append(time.perf_counter() - start)
         digests.add(hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest())
-    distinct = [int(np.unique(partition_draws(draws, codes, dim), axis=0).shape[0])
-                for dim in dims]
-    print(json.dumps({"walls": walls, "digests": sorted(digests), "draws": int(draws.shape[0]),
-                      "distinct_partitions": distinct}))
+    print(json.dumps({"walls": walls, "digests": sorted(digests),
+                      "draws": int(draws.shape[0])}))
 
 
-def _run(src: Path, args: list) -> str:
+def _run(src: Path, cmd: list, cwd: Path | None = None) -> str:
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, str(Path(__file__).resolve())] + args,
-                          env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable] + cmd, cwd=cwd, env=env,
+                          capture_output=True, text=True)
     if done.returncode:
-        sys.exit(f"{src}: {' '.join(args)} failed:\n{done.stderr}")
+        sys.exit(f"{src}: {' '.join(cmd)} failed:\n{done.stderr}")
     return done.stdout
 
 
+def fit_case(src: Path, work: Path, case: str, seed: int) -> None:
+    u, n, t, snr, iters, burn_in, thin, chains = CASES[case]
+    work.mkdir()
+    cli = ["-m", "mlpp.cli"]
+    _run(src, cli + ["simulate", "--subjects", str(u), "--channels", str(n),
+                     "--timepoints", str(t), "--snr", str(snr), "--seed", str(seed),
+                     "--out", "sim"], cwd=work)
+    _run(src, cli + ["fit", "--data", "sim/rep_01", "--out", "run", "--iters", str(iters),
+                     "--burnin", str(burn_in), "--thin", str(thin), "--chains", str(chains),
+                     "--seed", str(seed)], cwd=work)
+
+
 def main() -> None:
-    if sys.argv[1:2] == ["--worker-fit"]:
-        worker_fit(sys.argv[2], int(sys.argv[3]), sys.argv[4])
-        return
     if sys.argv[1:2] == ["--worker-time"]:
-        worker_time(sys.argv[2], int(sys.argv[3]))
+        worker_time(sys.argv[2])
         return
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("ref_src", type=Path)
-    parser.add_argument("new_src", type=Path)
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--calls", type=int, default=10)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--cases", nargs="+", choices=sorted(CASES), default=list(CASES))
-    parser.add_argument("--out", type=Path, default=Path("BENCH_partitions.json"))
-    args = parser.parse_args()
-    trees = {"ref": args.ref_src.resolve(), "new": args.new_src.resolve()}
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    trees = {"ref": Path(sys.argv[1]).resolve(), "new": Path(sys.argv[2]).resolve()}
+    script = str(Path(__file__).resolve())
 
     results = []
     with tempfile.TemporaryDirectory() as tmp:
-        for case in args.cases:
-            for seed in args.seeds:
-                draws_file = str(Path(tmp) / f"{case}_{seed}.npz")
-                _run(trees["new"], ["--worker-fit", case, str(seed), draws_file])
+        for case in CASES:
+            for seed in SEEDS:
+                work = Path(tmp) / f"{case}_{seed}"
+                fit_case(trees["new"], work, case, seed)
                 samples = {"ref": [], "new": []}
-                seen = {}
-                for pair in range(args.pairs):
+                seen = set()
+                for pair in range(PAIRS):
                     order = ("ref", "new") if pair % 2 == 0 else ("new", "ref")
                     for label in order:
-                        doc = json.loads(_run(trees[label], ["--worker-time", draws_file,
-                                                             str(args.calls)]))
+                        doc = json.loads(_run(trees[label],
+                                              [script, "--worker-time", str(work)]))
                         samples[label] += doc["walls"]
-                        seen.setdefault(label, set()).update(doc["digests"])
+                        seen.update(doc["digests"])
                 ref_ms = 1e3 * statistics.median(samples["ref"])
                 new_ms = 1e3 * statistics.median(samples["new"])
                 entry = {"case": case, "seed": seed, "draws": doc["draws"],
-                         "distinct_partitions": doc["distinct_partitions"],
                          "ref_ms_median": ref_ms, "new_ms_median": new_ms,
-                         "speedup": ref_ms / new_ms,
-                         "reports_identical": len(seen["ref"] | seen["new"]) == 1,
+                         "speedup": ref_ms / new_ms, "reports_identical": len(seen) == 1,
                          "ref_s": samples["ref"], "new_s": samples["new"]}
                 results.append(entry)
-                print(f"{case} seed {seed}: {entry['draws']} draws, distinct "
-                      f"{entry['distinct_partitions']}; {ref_ms:.2f} -> {new_ms:.2f} ms "
-                      f"({entry['speedup']:.1f}x), identical reports: "
+                print(f"{case} seed {seed}: {entry['draws']} draws; {ref_ms:.2f} -> "
+                      f"{new_ms:.2f} ms ({entry['speedup']:.1f}x), identical reports: "
                       f"{entry['reports_identical']}", flush=True)
 
     doc = {"script": "scripts/bench_partitions.py",
@@ -158,10 +143,9 @@ def main() -> None:
            "environment": {"python": platform.python_version(),
                            "numpy": __import__("numpy").__version__,
                            "machine": platform.machine(), "cpus": os.cpu_count()},
-           "settings": {"pairs": args.pairs, "calls": args.calls, "seeds": args.seeds,
-                        "cases": {name: CASES[name] for name in args.cases}},
+           "settings": {"pairs": PAIRS, "calls": CALLS, "seeds": list(SEEDS), "cases": CASES},
            "results": results}
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    OUT.write_text(json.dumps(doc, indent=1) + "\n")
     sys.exit(0 if all(entry["reports_identical"] for entry in results) else 1)
 
 

@@ -30,11 +30,10 @@ def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b).ravel()
     if a.size != b.size:
         raise ValueError("partitions must label the same items")
-    labels, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    m = labels.size
-    table = np.bincount(inv[:a.size] * m + inv[a.size:],
-                        minlength=m * m).reshape(m, m)
-    return table[table.any(axis=1)][:, table.any(axis=0)]
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    ka, kb = ai.max() + 1, bi.max() + 1
+    return np.bincount(ai * kb + bi, minlength=ka * kb).reshape(ka, kb)
 
 
 def adjusted_rand_index(a, b) -> float:
