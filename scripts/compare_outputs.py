@@ -6,6 +6,8 @@ record paths agree:
 
     mlpp simulate --subjects U --channels N --timepoints T --seed S --out sim
     mlpp fit --data sim/rep_01 --out run --iters I --burnin B --thin 2 --seed S
+    mlpp fit --data sim/rep_01 --out run_prior --iters I --burnin B --thin 2 --seed S \
+        --init prior_draw --audit-every 50
     mlpp diagnose --run run --trace noise_prec --trace "common_mean[1]"
     mlpp summarize --run run --truth sim/rep_01/truth.json
     mlpp summarize --run run_level50 --truth sim/rep_01/truth.json --level 0.5
@@ -13,7 +15,10 @@ record paths agree:
 
 where run_level50 and run_no_truth are copies of the fitted run made
 before diagnose, so the credible ball is compared at a second radius and
-the report without the truth is compared too.  One library chain on the
+the report without the truth is compared too.  The run_prior fit starts
+from a state drawn from the prior, so its draws compare that initial
+state; it audits the state every 50 scans, prior sd bounds included, and
+completes only if every audit passes.  One library chain on the
 same data then checkpoints along the way (chain/checkpoint), is resumed
 from its last checkpoint, and saves both the uninterrupted and the
 resumed chain as run archives (chain/straight, chain/resumed).
@@ -78,6 +83,9 @@ def run_tree(src: Path, work: Path, size: str, iters: int, burn_in: int,
                "--timepoints", str(t), "--seed", str(seed), "--out", "sim"],
         cli + ["fit", "--data", "sim/rep_01", "--out", "run", "--iters", str(iters),
                "--burnin", str(burn_in), "--thin", "2", "--seed", str(seed)],
+        cli + ["fit", "--data", "sim/rep_01", "--out", "run_prior", "--iters",
+               str(iters), "--burnin", str(burn_in), "--thin", "2", "--seed", str(seed),
+               "--init", "prior_draw", "--audit-every", "50"],
         ("copy", "run", "run_level50"),
         ("copy", "run", "run_no_truth"),
         cli + ["diagnose", "--run", "run", "--trace", "noise_prec",

@@ -9,6 +9,7 @@ versions, seeds, flags and input hashes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true",
                    help="allow writing into a non-empty directory")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=functools.partial(cmd_simulate, p))
 
     p = sub.add_parser("fit", help="smooth, decompose and run the sampler")
     p.add_argument("--data", required=True,
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=("empirical", "prior_draw"), default="empirical")
     p.add_argument("--audit-every", type=int, default=0)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=functools.partial(cmd_fit, p))
 
     p = sub.add_parser("diagnose", help="convergence checks on a run directory")
     p.add_argument("--run", required=True)
@@ -248,21 +249,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="append", metavar="NAME",
                    help="also export trace/density CSVs for this parameter "
                         "(default: noise_prec)")
-    p.set_defaults(func=cmd_diagnose)
+    p.set_defaults(func=functools.partial(cmd_diagnose, p))
 
     p = sub.add_parser("summarize", help="partition point estimates and credible balls")
     p.add_argument("--run", required=True)
     p.add_argument("--truth", default=None, help="planted-truth JSON for scoring")
     p.add_argument("--level", type=credible_level, default=0.95,
                    help="posterior mass of the credible ball, in (0, 1]")
-    p.set_defaults(func=cmd_summarize)
+    p.set_defaults(func=functools.partial(cmd_summarize, p))
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

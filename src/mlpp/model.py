@@ -3,10 +3,12 @@
 Each (subject, dimension) pair carries a category in {1, 2, 3}: its
 scores all share the common cluster, all share the subject's group
 cluster, or are split channel-by-channel among subject-specific
-clusters labelled 4 .. 3+J (J = max_subject_clusters).  The flat cluster
-label per (subject, channel, dimension) is derived from the category,
-the subject's group code and the channel allocation; every conditional
-in the sampler reads cluster parameters through that label.
+clusters labelled 4 .. 3+J (J = max_subject_clusters).  The state keeps
+the parameters of every cluster of every dimension in one flat grid,
+(K, 3 + U*J) in cluster_index slot order; the per-level arrays are views
+of that grid, and the flat label and slot of each (subject, channel,
+dimension) are derived from the category, the subject's group code and
+the channel allocation whenever they are needed.
 """
 from __future__ import annotations
 
@@ -34,23 +36,21 @@ class ModelState:
 
     Shapes: scores (U, n, K); subject_alloc (U, K) in {1,2,3};
     channel_alloc (U, n, K) in {4..3+J} (defined for every channel, used
-    only where subject_alloc is 3); cluster_label (U, n, K) derived;
-    group parameters indexed [k, group] in group-code order (2, 3);
-    subject parameters indexed [u, k, j-4]; category_weights (K, 3);
+    only where subject_alloc is 3); cluster_mean / cluster_prec
+    (K, 3 + U*J) in cluster_index slot order; category_weights (K, 3);
     raw_sticks / stick_weights (K, 2, J) with rows renormalized to sum 1.
+
+    The per-level parameters are views of the cluster grids: common
+    (K,), group indexed [k, group] in group-code order (2, 3), subject
+    indexed [u, k, j-4].  cluster_label is derived on each access.
     """
 
     scores: np.ndarray
     noise_prec: float
     subject_alloc: np.ndarray
     channel_alloc: np.ndarray
-    cluster_label: np.ndarray
-    common_mean: np.ndarray
-    common_prec: np.ndarray
-    group_mean: np.ndarray
-    group_prec: np.ndarray
-    subject_mean: np.ndarray
-    subject_prec: np.ndarray
+    cluster_mean: np.ndarray
+    cluster_prec: np.ndarray
     category_weights: np.ndarray
     raw_sticks: np.ndarray
     stick_weights: np.ndarray
@@ -70,17 +70,33 @@ class ModelState:
 
     @property
     def max_subject_clusters(self) -> int:
-        return self.subject_mean.shape[2]
+        return (self.cluster_mean.shape[1] - 3) // self.n_subjects
+
+    # read-only views of the cluster grids; writes through them land in
+    # the grid
+    common_mean = property(lambda self: self.cluster_mean[:, 0])
+    common_prec = property(lambda self: self.cluster_prec[:, 0])
+    group_mean = property(lambda self: self.cluster_mean[:, 1:3])
+    group_prec = property(lambda self: self.cluster_prec[:, 1:3])
+    subject_mean = property(lambda self: self._subject_view(self.cluster_mean))
+    subject_prec = property(lambda self: self._subject_view(self.cluster_prec))
+
+    def _subject_view(self, grid: np.ndarray) -> np.ndarray:
+        """(U, K, J) view of the subject slots of a cluster grid."""
+        k = grid.shape[0]
+        return np.swapaxes(grid[:, 3:].reshape(k, self.n_subjects, -1), 0, 1)
+
+    @property
+    def cluster_label(self) -> np.ndarray:
+        return derive_cluster_labels(self.subject_alloc, self.channel_alloc,
+                                     self.group_codes)
 
     def copy(self) -> "ModelState":
         return ModelState(
             scores=self.scores.copy(), noise_prec=self.noise_prec,
             subject_alloc=self.subject_alloc.copy(),
             channel_alloc=self.channel_alloc.copy(),
-            cluster_label=self.cluster_label.copy(),
-            common_mean=self.common_mean.copy(), common_prec=self.common_prec.copy(),
-            group_mean=self.group_mean.copy(), group_prec=self.group_prec.copy(),
-            subject_mean=self.subject_mean.copy(), subject_prec=self.subject_prec.copy(),
+            cluster_mean=self.cluster_mean.copy(), cluster_prec=self.cluster_prec.copy(),
             category_weights=self.category_weights.copy(),
             raw_sticks=self.raw_sticks.copy(), stick_weights=self.stick_weights.copy(),
             group_codes=self.group_codes.copy(),
@@ -107,11 +123,6 @@ def derive_cluster_labels(subject_alloc: np.ndarray, channel_alloc: np.ndarray,
     return labels.astype(int)
 
 
-def refresh_cluster_labels(state: ModelState) -> None:
-    state.cluster_label = derive_cluster_labels(
-        state.subject_alloc, state.channel_alloc, state.group_codes)
-
-
 def cluster_index(state: ModelState) -> np.ndarray:
     """Flat index of the cluster each score belongs to, (U, n, K).
 
@@ -121,9 +132,12 @@ def cluster_index(state: ModelState) -> np.ndarray:
     """
     u, _, k = state.scores.shape
     j = state.max_subject_clusters
-    label = state.cluster_label
-    slot = np.where(label < FIRST_SUBJECT_LABEL, label - 1,
-                    3 + j * np.arange(u)[:, None, None] + label - FIRST_SUBJECT_LABEL)
+    category = state.subject_alloc[:, None, :]
+    shared = np.where(category == CAT_GROUP,
+                      1 + state.group_codes[:, None, None] - GROUP_A, 0)
+    slot = np.where(category == CAT_SUBJECT,
+                    3 + j * np.arange(u)[:, None, None]
+                    + state.channel_alloc - FIRST_SUBJECT_LABEL, shared)
     return slot + (3 + u * j) * np.arange(k)
 
 
@@ -134,12 +148,25 @@ def stack_clusters(common, group, subject) -> np.ndarray:
     return np.concatenate([common[:, None], group, subject], axis=1)
 
 
+def cluster_prior(hp: HyperParams, group_codes: np.ndarray) -> np.ndarray:
+    """Prior constants of every cluster in cluster_index slot order:
+    location and precision of the normal mean prior and the bound of the
+    uniform sd prior, as one (3, K, 3 + U*J) array that unpacks into the
+    three grids."""
+    k, j = hp.n_components, hp.max_subject_clusters
+    gidx = np.asarray(group_codes) - GROUP_A
+    common = np.stack([np.zeros(k), hp.common_mean_prec, hp.common_sd_bound])
+    group = np.stack([hp.group_mean_loc, hp.group_mean_prec, hp.group_sd_bound])
+    subject = np.stack([hp.subject_mean_loc, hp.subject_mean_prec,
+                        hp.subject_sd_bound])[:, :, gidx]         # (3, K, U)
+    return np.concatenate([common[:, :, None], group,
+                           np.repeat(subject, j, axis=2)], axis=2)
+
+
 def cluster_params_for_labels(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
     """Gather (mean, precision) per (subject, channel, dimension) label."""
     index = cluster_index(state)
-    means = stack_clusters(state.common_mean, state.group_mean, state.subject_mean)
-    precs = stack_clusters(state.common_prec, state.group_prec, state.subject_prec)
-    return means.ravel()[index], precs.ravel()[index]
+    return state.cluster_mean.ravel()[index], state.cluster_prec.ravel()[index]
 
 
 def fitted_curves(scores: np.ndarray, eigenfunctions: np.ndarray) -> np.ndarray:
@@ -207,28 +234,26 @@ def validate_state(state: ModelState, hp: HyperParams | None = None,
         raise ValueError("noise precision must be finite and positive")
     if not set(np.unique(state.group_codes)) <= {GROUP_A, GROUP_B}:
         raise ValueError("group codes must be 2 or 3")
+    if np.any((state.subject_alloc < CAT_COMMON) | (state.subject_alloc > CAT_SUBJECT)):
+        raise ValueError("subject allocations must be 1, 2 or 3")
     if np.any(state.channel_alloc < FIRST_SUBJECT_LABEL) or \
             np.any(state.channel_alloc >= FIRST_SUBJECT_LABEL + j):
         raise ValueError("channel allocations out of range")
-    expected = derive_cluster_labels(state.subject_alloc, state.channel_alloc,
-                                     state.group_codes)
-    if not np.array_equal(expected, state.cluster_label):
-        raise ValueError("stored cluster labels disagree with (category, channel) labels")
-    for name in ("common_prec", "group_prec", "subject_prec"):
-        if np.any(getattr(state, name) <= 0):
-            raise ValueError(f"{name} must be positive")
+    if state.cluster_mean.shape != (k, 3 + u * j) or \
+            state.cluster_prec.shape != state.cluster_mean.shape:
+        raise ValueError("cluster grids must have shape (K, 3 + U*J)")
+    if np.any(state.cluster_prec <= 0):
+        raise ValueError("cluster precisions must be positive")
     if np.max(np.abs(state.category_weights.sum(axis=1) - 1.0)) > atol:
         raise ValueError("category weights must sum to 1 per dimension")
     if np.max(np.abs(state.stick_weights.sum(axis=2) - 1.0)) > atol:
         raise ValueError("stick weights must sum to 1 per (dimension, group)")
     if hp is not None:
-        if np.any(state.common_prec ** -0.5 >= hp.common_sd_bound):
-            raise ValueError("a common-cluster sd exceeds its prior bound")
-        if np.any(state.group_prec ** -0.5 >= hp.group_sd_bound):
-            raise ValueError("a group-cluster sd exceeds its prior bound")
-        per_subject_bound = hp.subject_sd_bound.T[state.group_codes - GROUP_A]  # (U, K)
-        if np.any(state.subject_prec ** -0.5 >= per_subject_bound[:, :, None]):
-            raise ValueError("a subject-cluster sd exceeds its prior bound")
+        bound = cluster_prior(hp, state.group_codes)[2]
+        over = np.argwhere(state.cluster_prec ** -0.5 >= bound)
+        if over.size:
+            level = "common" if over[0, 1] == 0 else "group" if over[0, 1] < 3 else "subject"
+            raise ValueError(f"a {level}-cluster sd exceeds its prior bound")
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +295,13 @@ def load_state(directory) -> ModelState:
                        complete=True)
     arrays = {name: np.array(doc[name], dtype=int if name in _INT_ARRAYS else float)
               for name in _JSON_ARRAYS}
-    state = ModelState(
+    return ModelState(
         scores=scores, noise_prec=doc["noise_prec"],
-        cluster_label=np.zeros((u, n, k), dtype=int),
-        subject_mean=clusters[..., 0].copy(), subject_prec=clusters[..., 1].copy(),
-        stick_weights=sticks_to_weights(arrays["raw_sticks"]), **arrays)
-    refresh_cluster_labels(state)
-    return state
+        subject_alloc=arrays["subject_alloc"], channel_alloc=arrays["channel_alloc"],
+        cluster_mean=stack_clusters(arrays["common_mean"], arrays["group_mean"],
+                                    clusters[..., 0]),
+        cluster_prec=stack_clusters(arrays["common_prec"], arrays["group_prec"],
+                                    clusters[..., 1]),
+        category_weights=arrays["category_weights"], raw_sticks=arrays["raw_sticks"],
+        stick_weights=sticks_to_weights(arrays["raw_sticks"]),
+        group_codes=arrays["group_codes"])

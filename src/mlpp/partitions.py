@@ -60,17 +60,19 @@ def adjusted_rand_index(a, b) -> float:
 
 
 def variation_of_information(a, b) -> float:
-    """Variation of information between two partitions, in bits."""
-    table = _contingency(a, b).astype(float)
-    n = table.sum()
-    p = table / n
-    pa = p.sum(axis=1)
-    pb = p.sum(axis=0)
-    nz = p > 0
-    h_joint = -np.sum(p[nz] * np.log2(p[nz]))
-    h_a = -np.sum(pa[pa > 0] * np.log2(pa[pa > 0]))
-    h_b = -np.sum(pb[pb > 0] * np.log2(pb[pb > 0]))
-    return float(max(2.0 * h_joint - h_a - h_b, 0.0))
+    """Variation of information between two partitions, in bits.
+
+    Summed per occupied cell as p (log pa + log pb - 2 log p), which is
+    exactly 0 for two labellings of one partition (each cell then equals
+    its row and column total).
+    """
+    table = _contingency(a, b)
+    p = table / table.sum()
+    rows, cols = np.nonzero(table)
+    cell = p[rows, cols]
+    terms = np.log2(p.sum(axis=1))[rows] + np.log2(p.sum(axis=0))[cols] \
+        - 2.0 * np.log2(cell)
+    return float(max(np.sum(cell * terms), 0.0))
 
 
 def subject_partition(subject_alloc_dim: np.ndarray,

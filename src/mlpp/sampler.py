@@ -33,10 +33,9 @@ from .fpca import GROUP_A, EigenBasis, FunctionalDataset
 from .hyperparams import HyperParams
 from .model import (CAT_COMMON, CAT_GROUP, CAT_SUBJECT, FIRST_SUBJECT_LABEL,
                     LOG_2PI, ModelState, cluster_index, cluster_params_for_labels,
-                    fitted_curves, load_state, noise_loglik,
-                    refresh_cluster_labels, residual_ssr, save_state,
-                    scores_logprior, stack_clusters, sticks_to_weights,
-                    validate_state)
+                    cluster_prior, fitted_curves, load_state, noise_loglik,
+                    residual_ssr, save_state, scores_logprior, stack_clusters,
+                    sticks_to_weights, validate_state)
 from .tables import grid_index, read_table, scatter, write_table
 
 # Audit tolerance on the residual sum of squares, relative to the scale of
@@ -273,15 +272,12 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
         noise_prec=float(rng.gamma(hp.noise_prec_shape, 1.0 / hp.noise_prec_rate)),
         subject_alloc=subject_alloc,
         channel_alloc=channel_alloc,
-        cluster_label=np.zeros((n_subjects, n_channels, k), dtype=int),
-        common_mean=common_mean, common_prec=common_prec,
-        group_mean=group_mean, group_prec=group_prec,
-        subject_mean=subject_mean, subject_prec=subject_prec,
+        cluster_mean=stack_clusters(common_mean, group_mean, subject_mean),
+        cluster_prec=stack_clusters(common_prec, group_prec, subject_prec),
         category_weights=category_weights,
         raw_sticks=raw_sticks, stick_weights=stick_weights,
         group_codes=group_codes.copy(),
     )
-    refresh_cluster_labels(state)
     means, precs = cluster_params_for_labels(state)
     state.scores = rng.normal(means, np.sqrt(1.0 / precs))
     return state
@@ -305,28 +301,20 @@ def initial_state_empirical(basis: EigenBasis, hp: HyperParams, ws: Workspace,
 
     resid_var = float(np.var(ws.centred - fitted_curves(basis.scores,
                                                          ws.eigenfunctions)))
-    state = ModelState(
+    loc, _, bound = cluster_prior(hp, ws.group_codes)
+    return ModelState(
         scores=basis.scores.copy(),
         noise_prec=1.0 / max(resid_var, 1e-12),
         subject_alloc=np.full((u, k), CAT_COMMON, dtype=int),
         channel_alloc=channel_alloc,
-        cluster_label=np.zeros((u, n, k), dtype=int),
-        common_mean=np.zeros(k),
-        common_prec=(hp.common_sd_bound / 2.0) ** -2.0,
-        group_mean=hp.group_mean_loc.copy(),
-        group_prec=(hp.group_sd_bound / 2.0) ** -2.0,
-        subject_mean=np.broadcast_to(hp.subject_mean_loc.T[gidx][:, :, None],
-                                     (u, k, j)).copy(),
-        subject_prec=np.broadcast_to(
-            (hp.subject_sd_bound.T[gidx][:, :, None] / 2.0) ** -2.0, (u, k, j)).copy(),
+        cluster_mean=loc,
+        cluster_prec=(bound / 2.0) ** -2.0,
         category_weights=np.broadcast_to(hp.category_conc / hp.category_conc.sum(),
                                          (k, 3)).copy(),
         raw_sticks=raw_sticks,
         stick_weights=stick_weights,
         group_codes=ws.group_codes.copy(),
     )
-    refresh_cluster_labels(state)
-    return state
 
 
 def draw_observations(state: ModelState, eigenfunctions: np.ndarray,
@@ -396,13 +384,6 @@ def _segment_sum(index: np.ndarray, n_dims: int, n_clusters: int,
                        minlength=n_dims * n_clusters).reshape(n_dims, n_clusters)
 
 
-def _subject_prior(values, state: ModelState) -> np.ndarray:
-    """Broadcast a per-(dimension, group) prior constant (K, 2) to (U, K, J)."""
-    u, _, k = state.scores.shape
-    return np.broadcast_to(values.T[state.group_codes - GROUP_A][:, :, None],
-                           (u, k, state.max_subject_clusters))
-
-
 def cluster_counts(state: ModelState, index: np.ndarray) -> np.ndarray:
     """Member count of every cluster, (K, 3 + U*J), given the cluster_index
     of the scores."""
@@ -416,15 +397,10 @@ def cluster_mean_params(state: ModelState, hp: HyperParams, index: np.ndarray,
     precisions, the cluster_index of the scores and the cluster_counts:
     (location, precision), each (K, 3 + U*J).  An empty cluster gets its
     prior."""
-    k = state.n_components
     sums = _segment_sum(index, *counts.shape, state.scores)
-    mean0 = stack_clusters(np.zeros(k), hp.group_mean_loc,
-                            _subject_prior(hp.subject_mean_loc, state))
-    prec0 = stack_clusters(hp.common_mean_prec, hp.group_mean_prec,
-                            _subject_prior(hp.subject_mean_prec, state))
-    cur_prec = stack_clusters(state.common_prec, state.group_prec, state.subject_prec)
-    post_prec = prec0 + counts * cur_prec
-    return (prec0 * mean0 + cur_prec * sums) / post_prec, post_prec
+    mean0, prec0, _ = cluster_prior(hp, state.group_codes)
+    post_prec = prec0 + counts * state.cluster_prec
+    return (prec0 * mean0 + state.cluster_prec * sums) / post_prec, post_prec
 
 
 def cluster_prec_params(state: ModelState, hp: HyperParams, index: np.ndarray,
@@ -440,17 +416,13 @@ def cluster_prec_params(state: ModelState, hp: HyperParams, index: np.ndarray,
     """
     dev = state.scores - means.ravel()[index]
     ss = _segment_sum(index, *counts.shape, dev * dev)
-    bound = stack_clusters(hp.common_sd_bound, hp.group_sd_bound,
-                            _subject_prior(hp.subject_sd_bound, state))
-    return 0.5 * counts - 0.5, 0.5 * ss, bound
+    return 0.5 * counts - 0.5, 0.5 * ss, cluster_prior(hp, state.group_codes)[2]
 
 
 def update_cluster_params(state: ModelState, hp: HyperParams,
                           rng: np.random.Generator) -> None:
     """Draw every cluster's mean, then its precision, given the scores
     and labels; empty clusters are redrawn from their prior."""
-    u, _, k = state.scores.shape
-    j = state.max_subject_clusters
     index = cluster_index(state)
     counts = cluster_counts(state, index)
     loc, post_prec = cluster_mean_params(state, hp, index, counts)
@@ -460,10 +432,7 @@ def update_cluster_params(state: ModelState, hp: HyperParams,
     fit = rate > 0.5 * _TINY_SS
     precs[~fit] = _uniform_sd_draw(rng, bound[~fit]) ** -2.0
     precs[fit] = truncated_gamma_batch(rng, shape[fit], rate[fit], bound[fit] ** -2.0)
-    state.common_mean, state.common_prec = means[:, 0], precs[:, 0]
-    state.group_mean, state.group_prec = means[:, 1:3], precs[:, 1:3]
-    state.subject_mean = np.swapaxes(means[:, 3:].reshape(k, u, j), 0, 1)
-    state.subject_prec = np.swapaxes(precs[:, 3:].reshape(k, u, j), 0, 1)
+    state.cluster_mean, state.cluster_prec = means, precs
 
 
 def alloc_log_weights(state: ModelState, dim: int):
@@ -492,8 +461,7 @@ def alloc_log_weights(state: ModelState, dim: int):
     return weights, chan_post
 
 
-def update_subject_alloc(state: ModelState, hp: HyperParams,
-                         rng: np.random.Generator) -> None:
+def update_subject_alloc(state: ModelState, rng: np.random.Generator) -> None:
     """Draw each subject's category, then every channel label: from its
     posterior where the subject is in category 3, from the stick prior
     elsewhere."""
@@ -510,12 +478,10 @@ def update_subject_alloc(state: ModelState, hp: HyperParams,
         chan_post[:, elsewhere] = state.stick_weights[dim, gidx[elsewhere], :].T[:, :, None]
         state.channel_alloc[:, :, dim] = _categorical_draw(rng, chan_post) \
             + FIRST_SUBJECT_LABEL
-    refresh_cluster_labels(state)
 
 
 def category_weight_params(state: ModelState, hp: HyperParams) -> np.ndarray:
     """Dirichlet concentrations of the category-weight conditional, (K, 3)."""
-    k = state.n_components
     counts = np.stack([(state.subject_alloc == c).sum(axis=0)
                        for c in (CAT_COMMON, CAT_GROUP, CAT_SUBJECT)], axis=1)
     return hp.category_conc[None, :] + counts
@@ -564,7 +530,7 @@ def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
     ssr = None if likelihood_off else sufficient_ssr(state.scores, ws)
     update_noise_prec(state, ws, hp, rng, ssr=ssr, likelihood_off=likelihood_off)
     update_cluster_params(state, hp, rng)
-    update_subject_alloc(state, hp, rng)
+    update_subject_alloc(state, rng)
     update_category_weights(state, hp, rng)
     update_sticks(state, hp, rng)
     return ssr
@@ -632,9 +598,7 @@ def _audit(state: ModelState, ws: Workspace, hp: HyperParams, ssr: float | None,
 
 def _check_finite(state: ModelState, iteration: int) -> None:
     checks = [("scores", state.scores), ("noise_prec", np.array(state.noise_prec)),
-              ("common", state.common_mean), ("common_prec", state.common_prec),
-              ("group", state.group_mean), ("group_prec", state.group_prec),
-              ("subject", state.subject_mean), ("subject_prec", state.subject_prec),
+              ("cluster_mean", state.cluster_mean), ("cluster_prec", state.cluster_prec),
               ("weights", state.category_weights), ("sticks", state.stick_weights)]
     for name, arr in checks:
         if not np.all(np.isfinite(arr)):

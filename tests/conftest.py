@@ -9,7 +9,6 @@ import itertools
 import numpy as np
 
 from mlpp.hyperparams import HyperParams
-from mlpp.model import refresh_cluster_labels
 from mlpp.partitions import _partition_key, variation_of_information
 from mlpp.sampler import Workspace, draw_state_from_prior
 
@@ -290,7 +289,6 @@ def label_conditioned_alloc_update(state, rng):
                                                  state.subject_prec[subj, dim, lab]))
                               for lab in range(j)]
                 state.channel_alloc[subj, chan, dim] = 4 + rng.choice(j, p=probs / probs.sum())
-    refresh_cluster_labels(state)
 
 
 def all_channel_stick_counts(state):

@@ -161,6 +161,28 @@ def test_diagnose_requires_run_dir(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "absent", "--out", "out", "--iters", "10", "--burnin", "10"],
+    ["fit", "--data", "absent", "--out", "out"],
+    ["diagnose", "--run", "absent"],
+    ["summarize", "--run", "absent"],
+])
+def test_command_errors_print_the_command_usage(tmp_path, capsys, argv):
+    argv = [str(tmp_path / arg) if arg in ("absent", "out") else arg for arg in argv]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: mlpp {argv[0]} [-h]")
+
+
+def test_manifest_flags_are_the_command_options(run_dir):
+    flags = json.loads((run_dir / "meta.json").read_text())["flags"]
+    assert set(flags) == {"audit_every", "basis_size", "burnin", "chains", "data",
+                          "force", "hyperparams", "init", "iters", "no_smooth", "out",
+                          "penalty", "scenario", "seed", "set", "thin",
+                          "var_threshold"}
+
+
 def test_summarize_with_truth(sim_dir, run_dir, capsys):
     rc = main(["summarize", "--run", str(run_dir),
                "--truth", str(sim_dir / "rep_01" / "truth.json")])

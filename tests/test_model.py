@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
-from mlpp.model import (cluster_params_for_labels, data_loglik,
-                        derive_cluster_labels, load_state, refresh_cluster_labels,
+from mlpp.model import (ModelState, cluster_index, cluster_params_for_labels,
+                        data_loglik, derive_cluster_labels, load_state,
                         save_state, scores_logprior, sticks_to_weights,
                         validate_state)
 from conftest import random_state_and_workspace
@@ -30,13 +31,12 @@ def test_derive_cluster_labels_validation():
 def test_cluster_params_gather_by_dimension_then_group():
     # distinct values in every slot so a transposed gather cannot pass
     state, _, _, _ = random_state_and_workspace(0, u=4, n=3, k=2)
-    state.group_mean = np.array([[10.0, 20.0], [30.0, 40.0]])
-    state.group_prec = np.array([[1.0, 2.0], [3.0, 4.0]])
-    state.common_mean = np.array([-1.0, -2.0])
-    state.common_prec = np.array([0.5, 0.25])
+    state.group_mean[:] = [[10.0, 20.0], [30.0, 40.0]]
+    state.group_prec[:] = [[1.0, 2.0], [3.0, 4.0]]
+    state.common_mean[:] = [-1.0, -2.0]
+    state.common_prec[:] = [0.5, 0.25]
     state.subject_alloc[:] = 2
     state.subject_alloc[0, :] = 1
-    refresh_cluster_labels(state)
 
     means, precs = cluster_params_for_labels(state)
     np.testing.assert_array_equal(means[0, :, 0], -1.0)
@@ -52,10 +52,50 @@ def test_cluster_params_subject_labels():
     state, _, _, _ = random_state_and_workspace(1, u=3, n=4, k=2)
     state.subject_alloc[2, 1] = 3
     state.channel_alloc[2, :, 1] = [4, 5, 4, 6]
-    refresh_cluster_labels(state)
     means, _ = cluster_params_for_labels(state)
     np.testing.assert_array_equal(
         means[2, :, 1], state.subject_mean[2, 1, [0, 1, 0, 2]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cluster_index_is_the_slot_of_the_derived_label(data):
+    u, n, k, j = (data.draw(st.integers(1, hi)) for hi in (5, 4, 3, 4))
+
+    def ints(lo, hi, shape):
+        size = int(np.prod(shape))
+        values = data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))
+        return np.array(values).reshape(shape)
+
+    raw = np.full((k, 2, j), 0.5)
+    state = ModelState(
+        scores=np.zeros((u, n, k)), noise_prec=1.0,
+        subject_alloc=ints(1, 3, (u, k)), channel_alloc=ints(4, 3 + j, (u, n, k)),
+        cluster_mean=np.zeros((k, 3 + u * j)), cluster_prec=np.ones((k, 3 + u * j)),
+        category_weights=np.full((k, 3), 1.0 / 3), raw_sticks=raw,
+        stick_weights=sticks_to_weights(raw), group_codes=ints(2, 3, (u,)))
+    label = state.cluster_label
+    slot = np.where(label < 4, label - 1, 3 + j * np.arange(u)[:, None, None] + label - 4)
+    np.testing.assert_array_equal(cluster_index(state), slot + (3 + u * j) * np.arange(k))
+
+
+def test_level_views_write_into_the_cluster_grids():
+    state, _, _, _ = random_state_and_workspace(7, u=3, n=4, k=2)
+    j = state.max_subject_clusters
+    assert list(state.group_codes) == [2, 3, 3]
+    state.subject_alloc[:] = [[3, 2], [2, 3], [1, 3]]
+    state.channel_alloc[0, :, 0] = [4, 6, 6, 5]
+    state.subject_prec[0, 0, 2] = 123.0
+    state.group_mean[1, 0] = -45.0
+    assert state.cluster_prec[0, 3 + 2] == 123.0
+    assert state.cluster_mean[1, 1] == -45.0
+
+    means, precs = cluster_params_for_labels(state)
+    np.testing.assert_array_equal(precs[0, :, 0], [state.cluster_prec[0, 3],
+                                                   123.0, 123.0,
+                                                   state.cluster_prec[0, 4]])
+    np.testing.assert_array_equal(means[0, :, 1], -45.0)
+    assert state.subject_prec.shape == (3, 2, j)
 
 
 def test_sticks_to_weights_frozen_example():
@@ -96,8 +136,8 @@ def test_validate_state_catches_corruption():
         validate_state(bad)
 
     bad = state.copy()
-    bad.subject_alloc[0, 0] = 1 + bad.subject_alloc[0, 0] % 3
-    with pytest.raises(ValueError, match="disagree"):
+    bad.subject_alloc[0, 0] = 4
+    with pytest.raises(ValueError, match="1, 2 or 3"):
         validate_state(bad)
 
     bad = state.copy()

@@ -31,6 +31,14 @@ def test_metrics_match_brute_force_exhaustively_small():
         assert abs(variation_of_information(a, b) - brute_force_vi(a, b)) <= 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 8), min_size=1, max_size=40), st.permutations(range(9)))
+def test_vi_is_exactly_zero_between_relabellings(labels, names):
+    a = np.array(labels)
+    assert variation_of_information(a, a) == 0.0
+    assert variation_of_information(a, np.array(names)[a]) == 0.0
+
+
 def test_ari_hand_values():
     assert adjusted_rand_index([1, 1, 2, 2], [1, 1, 2, 2]) == 1.0
     assert adjusted_rand_index([1, 1, 2, 2], [7, 7, 5, 5]) == 1.0

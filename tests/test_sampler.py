@@ -7,8 +7,8 @@ from scipy.special import exp1
 import mlpp.sampler
 from mlpp.fpca import fit_fpca
 from mlpp.hyperparams import estimate_hyperparams
-from mlpp.model import (cluster_params_for_labels, fitted_curves,
-                        refresh_cluster_labels, residual_ssr, validate_state)
+from mlpp.model import (cluster_params_for_labels, fitted_curves, residual_ssr,
+                        validate_state)
 from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
                           _audit, _check_finite, alloc_log_weights,
                           category_weight_params, cluster_counts, cluster_index,
@@ -324,7 +324,6 @@ def test_cluster_conditionals_match_naive_loop():
         state, hp, _, rng = random_state_and_workspace(seed, u=7, n=5)
         state.subject_alloc[0] = 3            # some subject clusters occupied
         state.subject_alloc[1] = [1, 2]
-        refresh_cluster_labels(state)
         u, _, k = state.scores.shape
         j = state.max_subject_clusters
         means = rng.normal(0.0, 1.0, (k, 3 + u * j))
@@ -357,7 +356,6 @@ def test_empty_cluster_draws_stay_inside_prior_bounds():
     # must respect its sd bound and stay finite
     state, hp, _, rng = random_state_and_workspace(8, u=6, n=4)
     state.subject_alloc[:] = 3
-    refresh_cluster_labels(state)
     counts = np.bincount(cluster_index(state).ravel())
     assert np.any(counts == 0) and np.any(counts == 1)
     for _ in range(200):
@@ -370,12 +368,12 @@ def test_empty_cluster_draws_stay_inside_prior_bounds():
 def test_alloc_update_keeps_state_valid():
     state, hp, _, rng = random_state_and_workspace(9)
     for _ in range(25):
-        update_subject_alloc(state, hp, rng)
+        update_subject_alloc(state, rng)
         validate_state(state)
     for _ in range(25):
         label_conditioned_alloc_update(state, rng)
         validate_state(state)
-        update_subject_alloc(state, hp, rng)
+        update_subject_alloc(state, rng)
         validate_state(state)
 
 

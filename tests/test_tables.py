@@ -12,7 +12,7 @@ import mlpp.diagnostics
 from mlpp.diagnostics import export_density, export_trace, write_diagnostics_csv
 from mlpp.fpca import (EigenBasis, FunctionalDataset, write_basis,
                        write_dataset_csv, write_time_grid_csv)
-from mlpp.model import ModelState, refresh_cluster_labels, save_state, sticks_to_weights
+from mlpp.model import ModelState, save_state, stack_clusters, sticks_to_weights
 from mlpp.partitions import write_similarity_csv
 from mlpp.sampler import ChainArchive, save_archives, scalar_names
 
@@ -102,22 +102,19 @@ PINNED = {
 def small_state() -> ModelState:
     """Two subjects, one channel, two dimensions, two subject clusters."""
     raw = np.array([[[0.5, 0.25], [0.75, 0.5]], [[0.1, 0.9], [0.3, 0.6]]])
-    state = ModelState(
+    return ModelState(
         scores=np.array([[[0.5, -1.25]], [[1.0 / 3, 2e-8]]]), noise_prec=12.5,
         subject_alloc=np.array([[1, 3], [2, 3]]),
         channel_alloc=np.array([[[4, 5]], [[5, 4]]]),
-        cluster_label=np.zeros((2, 1, 2), dtype=int),
-        common_mean=np.array([0.0, 0.1]), common_prec=np.array([2.0, 3.0]),
-        group_mean=np.array([[1.0, -1.0], [0.5, -0.5]]),
-        group_prec=np.array([[4.0, 5.0], [6.0, 7.0]]),
-        subject_mean=np.array([[[0.1, 0.2], [0.3, 0.4]],
-                               [[-0.1, -0.2], [-0.3, 1.0 / 7]]]),
-        subject_prec=np.array([[[1.5, 2.5], [3.5, 4.5]], [[5.5, 6.5], [7.5, 8.5]]]),
+        cluster_mean=stack_clusters(
+            np.array([0.0, 0.1]), np.array([[1.0, -1.0], [0.5, -0.5]]),
+            np.array([[[0.1, 0.2], [0.3, 0.4]], [[-0.1, -0.2], [-0.3, 1.0 / 7]]])),
+        cluster_prec=stack_clusters(
+            np.array([2.0, 3.0]), np.array([[4.0, 5.0], [6.0, 7.0]]),
+            np.array([[[1.5, 2.5], [3.5, 4.5]], [[5.5, 6.5], [7.5, 8.5]]])),
         category_weights=np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]),
         raw_sticks=raw, stick_weights=sticks_to_weights(raw),
         group_codes=np.array([2, 3]))
-    refresh_cluster_labels(state)
-    return state
 
 
 def small_basis() -> EigenBasis:
