@@ -24,8 +24,7 @@ from .fpca import (fit_fpca, read_dataset_csv, smooth_dataset, write_basis,
                    write_dataset_csv, write_time_grid_csv)
 from .hyperparams import (apply_scenario, estimate_hyperparams,
                           load_hyperparams, save_hyperparams, SCENARIOS)
-from .partitions import (format_partition_table, partition_draws,
-                         similarity_matrix, summarize_dimension,
+from .partitions import (_summarize_dimension, format_partition_table,
                          write_partition_report, write_similarity_csv)
 from .sampler import SamplerConfig, load_archives, run_chains, save_archives
 from .simgen import SimDesign, read_truth_json, simulate, write_truth_json
@@ -173,20 +172,16 @@ def cmd_summarize(parser, args) -> int:
     group_codes = archives[0].group_codes
     n_components = subject_draws.shape[2]
 
-    truth = None
-    if args.truth:
-        truth = read_truth_json(args.truth)
+    truth = read_truth_json(args.truth) if args.truth else None
     reports = []
     for dim in range(n_components):
         truth_labels = None
         if truth is not None and dim < truth.subject_labels.shape[1]:
             truth_labels = truth.subject_labels[:, dim]
-        reports.append(summarize_dimension(subject_draws, group_codes, dim,
-                                           truth_labels=truth_labels,
-                                           level=args.level))
-        draws = partition_draws(subject_draws, group_codes, dim)
-        write_similarity_csv(run_dir / f"similarity_dim{dim + 1}.csv",
-                             similarity_matrix(draws))
+        report, sim = _summarize_dimension(subject_draws, group_codes, dim,
+                                           truth_labels, args.level)
+        reports.append(report)
+        write_similarity_csv(run_dir / f"similarity_dim{dim + 1}.csv", sim)
     write_partition_report(run_dir / "partitions.json", reports)
     print(format_partition_table(reports))
     return 0

@@ -9,7 +9,8 @@ estimate with a credible ball around it.
 A run keeps thousands of draws but visits few distinct partitions, so
 every summary is computed once per distinct partition and weighted by
 its count: post-processing cost scales with the number of distinct
-partitions, not with the number of draws.
+partitions, not with the number of draws.  Draws are grouped by the
+partition they name, which is reported as its first sampled labelling.
 """
 from __future__ import annotations
 
@@ -96,21 +97,36 @@ def partition_draws(subject_alloc_draws: np.ndarray, group_codes: np.ndarray,
     return subject_partition(np.asarray(subject_alloc_draws)[:, :, dim], group_codes)
 
 
-def _distinct(draws: np.ndarray):
-    """Distinct rows of an (R, n) array of integer labels in order of first
-    occurrence, how many draws hold each, and each draw's index into them.
-
-    Rows are compared as raw bytes: a one-dimensional np.unique over them
-    sorts several times faster than np.unique(axis=0), which compares
-    them field by field."""
-    draws = np.ascontiguousarray(draws)
-    keys = draws.view(np.dtype((np.void, draws.dtype.itemsize * draws.shape[1])))
-    _, first, inverse, counts = np.unique(
-        keys.ravel(), return_index=True, return_inverse=True, return_counts=True)
+def _first_occurrences(rows: np.ndarray):
+    """First index of each distinct row of a 2-D integer array, in order,
+    and each row's index into them.  Rows are compared as raw bytes: a
+    one-dimensional np.unique over them sorts several times faster than
+    np.unique(axis=0), which compares them field by field."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return draws[first[order]], counts[order], rank[inverse]
+    return first[order], np.argsort(order)[inverse]
+
+
+def _distinct(draws: np.ndarray):
+    """Distinct partitions among the rows of an (R, n) array of labels, in
+    order of first occurrence: each one's first sampled labelling, how
+    many draws hold it, and each draw's index into them.  Two labellings
+    name one partition when they agree after each item is relabelled by
+    the position of the first item in its block; only the distinct
+    labellings are relabelled."""
+    first, inverse = _first_occurrences(draws)
+    labellings = draws[first]
+    forms = (labellings[:, :, None] == labellings[:, None, :]).argmax(axis=2)
+    part_first, part_of = _first_occurrences(forms)
+    index = part_of[inverse]
+    return labellings[part_first], np.bincount(index), index
+
+
+def _n_blocks(rows: np.ndarray) -> np.ndarray:
+    """Number of distinct labels in each row of a 2-D array."""
+    return 1 + np.count_nonzero(np.diff(np.sort(rows, axis=1), axis=1), axis=1)
 
 
 def similarity_matrix(draws: np.ndarray) -> np.ndarray:
@@ -131,8 +147,12 @@ def vi_point_estimate(draws: np.ndarray):
     draw.  Returns (labels, bound_value).
     """
     draws = np.asarray(draws)
+    return _vi_point_estimate(draws, similarity_matrix(draws))
+
+
+def _vi_point_estimate(draws: np.ndarray, sim: np.ndarray):
+    """vi_point_estimate given the similarity matrix of the draws."""
     n = draws.shape[1]
-    sim = similarity_matrix(draws)
     candidates, _, inverse = _distinct(draws)
     log_sizes = np.empty(len(candidates))
     log_overlaps = np.empty(len(candidates))
@@ -140,16 +160,10 @@ def vi_point_estimate(draws: np.ndarray):
         same = cand[:, None] == cand[None, :]
         log_sizes[i] = np.sum(np.log2(same.sum(axis=1)))
         log_overlaps[i] = np.sum(np.log2(np.sum(sim * same, axis=1)))
-    n_blocks = 1 + np.count_nonzero(np.diff(np.sort(candidates, axis=1), axis=1), axis=1)
     mean_log_sizes = np.mean(log_sizes[inverse]) / n
     bounds = log_sizes / n + mean_log_sizes - 2.0 * log_overlaps / n
-    best = np.lexsort((n_blocks, bounds))[0]
+    best = np.lexsort((_n_blocks(candidates), bounds))[0]
     return candidates[best].copy(), float(bounds[best])
-
-
-def _partition_key(labels: np.ndarray) -> tuple:
-    _, inv = np.unique(labels, return_inverse=True)
-    return tuple(inv.tolist())
 
 
 def credible_ball(draws: np.ndarray, centre: np.ndarray, level: float = 0.95):
@@ -161,56 +175,36 @@ def credible_ball(draws: np.ndarray, centre: np.ndarray, level: float = 0.95):
     in-ball partitions with the fewest blocks (farthest such from the
     centre), the lower vertical bounds those with the most blocks, and
     the horizontal bounds the in-ball partitions at maximal distance.
-    All ties are reported, each with its posterior frequency.
+    All ties are reported, each partition once as its first sampled
+    labelling, with its frequency and the distance of that labelling.
+    Distances within 1e-12 count as equal: VI sums its cells in label
+    order, so equal distances can differ in the last bits.
     """
     draws = np.asarray(draws)
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
     r = draws.shape[0]
     rows, counts, inverse = _distinct(draws)
-    row_dist = np.array([variation_of_information(centre, row) for row in rows])
-    radius = float(np.sort(row_dist[inverse])[int(np.ceil(level * r)) - 1])
-    row_inside = row_dist <= radius + 1e-12
+    dist = np.array([variation_of_information(centre, row) for row in rows])
+    radius = float(np.sort(dist[inverse])[int(np.ceil(level * r)) - 1])
+    inside = dist <= radius + 1e-12
+    blocks = _n_blocks(rows)
 
-    # Label vectors that differ can name the same partition; the first
-    # sampled labelling represents it.
-    freq: dict = {}
-    rep: dict = {}
-    rep_dist: dict = {}
-    for row, count, d in zip(rows[row_inside], counts[row_inside], row_dist[row_inside]):
-        key = _partition_key(row)
-        freq[key] = freq.get(key, 0) + int(count)
-        rep.setdefault(key, row)
-        rep_dist.setdefault(key, float(d))
+    def _farthest(pool):
+        far = pool & (dist >= dist[pool].max() - 1e-12)
+        return [{"labels": [int(v) for v in rows[i]],
+                 "n_blocks": int(blocks[i]),
+                 "distance": float(dist[i]),
+                 "frequency": int(counts[i]) / r}
+                for i in np.flatnonzero(far)]
 
-    def _summaries(keys):
-        out = []
-        for key in keys:
-            out.append({"labels": [int(v) for v in rep[key]],
-                        "n_blocks": int(np.unique(rep[key]).size),
-                        "distance": rep_dist[key],
-                        "frequency": freq[key] / r})
-        return out
-
-    keys = list(freq)
-    blocks = {key: np.unique(rep[key]).size for key in keys}
-    fewest = min(blocks.values())
-    most = max(blocks.values())
-    upper_pool = [key for key in keys if blocks[key] == fewest]
-    upper_far = max(rep_dist[key] for key in upper_pool)
-    lower_pool = [key for key in keys if blocks[key] == most]
-    lower_far = max(rep_dist[key] for key in lower_pool)
-    max_dist = max(rep_dist.values())
     return {
         "level": level,
         "radius": radius,
-        "coverage": float(row_inside[inverse].mean()),
-        "vertical_upper": _summaries(
-            [k for k in upper_pool if rep_dist[k] == upper_far]),
-        "vertical_lower": _summaries(
-            [k for k in lower_pool if rep_dist[k] == lower_far]),
-        "horizontal": _summaries(
-            [k for k in keys if rep_dist[k] == max_dist]),
+        "coverage": float(inside[inverse].mean()),
+        "vertical_upper": _farthest(inside & (blocks == blocks[inside].min())),
+        "vertical_lower": _farthest(inside & (blocks == blocks[inside].max())),
+        "horizontal": _farthest(inside),
     }
 
 
@@ -266,8 +260,15 @@ def misclassification_count(estimate, truth) -> int:
 def summarize_dimension(subject_alloc_draws: np.ndarray, group_codes: np.ndarray,
                         dim: int, truth_labels=None, level: float = 0.95) -> dict:
     """Full partition report for one latent dimension."""
+    return _summarize_dimension(subject_alloc_draws, group_codes, dim,
+                                truth_labels, level)[0]
+
+
+def _summarize_dimension(subject_alloc_draws, group_codes, dim, truth_labels, level):
+    """summarize_dimension's report and the similarity matrix behind it."""
     draws = partition_draws(subject_alloc_draws, group_codes, dim)
-    estimate, bound = vi_point_estimate(draws)
+    sim = similarity_matrix(draws)
+    estimate, bound = _vi_point_estimate(draws, sim)
     ball = credible_ball(draws, estimate, level)
     category_share = {
         "common": float(np.mean(subject_alloc_draws[:, :, dim] == CAT_COMMON)),
@@ -286,7 +287,7 @@ def summarize_dimension(subject_alloc_draws: np.ndarray, group_codes: np.ndarray
         truth_labels = np.asarray(truth_labels)
         report["ari_to_truth"] = adjusted_rand_index(estimate, truth_labels)
         report["misclassified"] = misclassification_count(estimate, truth_labels)
-    return report
+    return report, sim
 
 
 def write_similarity_csv(path, sim: np.ndarray, subject_ids=None) -> None:

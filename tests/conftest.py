@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 
 from mlpp.hyperparams import HyperParams
-from mlpp.partitions import _partition_key, variation_of_information
+from mlpp.partitions import variation_of_information
 from mlpp.sampler import Workspace, draw_state_from_prior
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
@@ -115,20 +115,31 @@ def naive_vi_point_estimate(draws):
     return labels.copy(), float(key[0])
 
 
+def naive_partition_key(labels):
+    """The partition a labelling names: each label replaced by the order
+    in which it first appears, so two labellings of one partition share
+    a key."""
+    names = {}
+    return tuple(names.setdefault(int(v), len(names)) for v in labels)
+
+
 def naive_credible_ball(draws, centre, level=0.95):
-    """Credible ball from one VI distance per draw and a frequency table
-    filled draw by draw."""
+    """Credible ball from one VI distance per draw, taken from its
+    partition's first sampled labelling, a frequency table filled draw by
+    draw, and bound ties within the 1e-12 inclusion tolerance."""
     draws = np.asarray(draws)
     r = draws.shape[0]
-    dist = np.array([variation_of_information(centre, row) for row in draws])
+    keys = [naive_partition_key(row) for row in draws]
+    rep = {}
+    for key, row in zip(keys, draws):
+        rep.setdefault(key, row)
+    rep_dist = {key: variation_of_information(centre, row) for key, row in rep.items()}
+    dist = np.array([rep_dist[key] for key in keys])
     radius = float(np.sort(dist)[int(np.ceil(level * r)) - 1])
     inside = dist <= radius + 1e-12
-    freq, rep, rep_dist = {}, {}, {}
-    for row, d in zip(draws[inside], dist[inside]):
-        key = _partition_key(row)
+    freq = {}
+    for key in itertools.compress(keys, inside):
         freq[key] = freq.get(key, 0) + 1
-        rep.setdefault(key, row)
-        rep_dist.setdefault(key, float(d))
 
     def summaries(keys):
         return [{"labels": [int(v) for v in rep[key]],
@@ -142,14 +153,14 @@ def naive_credible_ball(draws, centre, level=0.95):
     lower = [k for k in keys if blocks[k] == max(blocks.values())]
     upper_far = max(rep_dist[k] for k in upper)
     lower_far = max(rep_dist[k] for k in lower)
-    max_dist = max(rep_dist.values())
+    max_dist = max(rep_dist[k] for k in keys)
     return {
         "level": level,
         "radius": radius,
         "coverage": float(inside.mean()),
-        "vertical_upper": summaries([k for k in upper if rep_dist[k] == upper_far]),
-        "vertical_lower": summaries([k for k in lower if rep_dist[k] == lower_far]),
-        "horizontal": summaries([k for k in keys if rep_dist[k] == max_dist]),
+        "vertical_upper": summaries([k for k in upper if rep_dist[k] >= upper_far - 1e-12]),
+        "vertical_lower": summaries([k for k in lower if rep_dist[k] >= lower_far - 1e-12]),
+        "horizontal": summaries([k for k in keys if rep_dist[k] >= max_dist - 1e-12]),
     }
 
 

@@ -13,7 +13,8 @@ from mlpp.partitions import (_best_matching_total, _contingency,
                              write_partition_report, write_similarity_csv)
 from conftest import (BELL, all_partitions, brute_force_ari, brute_force_vi,
                       naive_contingency, naive_credible_ball,
-                      naive_similarity_matrix, naive_vi_point_estimate)
+                      naive_partition_key, naive_similarity_matrix,
+                      naive_vi_point_estimate)
 
 
 def test_partition_generator_counts():
@@ -247,8 +248,20 @@ def repetitive_draws(draw):
     return np.array([pool[i] for i in picks])
 
 
+@st.composite
+def pooled_labellings(draw):
+    """(R, n) draws over a pool of few rows of arbitrary labels; small
+    label ranges make partitions at one VI distance from a centre
+    common."""
+    n = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in picks])
+
+
 @settings(max_examples=300, deadline=None)
-@given(repetitive_draws(), st.data())
+@given(repetitive_draws() | pooled_labellings(), st.data())
 def test_distinct_partition_summaries_equal_per_draw_loops(draws, data):
     r = draws.shape[0]
     level = data.draw(st.sampled_from([1.0, 1.0 / r, 0.5, 0.95])
@@ -267,16 +280,60 @@ def test_distinct_partition_summaries_equal_per_draw_loops(draws, data):
 
 
 def test_credible_ball_merges_labellings_of_one_partition():
-    # a lone category-1 subject (label 0) and a category-3 singleton
-    # (label 3) both leave every subject alone: one partition, whose
-    # first sampled labelling represents it with the summed frequency
-    lone, singletons, grouped = [0, 4, 5], [3, 4, 5], [1, 1, 2]
-    draws = np.array([grouped, lone, singletons, lone, grouped, singletons])
-    ball = credible_ball(draws, np.array(grouped), level=1.0)
-    assert ball == naive_credible_ball(draws, np.array(grouped), level=1.0)
-    assert ball["vertical_lower"] == [{"labels": lone, "n_blocks": 3,
-                                       "distance": ball["radius"],
-                                       "frequency": 4 / 6}]
+    # each case: draws naming one partition under several labellings, and
+    # the bound that must list it once, as its first sampled labelling
+    # with the summed frequency
+    cases = [
+        # a lone category-1 subject (label 0) and a category-3 singleton
+        # (label 3) both leave every subject alone
+        ([[1, 1, 2], [0, 4, 5], [3, 4, 5], [0, 4, 5], [1, 1, 2], [3, 4, 5]],
+         [1, 1, 2], "vertical_lower", [0, 4, 5], 4 / 6),
+        # relabellings that do not keep the order of the labels
+        ([[1, 1, 2, 2, 0]] * 3 + [[1, 1, 2, 2, 22]] * 7,
+         [1, 1, 2, 2, 0], "horizontal", [1, 1, 2, 2, 0], 1.0),
+        ([[5, 5, 4]] * 3 + [[4, 4, 5]] * 7, [5, 5, 4], "horizontal", [5, 5, 4], 1.0),
+    ]
+    for draws, centre, side, first, frequency in cases:
+        draws, centre = np.array(draws), np.array(centre)
+        ball = credible_ball(draws, centre, level=1.0)
+        assert ball == naive_credible_ball(draws, centre, level=1.0)
+        assert ball[side] == [{"labels": first, "n_blocks": len(set(first)),
+                               "distance": ball["radius"], "frequency": frequency}]
+
+
+def test_credible_ball_reports_ties_equal_up_to_rounding():
+    # both partitions lie at one VI distance from the centre; summed over
+    # the cells in label order, the second comes out 1 ulp larger
+    draws = np.array([[0, 0, 0, 1, 1, 2], [0, 0, 0, 2, 1, 2]])
+    ball = credible_ball(draws, np.zeros(6, dtype=int), level=1.0)
+    assert ball == naive_credible_ball(draws, np.zeros(6, dtype=int), level=1.0)
+    for side in ("vertical_upper", "vertical_lower", "horizontal"):
+        assert [b["labels"] for b in ball[side]] == draws.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(repetitive_draws() | pooled_labellings(), st.data())
+def test_credible_ball_is_invariant_under_relabelling_draws(draws, data):
+    # an independent permutation of label names per draw leaves every
+    # partition, hence the ball, as it was; distances may move in the
+    # last bits, within the ball's own tolerance
+    r, n = draws.shape
+    names = np.array([data.draw(st.permutations(range(n + 3))) for _ in range(r)])
+    relabelled = np.take_along_axis(names, draws, axis=1)
+    centre = draws[data.draw(st.integers(0, r - 1))]
+    level = data.draw(st.sampled_from([1.0, 0.5, 0.95]) | st.floats(1e-6, 1.0))
+    ball = credible_ball(draws, centre, level)
+    moved = credible_ball(relabelled, centre, level)
+    assert moved["coverage"] == ball["coverage"]
+    assert abs(moved["radius"] - ball["radius"]) <= 1e-12
+    for side in ("vertical_upper", "vertical_lower", "horizontal"):
+        keys = [naive_partition_key(b["labels"]) for b in moved[side]]
+        assert len(set(keys)) == len(keys)
+        assert keys == [naive_partition_key(b["labels"]) for b in ball[side]]
+        for old, new in zip(ball[side], moved[side]):
+            assert (new["n_blocks"], new["frequency"]) == \
+                (old["n_blocks"], old["frequency"])
+            assert abs(new["distance"] - old["distance"]) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)
