@@ -7,7 +7,9 @@ random draws cannot be compared draw for draw, so the trees are compared
 in distribution.
 
 one-scan  From one shared state (150 scans of the reference tree from its
-          empirical start), each tree runs R replicates of three scans,
+          empirical start, handed to both trees as an .npz of the
+          ModelState fields, so neither tree's snapshot format is
+          involved), each tree runs R replicates of three scans,
           replicate r seeded with base + r, and records the archive's
           scalar row after the first and the third scan, plus per dimension
           the number of category-3 channels holding the first subject
@@ -34,6 +36,7 @@ since both define the package ``mlpp``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -71,22 +74,23 @@ def _first_label_counts(state) -> list:
 def worker_start(src: str, design_seed: int, out: str) -> None:
     data, basis, hp = _problem(src, design_seed, design_seed)
     import mlpp.sampler as S
-    from mlpp.model import save_state
     ws = S.make_workspace(data, basis)
     rng = np.random.default_rng(design_seed)
     state = S.initial_state_empirical(basis, hp, ws, rng)
     for _ in range(START_SCANS):
         S.gibbs_scan(state, ws, hp, rng)
-    save_state(state, out)
+    np.savez(out, **{f.name: getattr(state, f.name) for f in dataclasses.fields(state)})
 
 
 def worker_scan(src: str, design_seed: int, start: str, replicates: int,
                 base: int, out: str) -> None:
     data, basis, hp = _problem(src, design_seed, design_seed)
     import mlpp.sampler as S
-    from mlpp.model import load_state
+    from mlpp.model import ModelState
     ws = S.make_workspace(data, basis)
-    initial = load_state(start)
+    with np.load(start) as fields:
+        initial = ModelState(**{name: fields[name] for name in fields.files})
+    initial.noise_prec = float(initial.noise_prec)
     rows = {1: [], SCANS: []}
     for r in range(replicates):
         state = initial.copy()
@@ -190,11 +194,11 @@ def main() -> None:
               "wall_s": {}}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        _run_worker(sides["ref"], "start", design_seed, tmp / "start")
+        _run_worker(sides["ref"], "start", design_seed, tmp / "start.npz")
         rows = {}
         for side, src in sides.items():
             record["wall_s"][f"one_scan_{side}"] = _run_worker(
-                src, "scan", design_seed, tmp / "start", args.replicates, base,
+                src, "scan", design_seed, tmp / "start.npz", args.replicates, base,
                 tmp / f"{side}.npz")
             rows[side] = np.load(tmp / f"{side}.npz")
         names = [str(n) for n in rows["ref"]["names"]]

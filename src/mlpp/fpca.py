@@ -21,8 +21,6 @@ from .tables import grid_index, read_header, read_table, scatter, write_table
 GROUP_A = 2
 GROUP_B = 3
 
-ORTHONORMALITY_TOL = 1e-8
-
 
 def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
     """Quadrature weights so that sum(w * f) approximates the integral of f."""

@@ -5,10 +5,13 @@ scores all share the common cluster, all share the subject's group
 cluster, or are split channel-by-channel among subject-specific
 clusters labelled 4 .. 3+J (J = max_subject_clusters).  The state keeps
 the parameters of every cluster of every dimension in one flat grid,
-(K, 3 + U*J) in cluster_index slot order; the per-level arrays are views
-of that grid, and the flat label and slot of each (subject, channel,
-dimension) are derived from the category, the subject's group code and
-the channel allocation whenever they are needed.
+(K, 3 + U*J) in cluster_index slot order, and states are built, drawn
+and saved only as such grids: cluster_prior gives the matching prior
+grids, and a snapshot holds one clusters.csv row per grid cell.  The
+per-level arrays are views of the grid, and the flat label and
+slot of each (subject, channel, dimension) are derived from the
+category, the subject's group code and the channel allocation whenever
+they are needed.
 """
 from __future__ import annotations
 
@@ -141,13 +144,6 @@ def cluster_index(state: ModelState) -> np.ndarray:
     return slot + (3 + u * j) * np.arange(k)
 
 
-def stack_clusters(common, group, subject) -> np.ndarray:
-    """One (K, 3 + U*J) grid from common (K,), group (K, 2) and subject
-    (U, K, J) values, in cluster_index slot order."""
-    subject = np.swapaxes(subject, 0, 1).reshape(common.shape[0], -1)
-    return np.concatenate([common[:, None], group, subject], axis=1)
-
-
 def cluster_prior(hp: HyperParams, group_codes: np.ndarray) -> np.ndarray:
     """Prior constants of every cluster in cluster_index slot order:
     location and precision of the normal mean prior and the bound of the
@@ -261,12 +257,11 @@ def validate_state(state: ModelState, hp: HyperParams | None = None,
 # 0-based indices)
 # ---------------------------------------------------------------------------
 
-_JSON_ARRAYS = ("subject_alloc", "channel_alloc", "group_codes", "common_mean",
-                "common_prec", "group_mean", "group_prec", "category_weights",
+_JSON_ARRAYS = ("subject_alloc", "channel_alloc", "group_codes", "category_weights",
                 "raw_sticks")
 _INT_ARRAYS = ("subject_alloc", "channel_alloc", "group_codes")
 _SCORE_HEADER = ["subject", "channel", "dim", "value"]
-_CLUSTER_HEADER = ["subject", "dim", "label", "mean", "prec"]
+_CLUSTER_HEADER = ["dim", "slot", "mean", "prec"]
 
 
 def save_state(state: ModelState, directory) -> None:
@@ -278,30 +273,45 @@ def save_state(state: ModelState, directory) -> None:
     (directory / "state.json").write_text(json.dumps(doc) + "\n")
     write_table(directory / "scores.csv", _SCORE_HEADER,
                 grid_index(state.scores.shape, 0), state.scores.ravel())
-    write_table(directory / "subject_clusters.csv", _CLUSTER_HEADER,
-                grid_index(state.subject_mean.shape, 0), state.subject_mean.ravel(),
-                state.subject_prec.ravel())
+    write_table(directory / "clusters.csv", _CLUSTER_HEADER,
+                grid_index(state.cluster_mean.shape, 0), state.cluster_mean.ravel(),
+                state.cluster_prec.ravel())
 
 
 def load_state(directory) -> ModelState:
+    """Read a save_state snapshot; every array must have the shape that
+    state.json's shape (U, n, K, J) implies, and the state must pass
+    validate_state."""
     directory = Path(directory)
-    doc = json.loads((directory / "state.json").read_text())
+    path = directory / "state.json"
+    doc = json.loads(path.read_text())
     u, n, k, j = doc["shape"]
+    shapes = [(u, k), (u, n, k), (u,), (k, 3), (k, 2, j)]
+    arrays = {}
+    for name, shape in zip(_JSON_ARRAYS, shapes):
+        try:
+            arrays[name] = np.array(doc[name], dtype=int if name in _INT_ARRAYS else float)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"{path}: {name} is missing or not a numeric array") from None
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: {name} has shape {list(arrays[name].shape)}, "
+                             f"expected {list(shape)}")
     path = directory / "scores.csv"
     scores = scatter(path, read_table(path, _SCORE_HEADER), (u, n, k), 0,
                      complete=True)[..., 0]
-    path = directory / "subject_clusters.csv"
-    clusters = scatter(path, read_table(path, _CLUSTER_HEADER), (u, k, j), 0,
-                       complete=True)
-    arrays = {name: np.array(doc[name], dtype=int if name in _INT_ARRAYS else float)
-              for name in _JSON_ARRAYS}
-    return ModelState(
+    path = directory / "clusters.csv"
+    cluster_mean, cluster_prec = np.moveaxis(scatter(
+        path, read_table(path, _CLUSTER_HEADER), (k, 3 + u * j), 0, complete=True),
+        2, 0).copy()
+    state = ModelState(
         scores=scores, noise_prec=doc["noise_prec"],
         subject_alloc=arrays["subject_alloc"], channel_alloc=arrays["channel_alloc"],
-        cluster_mean=stack_clusters(arrays["common_mean"], arrays["group_mean"],
-                                    clusters[..., 0]),
-        cluster_prec=stack_clusters(arrays["common_prec"], arrays["group_prec"],
-                                    clusters[..., 1]),
+        cluster_mean=cluster_mean, cluster_prec=cluster_prec,
         category_weights=arrays["category_weights"], raw_sticks=arrays["raw_sticks"],
         stick_weights=sticks_to_weights(arrays["raw_sticks"]),
         group_codes=arrays["group_codes"])
+    try:
+        validate_state(state)
+    except ValueError as err:
+        raise ValueError(f"{directory}: {err}") from None
+    return state

@@ -34,8 +34,8 @@ from .hyperparams import HyperParams
 from .model import (CAT_COMMON, CAT_GROUP, CAT_SUBJECT, FIRST_SUBJECT_LABEL,
                     LOG_2PI, ModelState, cluster_index, cluster_params_for_labels,
                     cluster_prior, fitted_curves, load_state, noise_loglik,
-                    residual_ssr, save_state, scores_logprior, stack_clusters,
-                    sticks_to_weights, validate_state)
+                    residual_ssr, save_state, scores_logprior, sticks_to_weights,
+                    validate_state)
 from .tables import grid_index, read_table, scatter, write_table
 
 # Audit tolerance on the residual sum of squares, relative to the scale of
@@ -59,7 +59,6 @@ class SamplerConfig:
     init_mode: str = "empirical"        # or "prior_draw"
     audit_every: int = 0
     checkpoint_every: int = 0
-    likelihood_off: bool = False
 
     def __post_init__(self):
         if self.init_mode not in ("empirical", "prior_draw"):
@@ -132,11 +131,9 @@ def _categorical_draw(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray
     return np.minimum(idx, cum.shape[0] - 1)
 
 
-def _uniform_sd_draw(rng: np.random.Generator, bound) -> np.ndarray:
-    """Uniform cluster-sd draw on (0, bound), kept strictly inside."""
-    bound = np.asarray(bound, dtype=float)
-    u = rng.random(bound.shape) if bound.shape else rng.random()
-    return np.clip(bound * u, 1e-12 * bound, (1.0 - 1e-12) * bound)
+def _uniform_sd_draw(rng: np.random.Generator, bound: np.ndarray) -> np.ndarray:
+    """Uniform cluster-sd draws on (0, bound), kept strictly inside."""
+    return np.clip(bound * rng.random(bound.shape), 1e-12 * bound, (1.0 - 1e-12) * bound)
 
 
 def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
@@ -234,25 +231,25 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
 # Initial states and prior simulation
 # ---------------------------------------------------------------------------
 
+def _stick_prior_labels(rng: np.random.Generator, stick_weights: np.ndarray,
+                        group_codes: np.ndarray, n_channels: int) -> np.ndarray:
+    """Channel labels (U, n, K), each drawn from the stick weights (K, 2, J)
+    of its subject's group."""
+    probs = stick_weights[:, group_codes - GROUP_A, :].T[:, :, None, :]   # (J, U, 1, K)
+    j, u, _, k = probs.shape
+    return _categorical_draw(rng, np.broadcast_to(probs, (j, u, n_channels, k))) \
+        + FIRST_SUBJECT_LABEL
+
+
 def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
                           group_codes: np.ndarray,
                           rng: np.random.Generator) -> ModelState:
     k = hp.n_components
     j = hp.max_subject_clusters
     group_codes = np.asarray(group_codes, dtype=int)
-    gidx = group_codes - GROUP_A
-
-    common_mean = rng.normal(0.0, np.sqrt(1.0 / hp.common_mean_prec))
-    common_prec = _uniform_sd_draw(rng, hp.common_sd_bound) ** -2.0
-    group_mean = rng.normal(hp.group_mean_loc, np.sqrt(1.0 / hp.group_mean_prec))
-    group_prec = _uniform_sd_draw(rng, hp.group_sd_bound) ** -2.0
-    subj_loc = hp.subject_mean_loc.T[gidx][:, :, None]         # (U, K, 1)
-    subj_prec_prior = hp.subject_mean_prec.T[gidx][:, :, None]
-    subject_mean = rng.normal(np.broadcast_to(subj_loc, (n_subjects, k, j)),
-                              np.sqrt(1.0 / subj_prec_prior))
-    subj_bound = np.broadcast_to(hp.subject_sd_bound.T[gidx][:, :, None],
-                                 (n_subjects, k, j))
-    subject_prec = _uniform_sd_draw(rng, subj_bound) ** -2.0
+    loc, prec, bound = cluster_prior(hp, group_codes)
+    cluster_mean = rng.normal(loc, prec ** -0.5)
+    cluster_prec = _uniform_sd_draw(rng, bound) ** -2.0
 
     category_weights = np.vstack([rng.dirichlet(hp.category_conc) for _ in range(k)])
     raw_sticks = np.clip(rng.beta(1.0, hp.stick_conc[:, None, None],
@@ -261,19 +258,14 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
 
     subject_alloc = _categorical_draw(
         rng, np.broadcast_to(category_weights.T[:, None, :], (3, n_subjects, k))) + 1
-    channel_probs = np.broadcast_to(
-        np.moveaxis(stick_weights[:, gidx, :], 1, 0)[:, None, :, :],
-        (n_subjects, n_channels, k, j))
-    channel_alloc = _categorical_draw(rng, np.moveaxis(channel_probs, -1, 0)) \
-        + FIRST_SUBJECT_LABEL
+    channel_alloc = _stick_prior_labels(rng, stick_weights, group_codes, n_channels)
 
     state = ModelState(
         scores=np.zeros((n_subjects, n_channels, k)),
         noise_prec=float(rng.gamma(hp.noise_prec_shape, 1.0 / hp.noise_prec_rate)),
         subject_alloc=subject_alloc,
         channel_alloc=channel_alloc,
-        cluster_mean=stack_clusters(common_mean, group_mean, subject_mean),
-        cluster_prec=stack_clusters(common_prec, group_prec, subject_prec),
+        cluster_mean=cluster_mean, cluster_prec=cluster_prec,
         category_weights=category_weights,
         raw_sticks=raw_sticks, stick_weights=stick_weights,
         group_codes=group_codes.copy(),
@@ -289,15 +281,11 @@ def initial_state_empirical(basis: EigenBasis, hp: HyperParams, ws: Workspace,
     cluster parameters at prior means, channel labels from the stick prior."""
     u, n, k = basis.scores.shape
     j = hp.max_subject_clusters
-    gidx = ws.group_codes - GROUP_A
 
     raw_sticks = np.broadcast_to(
         (1.0 / (1.0 + hp.stick_conc))[:, None, None], (k, 2, j)).copy()
     stick_weights = sticks_to_weights(raw_sticks)
-    channel_probs = np.moveaxis(stick_weights[:, gidx, :], 1, 0)[:, None, :, :] \
-        * np.ones((u, n, k, j))
-    channel_alloc = _categorical_draw(rng, np.moveaxis(channel_probs, -1, 0)) \
-        + FIRST_SUBJECT_LABEL
+    channel_alloc = _stick_prior_labels(rng, stick_weights, ws.group_codes, n)
 
     resid_var = float(np.var(ws.centred - fitted_curves(basis.scores,
                                                          ws.eigenfunctions)))
@@ -552,16 +540,15 @@ def scalar_names(n_components: int) -> list[str]:
 
 
 def _scalar_row(state: ModelState) -> list[float]:
-    row = [state.noise_prec]
-    for dim in range(state.n_components):
-        counts = [int(np.sum(state.subject_alloc[:, dim] == c)) for c in (1, 2, 3)]
-        row += [state.category_weights[dim, 0], state.category_weights[dim, 1],
-                state.category_weights[dim, 2],
-                state.common_mean[dim], state.common_prec[dim],
-                state.group_mean[dim, 0], state.group_prec[dim, 0],
-                state.group_mean[dim, 1], state.group_prec[dim, 1],
-                float(counts[0]), float(counts[1]), float(counts[2])]
-    return row
+    """The scalar_names values: per dimension the category weights, the
+    mean and precision of grid slots 0-2 (common, then the two groups)
+    interleaved, and the category counts."""
+    shared = np.stack([state.cluster_mean[:, :3], state.cluster_prec[:, :3]], axis=2)
+    counts = np.sum(state.subject_alloc[:, :, None] == [CAT_COMMON, CAT_GROUP, CAT_SUBJECT],
+                    axis=0)
+    per_dim = np.concatenate([state.category_weights,
+                              shared.reshape(state.n_components, 6), counts], axis=1)
+    return [state.noise_prec] + per_dim.ravel().tolist()
 
 
 @dataclass
@@ -578,20 +565,19 @@ class ChainArchive:
         return self.scalars.shape[0]
 
 
-def _audit(state: ModelState, ws: Workspace, hp: HyperParams, ssr: float | None,
-           likelihood_off: bool, iteration: int) -> None:
+def _audit(state: ModelState, ws: Workspace, hp: HyperParams, ssr: float,
+           iteration: int) -> None:
     """Validate the state, check the SSR the scan used (from sufficient
     statistics) against the direct residual sum, and require a finite
     log joint of scores and data."""
     validate_state(state, hp)
-    log_joint = scores_logprior(state)
-    if not likelihood_off:
-        direct = residual_ssr(state.scores, ws.centred, ws.eigenfunctions)
-        if abs(direct - ssr) > AUDIT_TOL * (ws.centred_sq + direct):
-            raise SamplerError(
-                f"iteration {iteration}: scan residual sum of squares {ssr:.12g} "
-                f"!= direct {direct:.12g}")
-        log_joint += noise_loglik(direct, ws.centred.size, state.noise_prec)
+    direct = residual_ssr(state.scores, ws.centred, ws.eigenfunctions)
+    if abs(direct - ssr) > AUDIT_TOL * (ws.centred_sq + direct):
+        raise SamplerError(
+            f"iteration {iteration}: scan residual sum of squares {ssr:.12g} "
+            f"!= direct {direct:.12g}")
+    log_joint = scores_logprior(state) \
+        + noise_loglik(direct, ws.centred.size, state.noise_prec)
     if not np.isfinite(log_joint):
         raise SamplerError(f"iteration {iteration}: log joint is {log_joint}")
 
@@ -639,10 +625,10 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
             group_codes=data.group_codes.copy(), meta=meta or {})
 
     for it in range(start_iter + 1, cfg.n_iter + 1):
-        ssr = gibbs_scan(state, ws, hp, rng, likelihood_off=cfg.likelihood_off)
+        ssr = gibbs_scan(state, ws, hp, rng)
         _check_finite(state, it)
         if cfg.audit_every and it % cfg.audit_every == 0:
-            _audit(state, ws, hp, ssr, cfg.likelihood_off, it)
+            _audit(state, ws, hp, ssr, it)
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             scalars.append(_scalar_row(state))
             alloc_draws.append(state.subject_alloc.astype(np.int8))

@@ -14,12 +14,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .fpca import GROUP_A, GROUP_B, FunctionalDataset, trapezoid_weights
+from .model import CAT_GROUP, CAT_SUBJECT
 
 MIN_TIMEPOINTS = 16
-
-COMMON = 1
-GROUP = 2
-SUBJECT_SPECIFIC = 3
 
 
 @dataclass
@@ -130,7 +127,7 @@ def simulate(design: SimDesign) -> tuple[FunctionalDataset, GroundTruth]:
     outliers = set(design.outlier_subjects)
 
     scores = np.empty((u, n, 2))
-    subject_kind = np.full((u, 2), GROUP, dtype=int)
+    subject_kind = np.full((u, 2), CAT_GROUP, dtype=int)
     subject_labels = np.empty((u, 2), dtype=int)
     channel_labels: dict = {}
     half = design.outlier_offset / 2.0
@@ -143,7 +140,7 @@ def simulate(design: SimDesign) -> tuple[FunctionalDataset, GroundTruth]:
             split = rng.permutation(n) < n // 2
             centers = np.where(split, -half, half)
             scores[s, :, 1] = rng.normal(centers, design.outlier_sd)
-            subject_kind[s, 1] = SUBJECT_SPECIFIC
+            subject_kind[s, 1] = CAT_SUBJECT
             subject_labels[s, 1] = 2 + s
             channel_labels[f"{s + 1}:2"] = split.astype(int)
         else:

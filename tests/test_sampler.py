@@ -7,8 +7,8 @@ from scipy.special import exp1
 import mlpp.sampler
 from mlpp.fpca import fit_fpca
 from mlpp.hyperparams import estimate_hyperparams
-from mlpp.model import (cluster_params_for_labels, fitted_curves, residual_ssr,
-                        validate_state)
+from mlpp.model import (cluster_params_for_labels, cluster_prior, fitted_curves,
+                        residual_ssr, validate_state)
 from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
                           _audit, _check_finite, alloc_log_weights,
                           category_weight_params, cluster_counts, cluster_index,
@@ -22,8 +22,8 @@ from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
                           update_noise_prec, update_subject_alloc)
 from mlpp.simgen import SimDesign, simulate
 from conftest import (all_channel_stick_counts, label_conditioned_alloc_update,
-                      label_conditioned_weights, naive_cluster_conditionals,
-                      random_state_and_workspace)
+                      label_conditioned_weights, make_hyperparams,
+                      naive_cluster_conditionals, random_state_and_workspace)
 
 
 @pytest.fixture(scope="module")
@@ -420,6 +420,27 @@ def test_initial_states_are_valid(tiny_problem):
     assert prior.scores.shape == basis.scores.shape
 
 
+def test_prior_draws_follow_the_prior_in_every_cluster_slot():
+    # K=2, J=3 and two subjects per group: 15 grid slots per dimension,
+    # each dimension and group with its own prior constants
+    rng = np.random.default_rng(0)
+    hp = make_hyperparams(rng, k=2, j=3)
+    group_codes = np.array([2, 2, 3, 3])
+    loc, prec, bound = cluster_prior(hp, group_codes)
+    draws = 4000
+    z = np.empty((draws,) + loc.shape)
+    sd_share = np.empty_like(z)
+    for i in range(draws):
+        state = draw_state_from_prior(hp, 4, 2, group_codes, rng)
+        z[i] = (state.cluster_mean - loc) * np.sqrt(prec)
+        sd_share[i] = state.cluster_prec ** -0.5 / bound
+    # 90 checks at 4 standard errors each
+    assert np.all(np.abs(z.mean(axis=0)) < 4.0 / np.sqrt(draws))
+    assert np.all(np.abs(z.var(axis=0, ddof=1) - 1.0) < 4.0 * np.sqrt(2.0 / draws))
+    assert np.all((sd_share > 0.0) & (sd_share < 1.0))
+    assert np.all(np.abs(sd_share.mean(axis=0) - 0.5) < 4.0 / np.sqrt(12.0 * draws))
+
+
 def test_run_chain_is_deterministic(tiny_problem):
     data, basis, hp = tiny_problem
     cfg = SamplerConfig(n_iter=40, burn_in=10, thin=2, seed=7)
@@ -434,8 +455,8 @@ def test_run_chain_is_deterministic(tiny_problem):
 
 def test_audit_passes_in_all_sampler_variants(tiny_problem):
     data, basis, hp = tiny_problem
-    for kwargs in ({}, {"likelihood_off": True, "init_mode": "prior_draw"}):
-        cfg = SamplerConfig(n_iter=40, seed=3, audit_every=1, **kwargs)
+    for init_mode in ("empirical", "prior_draw"):
+        cfg = SamplerConfig(n_iter=40, seed=3, audit_every=1, init_mode=init_mode)
         archive = run_chain(data, basis, hp, cfg)
         assert archive.n_draws == 40
 
@@ -443,14 +464,14 @@ def test_audit_passes_in_all_sampler_variants(tiny_problem):
 def test_audit_catches_tampered_workspace_and_ssr():
     state, hp, ws, rng = random_state_and_workspace(17)
     ssr = gibbs_scan(state, ws, hp, rng)
-    _audit(state, ws, hp, ssr, False, 1)
+    _audit(state, ws, hp, ssr, 1)
     with pytest.raises(SamplerError, match="residual sum of squares"):
-        _audit(state, ws, hp, ssr * (1.0 + 1e-6), False, 1)
+        _audit(state, ws, hp, ssr * (1.0 + 1e-6), 1)
 
     ws.proj = ws.proj + 1e-3                  # projections out of step with curves
     ssr = gibbs_scan(state, ws, hp, rng)
     with pytest.raises(SamplerError, match="residual sum of squares"):
-        _audit(state, ws, hp, ssr, False, 2)
+        _audit(state, ws, hp, ssr, 2)
 
     # a finite noise precision so large that the log likelihood overflows
     # passes validate_state and is caught by the log-joint check; an
@@ -460,10 +481,10 @@ def test_audit_catches_tampered_workspace_and_ssr():
     state.noise_prec = 1e308
     direct = residual_ssr(state.scores, ws.centred, ws.eigenfunctions)
     with pytest.raises(SamplerError, match="log joint"):
-        _audit(state, ws, hp, direct, False, 3)
+        _audit(state, ws, hp, direct, 3)
     state.noise_prec = np.inf
     with pytest.raises(ValueError, match="finite and positive"):
-        _audit(state, ws, hp, direct, False, 3)
+        _audit(state, ws, hp, direct, 3)
 
 
 def test_kept_draw_rule(tiny_problem):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mlpp.fpca import trapezoid_weights
-from mlpp.simgen import (GROUP, SUBJECT_SPECIFIC, SimDesign, make_eigenfunctions,
-                         read_truth_json, simulate, write_truth_json)
+from mlpp.model import CAT_GROUP, CAT_SUBJECT
+from mlpp.simgen import (SimDesign, make_eigenfunctions, read_truth_json, simulate,
+                         write_truth_json)
 
 
 def test_eigenfunctions_orthonormal_and_deterministic():
@@ -37,11 +38,11 @@ def test_shapes_groups_and_planted_labels():
 
     # dimension 1 never has subject-specific structure; the default four
     # outliers (first two and last two subjects) carry it in dimension 2
-    assert set(truth.subject_kind[:, 0]) == {GROUP}
+    assert set(truth.subject_kind[:, 0]) == {CAT_GROUP}
     outliers = np.array([0, 1, 8, 9])
-    assert np.all(truth.subject_kind[outliers, 1] == SUBJECT_SPECIFIC)
+    assert np.all(truth.subject_kind[outliers, 1] == CAT_SUBJECT)
     keep = np.setdiff1d(np.arange(10), outliers)
-    assert np.all(truth.subject_kind[keep, 1] == GROUP)
+    assert np.all(truth.subject_kind[keep, 1] == CAT_GROUP)
 
     # planted subject partitions: groups in dimension 1, singleton labels
     # for the outliers in dimension 2

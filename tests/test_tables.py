@@ -5,6 +5,8 @@ writers shared one table codec: the csv module's dialect (CRLF line ends,
 quoted headers that hold a comma), repr() for floats, and each file's
 header and index base.  A change to any of them fails here first.
 """
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ import mlpp.diagnostics
 from mlpp.diagnostics import export_density, export_trace, write_diagnostics_csv
 from mlpp.fpca import (EigenBasis, FunctionalDataset, write_basis,
                        write_dataset_csv, write_time_grid_csv)
-from mlpp.model import ModelState, save_state, stack_clusters, sticks_to_weights
+from mlpp.model import ModelState, save_state, sticks_to_weights
 from mlpp.partitions import write_similarity_csv
 from mlpp.sampler import ChainArchive, save_archives, scalar_names
 
@@ -46,16 +48,22 @@ PINNED = {
         b"0,0,1,-1.25\r\n"
         b"1,0,0,0.3333333333333333\r\n"
         b"1,0,1,2e-08\r\n",
-    "state/subject_clusters.csv":
-        b"subject,dim,label,mean,prec\r\n"
-        b"0,0,0,0.1,1.5\r\n"
-        b"0,0,1,0.2,2.5\r\n"
-        b"0,1,0,0.3,3.5\r\n"
-        b"0,1,1,0.4,4.5\r\n"
-        b"1,0,0,-0.1,5.5\r\n"
-        b"1,0,1,-0.2,6.5\r\n"
-        b"1,1,0,-0.3,7.5\r\n"
-        b"1,1,1,0.14285714285714285,8.5\r\n",
+    "state/clusters.csv":
+        b"dim,slot,mean,prec\r\n"
+        b"0,0,0.0,2.0\r\n"
+        b"0,1,1.0,4.0\r\n"
+        b"0,2,-1.0,5.0\r\n"
+        b"0,3,0.1,1.5\r\n"
+        b"0,4,0.2,2.5\r\n"
+        b"0,5,-0.1,5.5\r\n"
+        b"0,6,-0.2,6.5\r\n"
+        b"1,0,0.1,3.0\r\n"
+        b"1,1,0.5,6.0\r\n"
+        b"1,2,-0.5,7.0\r\n"
+        b"1,3,0.3,3.5\r\n"
+        b"1,4,0.4,4.5\r\n"
+        b"1,5,-0.3,7.5\r\n"
+        b"1,6,0.14285714285714285,8.5\r\n",
     "run/chain_00/draws_scalar.csv":
         b"draw,noise_prec,weight_common[1],weight_group[1],weight_subject[1],"
         b"common_mean[1],common_prec[1],\"group_mean[1,2]\",\"group_prec[1,2]\","
@@ -100,18 +108,18 @@ PINNED = {
 
 
 def small_state() -> ModelState:
-    """Two subjects, one channel, two dimensions, two subject clusters."""
+    """Two subjects, one channel, two dimensions, two subject clusters:
+    7 grid slots per dimension (common, two groups, subject 0's two
+    clusters, subject 1's two)."""
     raw = np.array([[[0.5, 0.25], [0.75, 0.5]], [[0.1, 0.9], [0.3, 0.6]]])
     return ModelState(
         scores=np.array([[[0.5, -1.25]], [[1.0 / 3, 2e-8]]]), noise_prec=12.5,
         subject_alloc=np.array([[1, 3], [2, 3]]),
         channel_alloc=np.array([[[4, 5]], [[5, 4]]]),
-        cluster_mean=stack_clusters(
-            np.array([0.0, 0.1]), np.array([[1.0, -1.0], [0.5, -0.5]]),
-            np.array([[[0.1, 0.2], [0.3, 0.4]], [[-0.1, -0.2], [-0.3, 1.0 / 7]]])),
-        cluster_prec=stack_clusters(
-            np.array([2.0, 3.0]), np.array([[4.0, 5.0], [6.0, 7.0]]),
-            np.array([[[1.5, 2.5], [3.5, 4.5]], [[5.5, 6.5], [7.5, 8.5]]])),
+        cluster_mean=np.array([[0.0, 1.0, -1.0, 0.1, 0.2, -0.1, -0.2],
+                               [0.1, 0.5, -0.5, 0.3, 0.4, -0.3, 1.0 / 7]]),
+        cluster_prec=np.array([[2.0, 4.0, 5.0, 1.5, 2.5, 5.5, 6.5],
+                               [3.0, 6.0, 7.0, 3.5, 4.5, 7.5, 8.5]]),
         category_weights=np.array([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]),
         raw_sticks=raw, stick_weights=sticks_to_weights(raw),
         group_codes=np.array([2, 3]))
@@ -200,8 +208,17 @@ def _repeat(i):
     return lambda lines: lines + [lines[i]]
 
 
+def _set_json(key, value):
+    """Set one entry of a one-line JSON file."""
+    def edit(lines):
+        doc = json.loads(lines[0])
+        doc[key] = value
+        return [json.dumps(doc)]
+    return edit
+
+
 def _case_ids(cases):
-    return [f"{name[:-4]}-{i}" for i, (name, _, _) in enumerate(cases)]
+    return [f"{name.split('.')[0]}-{i}" for i, (name, _, _) in enumerate(cases)]
 
 
 ARCHIVE_CASES = [
@@ -255,17 +272,21 @@ def test_read_basis_rejects_malformed_files(tmp_path, name, edit, message):
 
 
 STATE_CASES = [
-    # both files cover every cell, counted from 0
+    # both CSV files cover every cell, counted from 0
     ("scores.csv", _drop(2), r"scores.csv: no row for cell \[0, 0, 1\]"),
     ("scores.csv", _replace(2, "0,0,2,0.5"), r"scores.csv: line 3: index \[0.0, 0.0, 2.0\]"),
     ("scores.csv", _replace(2, "0,-1,1,0.5"), r"scores.csv: line 3: index \[0.0, -1.0, 1.0\]"),
     ("scores.csv", _repeat(4), r"scores.csv: line 6 repeats cell \[1, 0, 1\]"),
-    ("subject_clusters.csv", _drop(8), r"subject_clusters.csv: no row for cell \[1, 1, 1\]"),
-    ("subject_clusters.csv", _replace(1, "0,0,2,0.1,1.5"),
-     r"subject_clusters.csv: line 2: index \[0.0, 0.0, 2.0\]"),
-    ("subject_clusters.csv", _replace(1, "0,0,0,0.1"), r"subject_clusters.csv: .*columns"),
-    ("subject_clusters.csv", _replace(0, "subject,dim,label,mean"),
-     r"subject_clusters.csv: header"),
+    ("clusters.csv", _drop(14), r"/clusters.csv: no row for cell \[1, 6\]"),
+    ("clusters.csv", _replace(1, "0,7,0.0,2.0"), r"/clusters.csv: line 2: index \[0.0, 7.0\]"),
+    ("clusters.csv", _replace(1, "0,0,0.0"), r"/clusters.csv: .*columns"),
+    ("clusters.csv", _replace(0, "dim,slot,mean"), r"/clusters.csv: header"),
+    # a channel label past 3+J, which cluster_index would send into the
+    # next subject's slots, and an array of the wrong shape
+    ("state.json", _set_json("channel_alloc", [[[6, 5]], [[5, 4]]]),
+     r"channel allocations out of range"),
+    ("state.json", _set_json("subject_alloc", [[1, 3, 1], [2, 3, 1]]),
+     r"state.json: subject_alloc has shape \[2, 3\], expected \[2, 2\]"),
 ]
 
 
