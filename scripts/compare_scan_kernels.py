@@ -23,7 +23,11 @@ ess       Both trees fit the same F simulated datasets as `mlpp fit` does
           thin 1), and the benchmark's frozen estimator (perfbench/ess.py)
           gives each fit's median and minimum ESS per kept draw over the
           non-constant scalars.  Paired differences are tested with the
-          Wilcoxon signed-rank test.
+          Wilcoxon signed-rank test; when every difference is 0 (identical
+          kernels and draw streams) the test is not run and the record
+          reads "identical".  The minimum ESS per draw is heavy-tailed
+          across fits, so a handful of fits can all lean one way by
+          chance; judge it at the default fit count.
 
 Usage:
     python scripts/compare_scan_kernels.py REF_SRC NEW_SRC OUT.json \\
@@ -218,7 +222,8 @@ def main() -> None:
             "ref": ref.tolist(), "new": new.tolist(),
             "ref_median": float(np.median(ref)), "new_median": float(np.median(new)),
             "new_lower": int(np.sum(new < ref)), "new_higher": int(np.sum(new > ref)),
-            "wilcoxon_p": float(wilcoxon(new, ref).pvalue)}
+            "wilcoxon_p": "identical" if np.array_equal(new, ref)
+            else float(wilcoxon(new, ref).pvalue)}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for s in (1, SCANS):
         r = record["one_scan"][f"after_{s}"]
@@ -226,8 +231,10 @@ def main() -> None:
               f"Bonferroni {r['bonferroni_min_p']:.3g}, {r['n_below_0.05']} below 0.05")
     for key in ("ess_per_draw", "ess_min_per_draw"):
         r = record["ess"][key]
+        p = r["wilcoxon_p"]
         print(f"{key}: ref median {r['ref_median']:.3f}, new {r['new_median']:.3f}, "
-              f"new lower in {r['new_lower']}/{len(ref)}, Wilcoxon p {r['wilcoxon_p']:.3g}")
+              f"new lower in {r['new_lower']}/{len(ref)}, Wilcoxon p "
+              f"{p if isinstance(p, str) else format(p, '.3g')}")
 
 
 if __name__ == "__main__":

@@ -197,11 +197,14 @@ def data_loglik(state: ModelState, centred_values: np.ndarray,
     return noise_loglik(ssr, centred_values.size, state.noise_prec)
 
 
+def norm_logpdf(x, mean, prec):
+    """Normal log density of x with the given mean and precision."""
+    return 0.5 * (np.log(prec) - LOG_2PI) - 0.5 * prec * (x - mean) ** 2
+
+
 def scores_logprior(state: ModelState) -> float:
     """Log density of all scores under their cluster normals."""
-    means, precs = cluster_params_for_labels(state)
-    return float(np.sum(
-        0.5 * (np.log(precs) - LOG_2PI) - 0.5 * precs * (state.scores - means) ** 2))
+    return float(np.sum(norm_logpdf(state.scores, *cluster_params_for_labels(state))))
 
 
 def sticks_to_weights(raw_sticks: np.ndarray) -> np.ndarray:

@@ -32,10 +32,10 @@ import numpy as np
 from .fpca import GROUP_A, EigenBasis, FunctionalDataset
 from .hyperparams import HyperParams
 from .model import (CAT_COMMON, CAT_GROUP, CAT_SUBJECT, FIRST_SUBJECT_LABEL,
-                    LOG_2PI, ModelState, cluster_index, cluster_params_for_labels,
+                    ModelState, cluster_index, cluster_params_for_labels,
                     cluster_prior, fitted_curves, load_state, noise_loglik,
-                    residual_ssr, save_state, scores_logprior, sticks_to_weights,
-                    validate_state)
+                    norm_logpdf, residual_ssr, save_state, scores_logprior,
+                    sticks_to_weights, validate_state)
 from .tables import grid_index, read_table, scatter, write_table
 
 # Audit tolerance on the residual sum of squares, relative to the scale of
@@ -99,6 +99,16 @@ def make_workspace(data: FunctionalDataset, basis: EigenBasis) -> Workspace:
                      eigenfunctions=phi, group_codes=data.group_codes.copy())
 
 
+def data_free_workspace(ws: Workspace) -> Workspace:
+    """ws without its data: an empty time axis and zero projections and
+    Gram matrix, so that the score and noise conditionals are their
+    priors."""
+    u, n, k = ws.proj.shape
+    return Workspace(centred=np.zeros((u, n, 0)), proj=np.zeros((u, n, k)),
+                     gram=np.zeros((k, k)), eigenfunctions=np.zeros((0, k)),
+                     group_codes=ws.group_codes)
+
+
 def sufficient_ssr(scores: np.ndarray, ws: Workspace) -> float:
     """Residual sum of squares of the centred curves given the scores.
 
@@ -109,10 +119,6 @@ def sufficient_ssr(scores: np.ndarray, ws: Workspace) -> float:
     ssr = ws.centred_sq - 2.0 * np.vdot(scores, ws.proj) \
         + np.vdot(scores @ ws.gram, scores)
     return max(float(ssr), 0.0)
-
-
-def _norm_logpdf(x, mean, prec):
-    return 0.5 * (np.log(prec) - LOG_2PI) - 0.5 * prec * (x - mean) ** 2
 
 
 def _categorical_draw(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
@@ -317,15 +323,13 @@ def draw_observations(state: ModelState, eigenfunctions: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def score_update_params(state: ModelState, ws: Workspace, dim: int,
-                        likelihood_off: bool = False, cluster_params=None):
+                        cluster_params=None):
     """Posterior mean and variance of every score in one dimension,
     holding the other dimensions at their current values; cluster_params
     is the cluster_params_for_labels gather, taken here when not given."""
     means_z, precs_z = cluster_params if cluster_params is not None \
         else cluster_params_for_labels(state)
     mu, s = means_z[:, :, dim], precs_z[:, :, dim]
-    if likelihood_off:
-        return mu, 1.0 / s
     dot_r = ws.proj[:, :, dim] - state.scores @ ws.gram[:, dim] \
         + state.scores[:, :, dim] * ws.gram[dim, dim]
     var = 1.0 / (state.noise_prec * ws.gram[dim, dim] + s)
@@ -333,13 +337,12 @@ def score_update_params(state: ModelState, ws: Workspace, dim: int,
     return mean, var
 
 
-def update_scores(state: ModelState, ws: Workspace, rng: np.random.Generator,
-                  likelihood_off: bool = False) -> None:
+def update_scores(state: ModelState, ws: Workspace, rng: np.random.Generator) -> None:
     u, n, k = state.scores.shape
     # labels and cluster parameters do not change within the block
     params = cluster_params_for_labels(state)
     for dim in range(k):
-        mean, var = score_update_params(state, ws, dim, likelihood_off, params)
+        mean, var = score_update_params(state, ws, dim, params)
         state.scores[:, :, dim] = mean + np.sqrt(var) * rng.standard_normal((u, n))
 
 
@@ -355,12 +358,8 @@ def noise_prec_params(state: ModelState, ws: Workspace,
 
 
 def update_noise_prec(state: ModelState, ws: Workspace, hp: HyperParams,
-                      rng: np.random.Generator, ssr: float | None = None,
-                      likelihood_off: bool = False) -> None:
-    if likelihood_off:
-        shape, rate = hp.noise_prec_shape, hp.noise_prec_rate
-    else:
-        shape, rate = noise_prec_params(state, ws, hp, ssr)
+                      rng: np.random.Generator, ssr: float | None = None) -> None:
+    shape, rate = noise_prec_params(state, ws, hp, ssr)
     state.noise_prec = float(rng.gamma(shape, 1.0 / rate))
 
 
@@ -379,23 +378,23 @@ def cluster_counts(state: ModelState, index: np.ndarray) -> np.ndarray:
     return _segment_sum(index, k, 3 + u * state.max_subject_clusters)
 
 
-def cluster_mean_params(state: ModelState, hp: HyperParams, index: np.ndarray,
+def cluster_mean_params(state: ModelState, prior: np.ndarray, index: np.ndarray,
                         counts: np.ndarray):
     """Normal conditional of every cluster mean given the current
-    precisions, the cluster_index of the scores and the cluster_counts:
-    (location, precision), each (K, 3 + U*J).  An empty cluster gets its
-    prior."""
+    precisions, the cluster_prior grids, the cluster_index of the scores
+    and the cluster_counts: (location, precision), each (K, 3 + U*J).  An
+    empty cluster gets its prior."""
     sums = _segment_sum(index, *counts.shape, state.scores)
-    mean0, prec0, _ = cluster_prior(hp, state.group_codes)
+    mean0, prec0, _ = prior
     post_prec = prec0 + counts * state.cluster_prec
     return (prec0 * mean0 + state.cluster_prec * sums) / post_prec, post_prec
 
 
-def cluster_prec_params(state: ModelState, hp: HyperParams, index: np.ndarray,
-                        counts: np.ndarray, means: np.ndarray):
+def cluster_prec_params(state: ModelState, index: np.ndarray, counts: np.ndarray,
+                        means: np.ndarray):
     """Conditional of every cluster precision given the cluster means (K,
-    3 + U*J): Gamma(shape, rate) truncated below at sd_bound^-2, returned
-    as (shape, rate, sd_bound).
+    3 + U*J): Gamma(shape, rate) truncated below at the cluster_prior
+    bound's sd_bound^-2, returned as (shape, rate).
 
     The uniform sd prior contributes the -3/2 power and the bound, so the
     shape is m/2 - 1/2 and the rate SS/2 for m members with sum of squares
@@ -404,18 +403,20 @@ def cluster_prec_params(state: ModelState, hp: HyperParams, index: np.ndarray,
     """
     dev = state.scores - means.ravel()[index]
     ss = _segment_sum(index, *counts.shape, dev * dev)
-    return 0.5 * counts - 0.5, 0.5 * ss, cluster_prior(hp, state.group_codes)[2]
+    return 0.5 * counts - 0.5, 0.5 * ss
 
 
 def update_cluster_params(state: ModelState, hp: HyperParams,
                           rng: np.random.Generator) -> None:
     """Draw every cluster's mean, then its precision, given the scores
     and labels; empty clusters are redrawn from their prior."""
+    prior = cluster_prior(hp, state.group_codes)
+    bound = prior[2]
     index = cluster_index(state)
     counts = cluster_counts(state, index)
-    loc, post_prec = cluster_mean_params(state, hp, index, counts)
+    loc, post_prec = cluster_mean_params(state, prior, index, counts)
     means = rng.normal(loc, np.sqrt(1.0 / post_prec))
-    shape, rate, bound = cluster_prec_params(state, hp, index, counts, means)
+    shape, rate = cluster_prec_params(state, index, counts, means)
     precs = np.empty_like(means)
     fit = rate > 0.5 * _TINY_SS
     precs[~fit] = _uniform_sd_draw(rng, bound[~fit]) ** -2.0
@@ -431,10 +432,10 @@ def alloc_log_weights(state: ModelState, dim: int):
     across whole (U, n) planes."""
     gidx = state.group_codes - GROUP_A
     x = state.scores[:, :, dim]
-    log_common = _norm_logpdf(x, state.common_mean[dim], state.common_prec[dim])
-    log_group = _norm_logpdf(x, state.group_mean[dim, gidx][:, None],
+    log_common = norm_logpdf(x, state.common_mean[dim], state.common_prec[dim])
+    log_group = norm_logpdf(x, state.group_mean[dim, gidx][:, None],
                              state.group_prec[dim, gidx][:, None])
-    log_subj = _norm_logpdf(x, state.subject_mean[:, dim, :].T[:, :, None],
+    log_subj = norm_logpdf(x, state.subject_mean[:, dim, :].T[:, :, None],
                             state.subject_prec[:, dim, :].T[:, :, None])   # (J, U, n)
     log_sticks = np.log(np.maximum(state.stick_weights[dim, gidx, :], 1e-300))
     chan_post = log_sticks.T[:, :, None] + log_subj
@@ -508,15 +509,19 @@ def update_sticks(state: ModelState, hp: HyperParams, rng: np.random.Generator) 
 
 
 def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
-               rng: np.random.Generator, likelihood_off: bool = False) -> float | None:
+               rng: np.random.Generator, likelihood_off: bool = False) -> float:
     """One systematic scan over all six blocks.
 
-    Returns the residual sum of squares the noise update used (None with
-    the likelihood off), for the audit.
+    With likelihood_off the same blocks run on data_free_workspace(ws),
+    so the scan leaves the prior invariant.  Returns the residual sum of
+    squares the noise update used (0.0 with the likelihood off), for the
+    audit.
     """
-    update_scores(state, ws, rng, likelihood_off)
-    ssr = None if likelihood_off else sufficient_ssr(state.scores, ws)
-    update_noise_prec(state, ws, hp, rng, ssr=ssr, likelihood_off=likelihood_off)
+    if likelihood_off:
+        ws = data_free_workspace(ws)
+    update_scores(state, ws, rng)
+    ssr = sufficient_ssr(state.scores, ws)
+    update_noise_prec(state, ws, hp, rng, ssr=ssr)
     update_cluster_params(state, hp, rng)
     update_subject_alloc(state, rng)
     update_category_weights(state, hp, rng)

@@ -13,7 +13,7 @@ from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
                           _audit, _check_finite, alloc_log_weights,
                           category_weight_params, cluster_counts, cluster_index,
                           cluster_mean_params, cluster_prec_params,
-                          draw_state_from_prior, gibbs_scan,
+                          data_free_workspace, draw_state_from_prior, gibbs_scan,
                           initial_state_empirical, load_archives, make_workspace,
                           noise_prec_params, run_chain, run_chains, save_archives,
                           scalar_names, score_update_params, stick_counts,
@@ -161,7 +161,7 @@ def test_score_update_matches_closed_form():
 
 def test_score_update_prior_only():
     state, _, ws, _ = random_state_and_workspace(2)
-    mean, var = score_update_params(state, ws, 0, likelihood_off=True)
+    mean, var = score_update_params(state, data_free_workspace(ws), 0)
     means_z, precs_z = cluster_params_for_labels(state)
     np.testing.assert_allclose(mean, means_z[:, :, 0], atol=1e-12)
     np.testing.assert_allclose(var, 1.0 / precs_z[:, :, 0], atol=1e-12)
@@ -335,8 +335,10 @@ def test_cluster_conditionals_match_naive_loop():
             state, hp, {key: means[pos] for key, pos in slots.items()})
         index = cluster_index(state)
         counts = cluster_counts(state, index)
-        loc, prec = cluster_mean_params(state, hp, index, counts)
-        shape, rate, bound = cluster_prec_params(state, hp, index, counts, means)
+        prior = cluster_prior(hp, state.group_codes)
+        loc, prec = cluster_mean_params(state, prior, index, counts)
+        shape, rate = cluster_prec_params(state, index, counts, means)
+        bound = prior[2]
         occupied = 0
         for key, pos in slots.items():
             m, loc_ref, prec_ref, shape_ref, rate_ref, bound_ref = naive[key]
@@ -379,9 +381,10 @@ def test_alloc_update_keeps_state_valid():
 
 def test_likelihood_off_noise_precision_follows_prior():
     state, hp, ws, rng = random_state_and_workspace(10)
+    ws = data_free_workspace(ws)
     draws = []
     for _ in range(2000):
-        update_noise_prec(state, ws, hp, rng, likelihood_off=True)
+        update_noise_prec(state, ws, hp, rng)
         draws.append(state.noise_prec)
     # Gamma(2, 2): mean 1, sd 1/sqrt(2)
     assert np.mean(draws) == pytest.approx(1.0, abs=0.06)
