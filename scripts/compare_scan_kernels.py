@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -80,7 +81,9 @@ def worker_start(src: str, design_seed: int, out: str) -> None:
     import mlpp.sampler as S
     ws = S.make_workspace(data, basis)
     rng = np.random.default_rng(design_seed)
-    state = S.initial_state_empirical(basis, hp, ws, rng)
+    # trees whose empirical start still drew channel labels take the rng
+    takes_rng = "rng" in inspect.signature(S.initial_state_empirical).parameters
+    state = S.initial_state_empirical(basis, hp, ws, *[rng][:takes_rng])
     for _ in range(START_SCANS):
         S.gibbs_scan(state, ws, hp, rng)
     np.savez(out, **{f.name: getattr(state, f.name) for f in dataclasses.fields(state)})

@@ -38,8 +38,9 @@ class ModelState:
     """All latent quantities of the model at one iteration.
 
     Shapes: scores (U, n, K); subject_alloc (U, K) in {1,2,3};
-    channel_alloc (U, n, K) in {4..3+J} (defined for every channel, used
-    only where subject_alloc is 3); cluster_mean / cluster_prec
+    channel_alloc (U, n, K) in {4..3+J} (drawn only where subject_alloc
+    is 3; elsewhere it holds stale labels that nothing reads);
+    cluster_mean / cluster_prec
     (K, 3 + U*J) in cluster_index slot order; category_weights (K, 3);
     raw_sticks / stick_weights (K, 2, J) with rows renormalized to sum 1.
 

@@ -12,7 +12,8 @@ subject/channel allocations, category weights, stick proportions.
   nonpositive-shape precisions take the scalar rejection sampler.
 - The allocation update marginalizes the channel labels when choosing
   each subject's category; one exponentiation of the per-channel mixture
-  densities serves both that weight and the channel-label posterior.
+  densities serves both that weight and the channel-label posterior,
+  from which labels are drawn only for the subjects in category 3.
 
 The optional audit (``audit_every``) validates the state, checks the
 scan's sufficient-statistic SSR against the direct residual sum, and
@@ -237,16 +238,6 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
 # Initial states and prior simulation
 # ---------------------------------------------------------------------------
 
-def _stick_prior_labels(rng: np.random.Generator, stick_weights: np.ndarray,
-                        group_codes: np.ndarray, n_channels: int) -> np.ndarray:
-    """Channel labels (U, n, K), each drawn from the stick weights (K, 2, J)
-    of its subject's group."""
-    probs = stick_weights[:, group_codes - GROUP_A, :].T[:, :, None, :]   # (J, U, 1, K)
-    j, u, _, k = probs.shape
-    return _categorical_draw(rng, np.broadcast_to(probs, (j, u, n_channels, k))) \
-        + FIRST_SUBJECT_LABEL
-
-
 def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
                           group_codes: np.ndarray,
                           rng: np.random.Generator) -> ModelState:
@@ -264,7 +255,10 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
 
     subject_alloc = _categorical_draw(
         rng, np.broadcast_to(category_weights.T[:, None, :], (3, n_subjects, k))) + 1
-    channel_alloc = _stick_prior_labels(rng, stick_weights, group_codes, n_channels)
+    # every channel label, in category 3 or not, from its group's sticks
+    probs = stick_weights[:, group_codes - GROUP_A, :].T[:, :, None, :]   # (J, U, 1, K)
+    channel_alloc = _categorical_draw(
+        rng, np.broadcast_to(probs, (j, n_subjects, n_channels, k))) + FIRST_SUBJECT_LABEL
 
     state = ModelState(
         scores=np.zeros((n_subjects, n_channels, k)),
@@ -281,17 +275,16 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
     return state
 
 
-def initial_state_empirical(basis: EigenBasis, hp: HyperParams, ws: Workspace,
-                            rng: np.random.Generator) -> ModelState:
+def initial_state_empirical(basis: EigenBasis, hp: HyperParams,
+                            ws: Workspace) -> ModelState:
     """Scores at their empirical values, everyone in the common cluster,
-    cluster parameters at prior means, channel labels from the stick prior."""
+    cluster parameters at prior means; no subject is in category 3, so
+    every channel label is the first subject label."""
     u, n, k = basis.scores.shape
     j = hp.max_subject_clusters
 
     raw_sticks = np.broadcast_to(
         (1.0 / (1.0 + hp.stick_conc))[:, None, None], (k, 2, j)).copy()
-    stick_weights = sticks_to_weights(raw_sticks)
-    channel_alloc = _stick_prior_labels(rng, stick_weights, ws.group_codes, n)
 
     resid_var = float(np.var(ws.centred - fitted_curves(basis.scores,
                                                          ws.eigenfunctions)))
@@ -300,13 +293,13 @@ def initial_state_empirical(basis: EigenBasis, hp: HyperParams, ws: Workspace,
         scores=basis.scores.copy(),
         noise_prec=1.0 / max(resid_var, 1e-12),
         subject_alloc=np.full((u, k), CAT_COMMON, dtype=int),
-        channel_alloc=channel_alloc,
+        channel_alloc=np.full((u, n, k), FIRST_SUBJECT_LABEL),
         cluster_mean=loc,
         cluster_prec=(bound / 2.0) ** -2.0,
         category_weights=np.broadcast_to(hp.category_conc / hp.category_conc.sum(),
                                          (k, 3)).copy(),
         raw_sticks=raw_sticks,
-        stick_weights=stick_weights,
+        stick_weights=sticks_to_weights(raw_sticks),
         group_codes=ws.group_codes.copy(),
     )
 
@@ -451,10 +444,11 @@ def alloc_log_weights(state: ModelState, dim: int):
 
 
 def update_subject_alloc(state: ModelState, rng: np.random.Generator) -> None:
-    """Draw each subject's category, then every channel label: from its
-    posterior where the subject is in category 3, from the stick prior
-    elsewhere."""
-    gidx = state.group_codes - GROUP_A
+    """Draw each subject's category, then the channel labels of the
+    subjects in category 3 from their posterior.  The labels of the other
+    subjects are left as they are: no later step reads them, so trimming
+    their draw keeps the stationary law (van Dyk & Park 2008, partially
+    collapsed Gibbs samplers)."""
     for dim in range(state.n_components):
         weights, chan_post = alloc_log_weights(state, dim)
         top = weights.max(axis=1, keepdims=True)
@@ -463,9 +457,8 @@ def update_subject_alloc(state: ModelState, rng: np.random.Generator) -> None:
                 f"allocation weights underflowed in dimension {dim + 1}")
         cat = _categorical_draw(rng, np.exp(weights - top).T) + 1
         state.subject_alloc[:, dim] = cat
-        elsewhere = cat != CAT_SUBJECT
-        chan_post[:, elsewhere] = state.stick_weights[dim, gidx[elsewhere], :].T[:, :, None]
-        state.channel_alloc[:, :, dim] = _categorical_draw(rng, chan_post) \
+        own = cat == CAT_SUBJECT
+        state.channel_alloc[own, :, dim] = _categorical_draw(rng, chan_post[:, own]) \
             + FIRST_SUBJECT_LABEL
 
 
@@ -616,7 +609,7 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
         state = draw_state_from_prior(hp, data.n_subjects, data.n_channels,
                                       data.group_codes, rng)
     else:
-        state = initial_state_empirical(basis, hp, ws, rng)
+        state = initial_state_empirical(basis, hp, ws)
 
     u, n, k = state.scores.shape
     names = scalar_names(k)

@@ -379,6 +379,20 @@ def test_alloc_update_keeps_state_valid():
         validate_state(state)
 
 
+def test_alloc_update_keeps_labels_outside_category_three():
+    # only category-3 rows are read, so only they are redrawn
+    state, _, _, rng = random_state_and_workspace(11)
+    kept = 0
+    for _ in range(25):
+        before = state.channel_alloc.copy()
+        update_subject_alloc(state, rng)
+        outside = np.broadcast_to((state.subject_alloc != 3)[:, None, :],
+                                  before.shape)
+        np.testing.assert_array_equal(state.channel_alloc[outside], before[outside])
+        kept += outside.sum()
+    assert 0 < kept < 25 * before.size
+
+
 def test_likelihood_off_noise_precision_follows_prior():
     state, hp, ws, rng = random_state_and_workspace(10)
     ws = data_free_workspace(ws)
@@ -413,7 +427,7 @@ def test_initial_states_are_valid(tiny_problem):
     data, basis, hp = tiny_problem
     ws = make_workspace(data, basis)
     rng = np.random.default_rng(0)
-    emp = initial_state_empirical(basis, hp, ws, rng)
+    emp = initial_state_empirical(basis, hp, ws)
     validate_state(emp, hp)
     np.testing.assert_array_equal(emp.scores, basis.scores)
     assert set(np.unique(emp.subject_alloc)) == {1}
