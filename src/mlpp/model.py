@@ -39,10 +39,10 @@ class ModelState:
 
     Shapes: scores (U, n, K); subject_alloc (U, K) in {1,2,3};
     channel_alloc (U, n, K) in {4..3+J} (drawn only where subject_alloc
-    is 3; elsewhere it holds stale labels that nothing reads);
-    cluster_mean / cluster_prec
-    (K, 3 + U*J) in cluster_index slot order; category_weights (K, 3);
-    raw_sticks / stick_weights (K, 2, J) with rows renormalized to sum 1.
+    is 3; elsewhere stale labels that nothing reads); cluster_mean /
+    cluster_prec (K, 3 + U*J) in cluster_index slot order; category_weights
+    (K, 3); raw_sticks / stick_weights (K, 2, J) with rows renormalized to
+    sum 1.
 
     The per-level parameters are views of the cluster grids: common
     (K,), group indexed [k, group] in group-code order (2, 3), subject

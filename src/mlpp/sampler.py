@@ -101,9 +101,8 @@ def make_workspace(data: FunctionalDataset, basis: EigenBasis) -> Workspace:
 
 
 def data_free_workspace(ws: Workspace) -> Workspace:
-    """ws without its data: an empty time axis and zero projections and
-    Gram matrix, so that the score and noise conditionals are their
-    priors."""
+    """ws without its data (an empty time axis, zero projections and Gram
+    matrix), on which the score and noise conditionals are their priors."""
     u, n, k = ws.proj.shape
     return Workspace(centred=np.zeros((u, n, 0)), proj=np.zeros((u, n, k)),
                      gram=np.zeros((k, k)), eigenfunctions=np.zeros((0, k)),
@@ -404,7 +403,6 @@ def update_cluster_params(state: ModelState, hp: HyperParams,
     """Draw every cluster's mean, then its precision, given the scores
     and labels; empty clusters are redrawn from their prior."""
     prior = cluster_prior(hp, state.group_codes)
-    bound = prior[2]
     index = cluster_index(state)
     counts = cluster_counts(state, index)
     loc, post_prec = cluster_mean_params(state, prior, index, counts)
@@ -412,8 +410,8 @@ def update_cluster_params(state: ModelState, hp: HyperParams,
     shape, rate = cluster_prec_params(state, index, counts, means)
     precs = np.empty_like(means)
     fit = rate > 0.5 * _TINY_SS
-    precs[~fit] = _uniform_sd_draw(rng, bound[~fit]) ** -2.0
-    precs[fit] = truncated_gamma_batch(rng, shape[fit], rate[fit], bound[fit] ** -2.0)
+    precs[~fit] = _uniform_sd_draw(rng, prior[2][~fit]) ** -2.0
+    precs[fit] = truncated_gamma_batch(rng, shape[fit], rate[fit], prior[2][fit] ** -2.0)
     state.cluster_mean, state.cluster_prec = means, precs
 
 
@@ -427,9 +425,9 @@ def alloc_log_weights(state: ModelState, dim: int):
     x = state.scores[:, :, dim]
     log_common = norm_logpdf(x, state.common_mean[dim], state.common_prec[dim])
     log_group = norm_logpdf(x, state.group_mean[dim, gidx][:, None],
-                             state.group_prec[dim, gidx][:, None])
+                            state.group_prec[dim, gidx][:, None])
     log_subj = norm_logpdf(x, state.subject_mean[:, dim, :].T[:, :, None],
-                            state.subject_prec[:, dim, :].T[:, :, None])   # (J, U, n)
+                           state.subject_prec[:, dim, :].T[:, :, None])   # (J, U, n)
     log_sticks = np.log(np.maximum(state.stick_weights[dim, gidx, :], 1e-300))
     chan_post = log_sticks.T[:, :, None] + log_subj
     top = chan_post.max(axis=0)
@@ -445,10 +443,9 @@ def alloc_log_weights(state: ModelState, dim: int):
 
 def update_subject_alloc(state: ModelState, rng: np.random.Generator) -> None:
     """Draw each subject's category, then the channel labels of the
-    subjects in category 3 from their posterior.  The labels of the other
-    subjects are left as they are: no later step reads them, so trimming
-    their draw keeps the stationary law (van Dyk & Park 2008, partially
-    collapsed Gibbs samplers)."""
+    subjects in category 3 from their posterior.  No later step reads the
+    other labels, so they are left as they are, which keeps the
+    stationary law (van Dyk & Park 2008, partially collapsed Gibbs)."""
     for dim in range(state.n_components):
         weights, chan_post = alloc_log_weights(state, dim)
         top = weights.max(axis=1, keepdims=True)
@@ -503,12 +500,11 @@ def update_sticks(state: ModelState, hp: HyperParams, rng: np.random.Generator) 
 
 def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
                rng: np.random.Generator, likelihood_off: bool = False) -> float:
-    """One systematic scan over all six blocks.
+    """One systematic scan over all six blocks, on data_free_workspace(ws)
+    with likelihood_off, so that the scan samples the prior.
 
-    With likelihood_off the same blocks run on data_free_workspace(ws),
-    so the scan leaves the prior invariant.  Returns the residual sum of
-    squares the noise update used (0.0 with the likelihood off), for the
-    audit.
+    Returns the residual sum of squares the noise update used (0.0 with
+    the likelihood off), for the audit.
     """
     if likelihood_off:
         ws = data_free_workspace(ws)
