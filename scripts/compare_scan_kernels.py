@@ -82,8 +82,8 @@ def worker_start(src: str, design_seed: int, out: str) -> None:
     ws = S.make_workspace(data, basis)
     rng = np.random.default_rng(design_seed)
     # trees whose empirical start still drew channel labels take the rng
-    takes_rng = "rng" in inspect.signature(S.initial_state_empirical).parameters
-    state = S.initial_state_empirical(basis, hp, ws, *[rng][:takes_rng])
+    params = inspect.signature(S.initial_state_empirical).parameters
+    state = S.initial_state_empirical(basis, hp, ws, *([rng] if "rng" in params else []))
     for _ in range(START_SCANS):
         S.gibbs_scan(state, ws, hp, rng)
     np.savez(out, **{f.name: getattr(state, f.name) for f in dataclasses.fields(state)})
