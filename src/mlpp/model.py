@@ -160,9 +160,12 @@ def cluster_prior(hp: HyperParams, group_codes: np.ndarray) -> np.ndarray:
                            np.repeat(subject, j, axis=2)], axis=2)
 
 
-def cluster_params_for_labels(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
-    """Gather (mean, precision) per (subject, channel, dimension) label."""
-    index = cluster_index(state)
+def cluster_params_for_labels(state: ModelState, index: np.ndarray | None = None
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Gather (mean, precision) per (subject, channel, dimension) label,
+    given the state's cluster_index (taken here when not given)."""
+    if index is None:
+        index = cluster_index(state)
     return state.cluster_mean.ravel()[index], state.cluster_prec.ravel()[index]
 
 

@@ -329,10 +329,13 @@ def score_update_params(state: ModelState, ws: Workspace, dim: int,
     return mean, var
 
 
-def update_scores(state: ModelState, ws: Workspace, rng: np.random.Generator) -> None:
+def update_scores(state: ModelState, ws: Workspace, rng: np.random.Generator,
+                  index: np.ndarray | None = None) -> None:
+    """Draw every score, one dimension at a time, given the cluster_index
+    of the labels (taken here when not given)."""
     u, n, k = state.scores.shape
     # labels and cluster parameters do not change within the block
-    params = cluster_params_for_labels(state)
+    params = cluster_params_for_labels(state, index)
     for dim in range(k):
         mean, var = score_update_params(state, ws, dim, params)
         state.scores[:, :, dim] = mean + np.sqrt(var) * rng.standard_normal((u, n))
@@ -399,11 +402,14 @@ def cluster_prec_params(state: ModelState, index: np.ndarray, counts: np.ndarray
 
 
 def update_cluster_params(state: ModelState, hp: HyperParams,
-                          rng: np.random.Generator) -> None:
+                          rng: np.random.Generator,
+                          index: np.ndarray | None = None) -> None:
     """Draw every cluster's mean, then its precision, given the scores
-    and labels; empty clusters are redrawn from their prior."""
+    and the cluster_index of the labels (taken here when not given);
+    empty clusters are redrawn from their prior."""
     prior = cluster_prior(hp, state.group_codes)
-    index = cluster_index(state)
+    if index is None:
+        index = cluster_index(state)
     counts = cluster_counts(state, index)
     loc, post_prec = cluster_mean_params(state, prior, index, counts)
     means = rng.normal(loc, np.sqrt(1.0 / post_prec))
@@ -508,10 +514,11 @@ def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
     """
     if likelihood_off:
         ws = data_free_workspace(ws)
-    update_scores(state, ws, rng)
+    index = cluster_index(state)        # the labels hold until the allocation block
+    update_scores(state, ws, rng, index)
     ssr = sufficient_ssr(state.scores, ws)
     update_noise_prec(state, ws, hp, rng, ssr=ssr)
-    update_cluster_params(state, hp, rng)
+    update_cluster_params(state, hp, rng, index)
     update_subject_alloc(state, rng)
     update_category_weights(state, hp, rng)
     update_sticks(state, hp, rng)

@@ -95,9 +95,6 @@ class CurveSmoother:
     """
 
     def __init__(self, time_grid: np.ndarray, basis_size: int):
-        # scipy.linalg takes 0.3 s to import; only fits build a smoother.
-        from scipy.linalg import cholesky, solve_triangular
-
         time_grid = np.asarray(time_grid, dtype=float)
         _validate(time_grid, basis_size)
         self.time_grid = time_grid
@@ -105,8 +102,9 @@ class CurveSmoother:
         self.basis = basis_matrix(time_grid, basis_size)
         self.penalty = penalty_matrix(time_grid, basis_size)
         btb = self.basis.T @ self.basis
-        r = cholesky(btb, lower=False)
-        rinv = solve_triangular(r, np.eye(basis_size), lower=False)
+        r = np.linalg.cholesky(btb, upper=True)
+        # Fortran order: in C order rinv.T @ penalty @ rinv rounds differently (~1 ulp)
+        rinv = np.asfortranarray(np.linalg.solve(r, np.eye(basis_size)))
         m = rinv.T @ self.penalty @ rinv
         evals, evecs = np.linalg.eigh(0.5 * (m + m.T))
         self._shrink_dirs = np.clip(evals, 0.0, None)
