@@ -26,7 +26,8 @@ from .hyperparams import (apply_scenario, estimate_hyperparams,
                           load_hyperparams, save_hyperparams, SCENARIOS)
 from .partitions import (_summarize_dimension, format_partition_table,
                          write_partition_report, write_similarity_csv)
-from .sampler import SamplerConfig, load_archives, run_chains, save_archives
+from .sampler import (SamplerConfig, load_archives, run_chains, save_archives,
+                      worker_cap)
 from .simgen import SimDesign, read_truth_json, simulate, write_truth_json
 
 PACKAGE_VERSION = "0.1.0"
@@ -107,6 +108,10 @@ def cmd_fit(parser, args) -> int:
     except ValueError as err:
         parser.error(f"--iters {args.iters} --burnin {args.burnin} --thin {args.thin} "
                      f"--chains {args.chains}: {err}")
+    try:
+        worker_cap()
+    except ValueError as err:
+        parser.error(str(err))
     data_dir = Path(args.data)
     data_csv = data_dir / "data.csv"
     grid_csv = data_dir / "time_grid.csv"

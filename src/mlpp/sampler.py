@@ -646,11 +646,19 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
                     "n_subjects": int(u), "n_channels": int(n), "n_components": int(k)})
 
 
-def _worker_count(requested: int) -> int:
+def worker_cap() -> int | None:
+    """The MLPP_THREADS cap on chain worker processes, None when unset."""
     cap = os.environ.get("MLPP_THREADS")
     if cap is None:
-        return 1
-    return max(1, min(requested, int(cap)))
+        return None
+    if not cap.strip().isdigit() or int(cap) < 1:
+        raise ValueError(f"MLPP_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
+
+
+def _worker_count(requested: int) -> int:
+    cap = worker_cap()
+    return 1 if cap is None else min(requested, cap)
 
 
 def _chain_job(args):

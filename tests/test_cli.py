@@ -122,6 +122,21 @@ def test_fit_rejects_iteration_settings_before_reading(tmp_path, capsys, flags, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cap", ["two", "1.5", "0"])
+def test_fit_rejects_malformed_thread_cap_before_writing(sim_dir, tmp_path, capsys,
+                                                         monkeypatch, cap):
+    # valid data and settings: only MLPP_THREADS is wrong, and it is
+    # reported before any stage runs or the output directory is made
+    monkeypatch.setenv("MLPP_THREADS", cap)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["fit", "--data", str(sim_dir / "rep_01"), "--out", str(out),
+              "--iters", "20", "--burnin", "10", "--no-smooth"])
+    assert err.value.code == 2
+    assert "MLPP_THREADS must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("level", ["0", "-0.5", "1.5", "nan"])
 def test_summarize_rejects_level_outside_unit_interval(tmp_path, capsys, level):
     with pytest.raises(SystemExit) as err:

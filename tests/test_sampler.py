@@ -546,6 +546,13 @@ def test_multichain_parallel_matches_serial(tiny_problem, monkeypatch):
                                       right.subject_alloc_draws)
 
 
+@pytest.mark.parametrize("cap", ["two", "", "-1", "0"])
+def test_worker_count_rejects_malformed_thread_cap(monkeypatch, cap):
+    monkeypatch.setenv("MLPP_THREADS", cap)
+    with pytest.raises(ValueError, match="MLPP_THREADS must be a positive integer"):
+        mlpp.sampler._worker_count(2)
+
+
 def test_archive_round_trip(tiny_problem, tmp_path):
     data, basis, hp = tiny_problem
     cfg = SamplerConfig(n_iter=30, burn_in=10, seed=2, n_chains=2)
