@@ -8,8 +8,11 @@ subject/channel allocations, category weights, stick proportions.
   not from the curves.
 - The cluster update puts every cluster of every dimension on one flat
   index, takes member counts and sums as segment sums, and draws all
-  means, then all precisions, in array calls; only far-tail or
-  nonpositive-shape precisions take the scalar rejection sampler.
+  means, then all precisions, in array calls.  A precision whose
+  truncation point lies in the bulk of its gamma conditional (at most
+  one sd above the mean) is an array gamma draw, redrawn while below the
+  point; the others, and nonpositive shapes, take the scalar rejection
+  sampler.
 - The allocation update marginalizes the channel labels when choosing
   each subject's category; one exponentiation of the per-channel mixture
   densities serves both that weight and the channel-label posterior,
@@ -142,30 +145,34 @@ def _uniform_sd_draw(rng: np.random.Generator, bound: np.ndarray) -> np.ndarray:
     return np.clip(bound * rng.random(bound.shape), 1e-12 * bound, (1.0 - 1e-12) * bound)
 
 
+def _in_bulk(shape, rate, lower):
+    """Whether Gamma(shape, rate) truncated below at lower is drawn by
+    plain rejection: a positive shape and a truncation point at most one
+    sd above the mean, rate * lower <= shape + sqrt(shape)."""
+    return (shape > 0) & (rate * lower <= shape + np.sqrt(np.maximum(shape, 0.0)))
+
+
 def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
                            lower: float) -> float:
     """Draw from Gamma(shape, rate) conditioned on the draw exceeding lower.
 
-    Inverse-CDF on the regularized upper incomplete gamma, as a one-entry
-    truncated_gamma_batch; when the truncation point leaves less than
-    1e-12 of the mass (or the shape is nonpositive, which is proper only
-    on a truncated domain), rejection from a shifted exponential.
+    In the bulk (see _in_bulk), gamma draws redrawn while at or below
+    lower, as a one-entry truncated_gamma_batch.  Past the bulk, where
+    lower also exceeds the mode, and for a nonpositive shape (proper only
+    on a truncated domain), rejection from a shifted exponential when
+    shape > 1 and from a two-piece envelope otherwise.
     """
-    from scipy.special import gammaincc     # imported on first use: see truncated_gamma_batch
-
     if rate <= 0:
         raise ValueError("rate must be positive")
-    if shape > 0 and (lower <= 0 or gammaincc(shape, rate * lower) >= 1e-12):
+    if _in_bulk(shape, rate, lower):
         return float(truncated_gamma_batch(rng, [shape], [rate], [lower])[0])
     if lower <= 0:
         raise ValueError("nonpositive shape requires a positive truncation point")
     if shape > 1:
-        # Far-tail case: shifted-exponential proposal with reduced rate so
-        # the tangent bound on the increasing power part holds; here
-        # rate * lower >> shape - 1, so the reduced rate stays positive.
+        # Shifted-exponential proposal with reduced rate so the tangent
+        # bound on the increasing power part holds; past the bulk
+        # rate * lower > shape + sqrt(shape), so the reduced rate is positive.
         prop_rate = rate - (shape - 1.0) / lower
-        if prop_rate <= 0:
-            raise ValueError("truncation point too close to the mode for tail sampling")
         for _ in range(100000):
             x = lower + rng.exponential(1.0 / prop_rate)
             log_accept = (shape - 1.0) * (np.log(x / lower) - (x - lower) / lower)
@@ -207,28 +214,25 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
                           lower) -> np.ndarray:
     """truncated_gamma_sample over equal-length arrays of parameters.
 
-    Entries with positive shape and at least 1e-12 of the mass above the
-    truncation point share one array inverse-CDF draw (the only copy of
-    that draw); the others (nonpositive shape, far tail) go in order to
-    the scalar sampler's rejection branches.
+    The bulk entries share array gamma draws; each round redraws only the
+    entries still at or below their truncation point.  In the bulk the
+    acceptance is at least about 0.12 for shape >= 0.5, the smallest
+    positive shape of a cluster with two or more members.  The other
+    entries go in order to the scalar sampler's rejection branches.
     """
-    # scipy.special takes 0.3 s to import, which the CLI commands that only
-    # read archives (diagnose, summarize) would pay on every start.
-    from scipy.special import gammaincc, gammainccinv
-
     shape, rate, lower = (np.asarray(a, dtype=float) for a in (shape, rate, lower))
     if np.any(rate <= 0):
         raise ValueError("rate must be positive")
-    truncated = (shape > 0) & (lower > 0)
-    tail = np.ones_like(shape)
-    tail[truncated] = gammaincc(shape[truncated], rate[truncated] * lower[truncated])
-    inv = (shape > 0) & (tail >= 1e-12)
+    bulk = _in_bulk(shape, rate, lower)
+    a, b, low = shape[bulk], rate[bulk], lower[bulk]
+    x = rng.gamma(a) / b
+    redo = np.flatnonzero(x <= low)
+    while redo.size:
+        x[redo] = rng.gamma(a[redo]) / b[redo]
+        redo = redo[x[redo] <= low[redo]]
     out = np.empty_like(shape)
-    q = (1.0 - rng.random(int(inv.sum()))) * tail[inv]      # in (0, tail]
-    x = gammainccinv(shape[inv], q) / rate[inv]
-    low = lower[inv]
-    out[inv] = np.where(low > 0, np.maximum(x, np.nextafter(low, np.inf)), x)
-    for i in np.flatnonzero(~inv):
+    out[bulk] = x
+    for i in np.flatnonzero(~bulk):
         out[i] = truncated_gamma_sample(rng, shape[i], rate[i], lower[i])
     return out
 

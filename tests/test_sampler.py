@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1
+from scipy.stats import gamma, kstest
 
 import mlpp.sampler
 from mlpp.fpca import fit_fpca
@@ -59,9 +60,9 @@ def _quad_moments(shape, rate, lower):
 
 
 @pytest.mark.parametrize("shape,rate,lower", [
-    (2.0, 1.0, 0.0),     # untruncated, plain inverse CDF
-    (2.0, 1.5, 4.0),     # truncated with workable tail mass
-    (0.5, 3.0, 0.5),     # shape below 1, inverse CDF
+    (2.0, 1.0, 0.0),     # untruncated: bulk, plain gamma draws
+    (2.0, 1.5, 4.0),     # past the bulk, shifted-exponential rejection
+    (0.5, 3.0, 0.5),     # shape below 1 past the bulk, two-piece envelope
     (3.0, 1.0, 40.0),    # deep tail, shifted-exponential rejection
     (0.0, 2.0, 1.0),     # zero shape: proper only when truncated
     (0.5, 1.0, 40.0),    # deep tail with decreasing power part
@@ -78,11 +79,14 @@ def test_truncated_gamma_moments_match_quadrature(shape, rate, lower):
 
 
 def test_truncated_gamma_batch_mixes_paths(monkeypatch):
-    # one batched call holding inverse-CDF entries, zero-shape single-member
-    # entries and far-tail entries, interleaved; only the last two may
-    # reach the scalar rejection sampler
-    cases = [(2.0, 1.5, 4.0), (0.5, 3.0, 0.5), (0.0, 2.0, 1.0), (3.0, 1.0, 40.0)]
-    scalar_cases = 2
+    # one batched call holding bulk entries (truncation point at most one
+    # sd above the mean) and entries past the bulk (zero shape, deep tail,
+    # just past one sd), interleaved; only the latter may reach the scalar
+    # rejection sampler
+    bulk_cases = [(2.0, 1.0, 0.0), (2.0, 1.5, 1.0)]
+    scalar_cases = [(0.0, 2.0, 1.0), (3.0, 1.0, 40.0), (2.0, 1.5, 4.0)]
+    cases = [bulk_cases[0], scalar_cases[0], bulk_cases[1], scalar_cases[1],
+             scalar_cases[2]]
     per_case = 100_000
     shape, rate, lower = (np.tile([c[i] for c in cases], per_case) for i in range(3))
     calls = []
@@ -93,7 +97,8 @@ def test_truncated_gamma_batch_mixes_paths(monkeypatch):
 
     monkeypatch.setattr(mlpp.sampler, "truncated_gamma_sample", counted)
     draws = truncated_gamma_batch(np.random.default_rng(23), shape, rate, lower)
-    assert len(calls) == scalar_cases * per_case
+    assert len(calls) == len(scalar_cases) * per_case
+    assert {tuple(float(v) for v in args[1:]) for args in calls} == set(scalar_cases)
     assert np.all(draws > lower)
     for case, (a, b, low) in enumerate(cases):
         sample = draws[case::len(cases)]
@@ -102,6 +107,26 @@ def test_truncated_gamma_batch_mixes_paths(monkeypatch):
         assert sample.std() == pytest.approx(np.sqrt(var), rel=0.01)
     with pytest.raises(ValueError, match="rate"):
         truncated_gamma_batch(np.random.default_rng(0), [1.0], [0.0], [1.0])
+
+
+@pytest.mark.parametrize("sds_above_mean, bulk", [
+    (0.99, True), (None, True), (1.01, False),
+])
+def test_truncated_gamma_bulk_boundary_matches_exact_law(sds_above_mean, bulk):
+    # shape 200 has a coefficient of variation of about 0.07, too small for
+    # a moment check to see a wrong law on either side of the split; None
+    # puts rate * lower exactly at shape + sqrt(shape)
+    shape, rate = 200.0, 2.0
+    sd = np.sqrt(shape)
+    lower = (shape + (sd if sds_above_mean is None else sds_above_mean * sd)) / rate
+    assert bool(mlpp.sampler._in_bulk(shape, rate, lower)) == bulk
+    n = 100_000
+    draws = truncated_gamma_batch(np.random.default_rng(31), np.full(n, shape),
+                                  np.full(n, rate), np.full(n, lower))
+    assert draws.min() > lower
+    law = gamma(shape, scale=1.0 / rate)
+    tail = law.sf(lower)
+    assert kstest(draws, lambda x: 1.0 - law.sf(x) / tail).pvalue > 0.01
 
 
 def test_truncated_gamma_near_flat_regime():
