@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mlpp
 from mlpp.cli import main
 
 
@@ -229,3 +234,39 @@ def test_summarize_level_one(run_dir):
     for rep in doc["dimensions"]:
         assert rep["credible_ball"]["level"] == 1.0
         assert rep["credible_ball"]["coverage"] == 1.0
+
+
+# Runs one mlpp command and writes the names of the imported modules, as
+# they stand when the command returns, to the file named first.
+_MODULES_AT_EXIT = """
+import json, sys
+from mlpp.cli import main
+try:
+    main(sys.argv[2:])
+finally:
+    with open(sys.argv[1], "w") as fh:
+        json.dump(sorted(sys.modules), fh)
+"""
+
+
+def test_cli_commands_import_no_scipy_linalg_or_special(sim_dir, tmp_path):
+    # each subpackage costs a fresh process a noticeable share of a
+    # minimal fit; the fit smooths, so the smoother is on this path
+    env = {key: val for key, val in os.environ.items() if key != "MLPP_THREADS"}
+    env["PYTHONPATH"] = str(Path(mlpp.__file__).resolve().parents[1])
+    run = tmp_path / "run"
+    commands = {
+        "fit": ["fit", "--data", str(sim_dir / "rep_01"), "--out", str(run),
+                "--iters", "20", "--burnin", "10", "--chains", "2", "--seed", "5"],
+        "diagnose": ["diagnose", "--run", str(run)],
+        "summarize": ["summarize", "--run", str(run)],
+    }
+    for name, argv in commands.items():
+        modules = tmp_path / f"{name}_modules.json"
+        done = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, str(modules),
+                               *argv], env=env, capture_output=True, text=True)
+        assert modules.exists(), done.stderr
+        imported = set(json.loads(modules.read_text()))
+        assert "mlpp.cli" in imported
+        heavy = imported & {"scipy.linalg", "scipy.special"}
+        assert not heavy, f"mlpp {name} imported {sorted(heavy)}"

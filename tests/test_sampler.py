@@ -81,8 +81,8 @@ def test_truncated_gamma_moments_match_quadrature(shape, rate, lower):
 def test_truncated_gamma_batch_mixes_paths(monkeypatch):
     # one batched call holding bulk entries (truncation point at most one
     # sd above the mean) and entries past the bulk (zero shape, deep tail,
-    # just past one sd), interleaved; only the latter may reach the scalar
-    # rejection sampler
+    # about three sd above the mean), interleaved; only the latter may
+    # reach the scalar rejection sampler
     bulk_cases = [(2.0, 1.0, 0.0), (2.0, 1.5, 1.0)]
     scalar_cases = [(0.0, 2.0, 1.0), (3.0, 1.0, 40.0), (2.0, 1.5, 4.0)]
     cases = [bulk_cases[0], scalar_cases[0], bulk_cases[1], scalar_cases[1],
@@ -109,16 +109,13 @@ def test_truncated_gamma_batch_mixes_paths(monkeypatch):
         truncated_gamma_batch(np.random.default_rng(0), [1.0], [0.0], [1.0])
 
 
-@pytest.mark.parametrize("sds_above_mean, bulk", [
-    (0.99, True), (None, True), (1.01, False),
-])
+@pytest.mark.parametrize("sds_above_mean, bulk", [(0.99, True), (1.0, True), (1.01, False)])
 def test_truncated_gamma_bulk_boundary_matches_exact_law(sds_above_mean, bulk):
     # shape 200 has a coefficient of variation of about 0.07, too small for
-    # a moment check to see a wrong law on either side of the split; None
-    # puts rate * lower exactly at shape + sqrt(shape)
+    # a moment check to see a wrong law on either side of the split; at 1.0
+    # rate * lower is exactly shape + sqrt(shape), since the rate is 2
     shape, rate = 200.0, 2.0
-    sd = np.sqrt(shape)
-    lower = (shape + (sd if sds_above_mean is None else sds_above_mean * sd)) / rate
+    lower = (shape + sds_above_mean * np.sqrt(shape)) / rate
     assert bool(mlpp.sampler._in_bulk(shape, rate, lower)) == bulk
     n = 100_000
     draws = truncated_gamma_batch(np.random.default_rng(31), np.full(n, shape),
