@@ -127,22 +127,34 @@ def derive_cluster_labels(subject_alloc: np.ndarray, channel_alloc: np.ndarray,
     return labels.astype(int)
 
 
-def cluster_index(state: ModelState) -> np.ndarray:
+def cluster_slots(group_codes: np.ndarray, n_subject_clusters: int,
+                  n_components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cluster_index slot of each category's cluster: the common
+    cluster's (K,), each subject's group cluster's (U, 1, K), and each
+    subject's first subject cluster's less FIRST_SUBJECT_LABEL (U, 1, K),
+    to which a channel label adds its own cluster."""
+    u, j, k = len(group_codes), n_subject_clusters, n_components
+    common = (3 + u * j) * np.arange(k)
+    group = common + 1 + (np.asarray(group_codes) - GROUP_A)[:, None, None]
+    subject = common + (3 - FIRST_SUBJECT_LABEL + j * np.arange(u))[:, None, None]
+    return common, group, subject
+
+
+def cluster_index(state: ModelState, slots: tuple | None = None) -> np.ndarray:
     """Flat index of the cluster each score belongs to, (U, n, K).
 
     Every dimension has 3 + U*J clusters: slot 0 the common cluster,
     slots 1-2 the two group clusters (group-code order), slot 3 + u*J + j
     subject u's cluster j; dimension k's slots start at k * (3 + U*J).
+    slots are the state's cluster_slots, taken here when not given.
     """
-    u, _, k = state.scores.shape
-    j = state.max_subject_clusters
+    if slots is None:
+        slots = cluster_slots(state.group_codes, state.max_subject_clusters,
+                              state.n_components)
+    common, group, subject = slots
     category = state.subject_alloc[:, None, :]
-    shared = np.where(category == CAT_GROUP,
-                      1 + state.group_codes[:, None, None] - GROUP_A, 0)
-    slot = np.where(category == CAT_SUBJECT,
-                    3 + j * np.arange(u)[:, None, None]
-                    + state.channel_alloc - FIRST_SUBJECT_LABEL, shared)
-    return slot + (3 + u * j) * np.arange(k)
+    return np.where(category == CAT_SUBJECT, subject + state.channel_alloc,
+                    np.where(category == CAT_GROUP, group, common))
 
 
 def cluster_prior(hp: HyperParams, group_codes: np.ndarray) -> np.ndarray:
@@ -158,6 +170,29 @@ def cluster_prior(hp: HyperParams, group_codes: np.ndarray) -> np.ndarray:
                         hp.subject_sd_bound])[:, :, gidx]         # (3, K, U)
     return np.concatenate([common[:, :, None], group,
                            np.repeat(subject, j, axis=2)], axis=2)
+
+
+@dataclass(frozen=True)
+class ChainConstants:
+    """What every scan of one chain reads but never changes, built once
+    from the hyperparameters and the group codes by chain_constants.  The
+    arrays are read-only; no ModelState holds them."""
+
+    prior: np.ndarray       # (3, K, 3 + U*J) cluster_prior grids
+    prec_floor: np.ndarray  # (K, 3 + U*J) precision truncation points, sd_bound^-2
+    gidx: np.ndarray        # (U,) group index, 0 for GROUP_A and 1 for GROUP_B
+    slots: tuple            # cluster_slots
+
+
+def chain_constants(hp: HyperParams, group_codes: np.ndarray) -> ChainConstants:
+    group_codes = np.asarray(group_codes)
+    prior = cluster_prior(hp, group_codes)
+    consts = ChainConstants(
+        prior=prior, prec_floor=prior[2] ** -2.0, gidx=group_codes - GROUP_A,
+        slots=cluster_slots(group_codes, hp.max_subject_clusters, hp.n_components))
+    for arr in (consts.prior, consts.prec_floor, consts.gidx, *consts.slots):
+        arr.flags.writeable = False
+    return consts
 
 
 def cluster_params_for_labels(state: ModelState, index: np.ndarray | None = None
@@ -211,19 +246,21 @@ def scores_logprior(state: ModelState) -> float:
     return float(np.sum(norm_logpdf(state.scores, *cluster_params_for_labels(state))))
 
 
-def sticks_to_weights(raw_sticks: np.ndarray) -> np.ndarray:
+def sticks_to_weights(raw_sticks: np.ndarray, check: bool = True) -> np.ndarray:
     """Truncated stick-breaking weights, renormalized to sum exactly 1.
 
     Operates on the last axis: w_j = p_j * prod_{l<j} (1 - p_l), then
-    divided by the total.
+    divided by the total.  With check, proportions outside (0, 1) raise;
+    callers that have just clipped them into range pass check=False.
     """
     raw = np.asarray(raw_sticks, dtype=float)
-    if np.any(raw <= 0) or np.any(raw >= 1):
+    if check and ((raw <= 0).any() or (raw >= 1).any()):
         raise ValueError("stick proportions must lie strictly inside (0, 1)")
     remaining = np.cumprod(1.0 - raw, axis=-1)
-    shifted = np.concatenate([np.ones_like(raw[..., :1]), remaining[..., :-1]], axis=-1)
-    weights = raw * shifted
-    return weights / weights.sum(axis=-1, keepdims=True)
+    weights = raw.copy()
+    weights[..., 1:] *= remaining[..., :-1]
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
 def validate_state(state: ModelState, hp: HyperParams | None = None,

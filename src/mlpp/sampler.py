@@ -36,10 +36,10 @@ import numpy as np
 from .fpca import GROUP_A, EigenBasis, FunctionalDataset
 from .hyperparams import HyperParams
 from .model import (CAT_COMMON, CAT_GROUP, CAT_SUBJECT, FIRST_SUBJECT_LABEL,
-                    ModelState, cluster_index, cluster_params_for_labels,
-                    cluster_prior, fitted_curves, load_state, noise_loglik,
-                    norm_logpdf, residual_ssr, save_state, scores_logprior,
-                    sticks_to_weights, validate_state)
+                    ChainConstants, ModelState, chain_constants, cluster_index,
+                    cluster_params_for_labels, cluster_prior, fitted_curves,
+                    load_state, noise_loglik, norm_logpdf, residual_ssr,
+                    save_state, scores_logprior, sticks_to_weights, validate_state)
 from .tables import grid_index, read_table, scatter, write_table
 
 # Audit tolerance on the residual sum of squares, relative to the scale of
@@ -47,6 +47,9 @@ from .tables import grid_index, read_table, scatter, write_table
 # sufficient statistics rounds at about 1e-16 of that scale.
 AUDIT_TOL = 1e-10
 _TINY_SS = 1e-300
+# Rejection rounds of the truncated-gamma samplers before they give up.
+_MAX_ROUNDS = 100000
+_CATEGORIES = np.array([CAT_COMMON, CAT_GROUP, CAT_SUBJECT])
 
 
 class SamplerError(RuntimeError):
@@ -136,7 +139,7 @@ def _categorical_draw(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray
     for c in range(1, cum.shape[0]):
         cum[c] += cum[c - 1]
     r = rng.random(cum.shape[1:]) * cum[-1]
-    idx = np.sum(r > cum, axis=0)
+    idx = (r > cum).sum(axis=0)
     return np.minimum(idx, cum.shape[0] - 1)
 
 
@@ -147,9 +150,12 @@ def _uniform_sd_draw(rng: np.random.Generator, bound: np.ndarray) -> np.ndarray:
 
 def _in_bulk(shape, rate, lower):
     """Whether Gamma(shape, rate) truncated below at lower is drawn by
-    plain rejection: a positive shape and a truncation point at most one
-    sd above the mean, rate * lower <= shape + sqrt(shape)."""
-    return (shape > 0) & (rate * lower <= shape + np.sqrt(np.maximum(shape, 0.0)))
+    plain rejection: a truncation point at most one sd above the mean,
+    rate * lower <= shape + sqrt(shape), and a shape of at least 0.5, or
+    a positive shape without truncation.  Below shape 0.5 the acceptance
+    of a truncated draw falls towards 0 with the shape."""
+    return ((shape >= 0.5) | ((shape > 0) & (lower <= 0))) \
+        & (rate * lower <= shape + np.sqrt(np.maximum(shape, 0.0)))
 
 
 def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
@@ -158,9 +164,10 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
 
     In the bulk (see _in_bulk), gamma draws redrawn while at or below
     lower, as a one-entry truncated_gamma_batch.  Past the bulk, where
-    lower also exceeds the mode, and for a nonpositive shape (proper only
-    on a truncated domain), rejection from a shifted exponential when
-    shape > 1 and from a two-piece envelope otherwise.
+    lower also exceeds the mode, for a truncated shape below 0.5 and for a
+    nonpositive shape (proper only on a truncated domain), rejection from
+    a shifted exponential when shape > 1 and from a two-piece envelope
+    otherwise.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
@@ -173,7 +180,7 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
         # bound on the increasing power part holds; past the bulk
         # rate * lower > shape + sqrt(shape), so the reduced rate is positive.
         prop_rate = rate - (shape - 1.0) / lower
-        for _ in range(100000):
+        for _ in range(_MAX_ROUNDS):
             x = lower + rng.exponential(1.0 / prop_rate)
             log_accept = (shape - 1.0) * (np.log(x / lower) - (x - lower) / lower)
             if np.log(1.0 - rng.random()) < log_accept:
@@ -194,7 +201,7 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
             + np.log(np.expm1(shape * log_span) / shape)
     log_mass_b = (shape - 1.0) * np.log(c) - rate * c - np.log(rate)
     prob_a = 1.0 / (1.0 + np.exp(log_mass_b - log_mass_a))
-    for _ in range(100000):
+    for _ in range(_MAX_ROUNDS):
         if rng.random() < prob_a:
             u = rng.random()
             if shape == 0.0:
@@ -216,20 +223,25 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
 
     The bulk entries share array gamma draws; each round redraws only the
     entries still at or below their truncation point.  In the bulk the
-    acceptance is at least about 0.12 for shape >= 0.5, the smallest
-    positive shape of a cluster with two or more members.  The other
-    entries go in order to the scalar sampler's rejection branches.
+    acceptance is at least about 0.12 for a truncated shape >= 0.5 (the
+    smallest positive shape of a cluster with two or more members is
+    0.5).  The other entries go in order to the scalar sampler's
+    rejection branches.
     """
     shape, rate, lower = (np.asarray(a, dtype=float) for a in (shape, rate, lower))
-    if np.any(rate <= 0):
+    if (rate <= 0).any():
         raise ValueError("rate must be positive")
     bulk = _in_bulk(shape, rate, lower)
     a, b, low = shape[bulk], rate[bulk], lower[bulk]
     x = rng.gamma(a) / b
     redo = np.flatnonzero(x <= low)
-    while redo.size:
+    for _ in range(_MAX_ROUNDS):
+        if not redo.size:
+            break
         x[redo] = rng.gamma(a[redo]) / b[redo]
         redo = redo[x[redo] <= low[redo]]
+    if redo.size:
+        raise SamplerError("truncated gamma bulk sampler failed to accept")
     out = np.empty_like(shape)
     out[bulk] = x
     for i in np.flatnonzero(~bulk):
@@ -254,7 +266,7 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
     category_weights = np.vstack([rng.dirichlet(hp.category_conc) for _ in range(k)])
     raw_sticks = np.clip(rng.beta(1.0, hp.stick_conc[:, None, None],
                                   size=(k, 2, j)), 1e-12, 1.0 - 1e-12)
-    stick_weights = sticks_to_weights(raw_sticks)
+    stick_weights = sticks_to_weights(raw_sticks, check=False)
 
     subject_alloc = _categorical_draw(
         rng, np.broadcast_to(category_weights.T[:, None, :], (3, n_subjects, k))) + 1
@@ -407,21 +419,24 @@ def cluster_prec_params(state: ModelState, index: np.ndarray, counts: np.ndarray
 
 def update_cluster_params(state: ModelState, hp: HyperParams,
                           rng: np.random.Generator,
-                          index: np.ndarray | None = None) -> None:
-    """Draw every cluster's mean, then its precision, given the scores
-    and the cluster_index of the labels (taken here when not given);
-    empty clusters are redrawn from their prior."""
-    prior = cluster_prior(hp, state.group_codes)
+                          index: np.ndarray | None = None,
+                          consts: ChainConstants | None = None) -> None:
+    """Draw every cluster's mean, then its precision, given the scores,
+    the cluster_index of the labels and the chain_constants (each taken
+    here when not given); empty clusters are redrawn from their prior."""
+    if consts is None:
+        consts = chain_constants(hp, state.group_codes)
     if index is None:
-        index = cluster_index(state)
+        index = cluster_index(state, consts.slots)
     counts = cluster_counts(state, index)
-    loc, post_prec = cluster_mean_params(state, prior, index, counts)
+    loc, post_prec = cluster_mean_params(state, consts.prior, index, counts)
     means = rng.normal(loc, np.sqrt(1.0 / post_prec))
     shape, rate = cluster_prec_params(state, index, counts, means)
     precs = np.empty_like(means)
     fit = rate > 0.5 * _TINY_SS
-    precs[~fit] = _uniform_sd_draw(rng, prior[2][~fit]) ** -2.0
-    precs[fit] = truncated_gamma_batch(rng, shape[fit], rate[fit], prior[2][fit] ** -2.0)
+    empty = ~fit
+    precs[empty] = _uniform_sd_draw(rng, consts.prior[2][empty]) ** -2.0
+    precs[fit] = truncated_gamma_batch(rng, shape[fit], rate[fit], consts.prec_floor[fit])
     state.cluster_mean, state.cluster_prec = means, precs
 
 
@@ -459,7 +474,7 @@ def update_subject_alloc(state: ModelState, rng: np.random.Generator) -> None:
     for dim in range(state.n_components):
         weights, chan_post = alloc_log_weights(state, dim)
         top = weights.max(axis=1, keepdims=True)
-        if not np.all(np.isfinite(top)):
+        if not np.isfinite(top).all():
             raise SamplerError(
                 f"allocation weights underflowed in dimension {dim + 1}")
         cat = _categorical_draw(rng, np.exp(weights - top).T) + 1
@@ -471,16 +486,14 @@ def update_subject_alloc(state: ModelState, rng: np.random.Generator) -> None:
 
 def category_weight_params(state: ModelState, hp: HyperParams) -> np.ndarray:
     """Dirichlet concentrations of the category-weight conditional, (K, 3)."""
-    counts = np.stack([(state.subject_alloc == c).sum(axis=0)
-                       for c in (CAT_COMMON, CAT_GROUP, CAT_SUBJECT)], axis=1)
-    return hp.category_conc[None, :] + counts
+    counts = (state.subject_alloc[:, :, None] == _CATEGORIES).sum(axis=0)
+    return hp.category_conc + counts
 
 
 def update_category_weights(state: ModelState, hp: HyperParams,
                             rng: np.random.Generator) -> None:
-    conc = category_weight_params(state, hp)
-    for dim in range(state.n_components):
-        state.category_weights[dim] = np.maximum(rng.dirichlet(conc[dim]), 1e-300)
+    draws = [rng.dirichlet(row) for row in category_weight_params(state, hp)]
+    state.category_weights = np.maximum(draws, 1e-300)
 
 
 def stick_counts(state: ModelState) -> np.ndarray:
@@ -505,24 +518,29 @@ def stick_params(state: ModelState, hp: HyperParams):
 def update_sticks(state: ModelState, hp: HyperParams, rng: np.random.Generator) -> None:
     a, b = stick_params(state, hp)
     state.raw_sticks = np.clip(rng.beta(a, b), 1e-12, 1.0 - 1e-12)
-    state.stick_weights = sticks_to_weights(state.raw_sticks)
+    state.stick_weights = sticks_to_weights(state.raw_sticks, check=False)
 
 
 def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
-               rng: np.random.Generator, likelihood_off: bool = False) -> float:
+               rng: np.random.Generator, likelihood_off: bool = False,
+               consts: ChainConstants | None = None) -> float:
     """One systematic scan over all six blocks, on data_free_workspace(ws)
-    with likelihood_off, so that the scan samples the prior.
+    with likelihood_off, so that the scan samples the prior.  consts are
+    the chain_constants of (hp, state.group_codes), built here when not
+    given; run_chain builds them once per chain.
 
     Returns the residual sum of squares the noise update used (0.0 with
     the likelihood off), for the audit.
     """
     if likelihood_off:
         ws = data_free_workspace(ws)
-    index = cluster_index(state)        # the labels hold until the allocation block
+    if consts is None:
+        consts = chain_constants(hp, state.group_codes)
+    index = cluster_index(state, consts.slots)   # the labels hold until the allocation block
     update_scores(state, ws, rng, index)
     ssr = sufficient_ssr(state.scores, ws)
     update_noise_prec(state, ws, hp, rng, ssr=ssr)
-    update_cluster_params(state, hp, rng, index)
+    update_cluster_params(state, hp, rng, index, consts)
     update_subject_alloc(state, rng)
     update_category_weights(state, hp, rng)
     update_sticks(state, hp, rng)
@@ -549,8 +567,7 @@ def _scalar_row(state: ModelState) -> list[float]:
     mean and precision of grid slots 0-2 (common, then the two groups)
     interleaved, and the category counts."""
     shared = np.stack([state.cluster_mean[:, :3], state.cluster_prec[:, :3]], axis=2)
-    counts = np.sum(state.subject_alloc[:, :, None] == [CAT_COMMON, CAT_GROUP, CAT_SUBJECT],
-                    axis=0)
+    counts = (state.subject_alloc[:, :, None] == _CATEGORIES).sum(axis=0)
     per_dim = np.concatenate([state.category_weights,
                               shared.reshape(state.n_components, 6), counts], axis=1)
     return [state.noise_prec] + per_dim.ravel().tolist()
@@ -588,11 +605,11 @@ def _audit(state: ModelState, ws: Workspace, hp: HyperParams, ssr: float,
 
 
 def _check_finite(state: ModelState, iteration: int) -> None:
-    checks = [("scores", state.scores), ("noise_prec", np.array(state.noise_prec)),
+    checks = [("scores", state.scores), ("noise_prec", np.float64(state.noise_prec)),
               ("cluster_mean", state.cluster_mean), ("cluster_prec", state.cluster_prec),
               ("weights", state.category_weights), ("sticks", state.stick_weights)]
     for name, arr in checks:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise SamplerError(f"non-finite {name} after iteration {iteration}")
 
 
@@ -620,6 +637,7 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
 
     u, n, k = state.scores.shape
     names = scalar_names(k)
+    consts = chain_constants(hp, data.group_codes)
 
     def archive(meta=None) -> ChainArchive:
         return ChainArchive(
@@ -630,7 +648,7 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
             group_codes=data.group_codes.copy(), meta=meta or {})
 
     for it in range(start_iter + 1, cfg.n_iter + 1):
-        ssr = gibbs_scan(state, ws, hp, rng)
+        ssr = gibbs_scan(state, ws, hp, rng, consts=consts)
         _check_finite(state, it)
         if cfg.audit_every and it % cfg.audit_every == 0:
             _audit(state, ws, hp, ssr, it)
@@ -655,7 +673,8 @@ def worker_cap() -> int | None:
     cap = os.environ.get("MLPP_THREADS")
     if cap is None:
         return None
-    if not cap.strip().isdigit() or int(cap) < 1:
+    digits = cap.strip()
+    if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
         raise ValueError(f"MLPP_THREADS must be a positive integer, got {cap!r}")
     return int(cap)
 

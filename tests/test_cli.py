@@ -127,7 +127,7 @@ def test_fit_rejects_iteration_settings_before_reading(tmp_path, capsys, flags, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("cap", ["two", "1.5", "0"])
+@pytest.mark.parametrize("cap", ["two", "1.5", "0", "\u0661", "\u00b2"])
 def test_fit_rejects_malformed_thread_cap_before_writing(sim_dir, tmp_path, capsys,
                                                          monkeypatch, cap):
     # valid data and settings: only MLPP_THREADS is wrong, and it is

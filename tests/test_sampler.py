@@ -6,10 +6,10 @@ from scipy.special import exp1
 from scipy.stats import gamma, kstest
 
 import mlpp.sampler
-from mlpp.fpca import fit_fpca
+from mlpp.fpca import fit_fpca, smooth_dataset
 from mlpp.hyperparams import estimate_hyperparams
-from mlpp.model import (cluster_params_for_labels, cluster_prior, fitted_curves,
-                        residual_ssr, validate_state)
+from mlpp.model import (chain_constants, cluster_params_for_labels, cluster_prior,
+                        fitted_curves, residual_ssr, validate_state)
 from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
                           _audit, _check_finite, alloc_log_weights,
                           category_weight_params, cluster_counts, cluster_index,
@@ -120,6 +120,42 @@ def test_truncated_gamma_bulk_boundary_matches_exact_law(sds_above_mean, bulk):
     n = 100_000
     draws = truncated_gamma_batch(np.random.default_rng(31), np.full(n, shape),
                                   np.full(n, rate), np.full(n, lower))
+    assert draws.min() > lower
+    law = gamma(shape, scale=1.0 / rate)
+    tail = law.sf(lower)
+    assert kstest(draws, lambda x: 1.0 - law.sf(x) / tail).pvalue > 0.01
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the variates it hands out."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.variates = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.variates += np.size(out)
+            return out
+        return counted
+
+
+@pytest.mark.parametrize("shape", [0.001, 0.1, 0.49])
+def test_truncated_gamma_small_shapes_take_bounded_draws(shape):
+    # positive shapes below 0.5 with the truncation point one sd above the
+    # mean: plain rejection from the gamma took 328 draws per entry at
+    # shape 0.001; the two-piece envelope takes a few
+    rate = 1.0
+    lower = (shape + np.sqrt(shape)) / rate
+    assert not mlpp.sampler._in_bulk(shape, rate, lower)
+    n = 10_000
+    rng = _CountingGenerator(37)
+    draws = truncated_gamma_batch(rng, np.full(n, shape), np.full(n, rate),
+                                  np.full(n, lower))
+    assert rng.variates < 10 * n
     assert draws.min() > lower
     law = gamma(shape, scale=1.0 / rate)
     tail = law.sf(lower)
@@ -492,6 +528,83 @@ def test_run_chain_is_deterministic(tiny_problem):
     assert a.n_draws == cfg.n_draws
 
 
+def _state_bytes(state):
+    return b"".join(np.ascontiguousarray(getattr(state, name)).tobytes() for name in (
+        "scores", "noise_prec", "subject_alloc", "channel_alloc", "cluster_mean",
+        "cluster_prec", "category_weights", "raw_sticks", "stick_weights"))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_gibbs_scan_same_bytes_with_and_without_chain_constants(tiny_problem,
+                                                                monkeypatch, k):
+    # the constants run_chain passes to gibbs_scan, and those gibbs_scan
+    # builds for itself when called without them, give the same scans
+    data, basis, hp = tiny_problem
+    seen = []
+    scan = mlpp.sampler.gibbs_scan
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["consts"])
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(mlpp.sampler, "gibbs_scan", recording)
+    run_chain(data, basis, hp, SamplerConfig(n_iter=2, seed=1))
+    assert seen[0] is seen[1]
+    monkeypatch.undo()
+    if k == 1:
+        _, hp, ws, _ = random_state_and_workspace(19, u=6, n=5, k=1)
+        consts = chain_constants(hp, ws.group_codes)
+    else:
+        ws, consts = make_workspace(data, basis), seen[0]
+    assert ws.proj.shape[2] == k
+    start = draw_state_from_prior(hp, *ws.proj.shape[:2], ws.group_codes,
+                                  np.random.default_rng(2))
+    states = [start.copy(), start.copy()]
+    for given in (None, consts):
+        state = states[given is not None]
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            gibbs_scan(state, ws, hp, rng, consts=given)
+    assert _state_bytes(states[0]) == _state_bytes(states[1])
+
+
+def _replication_like(snr, k, seed):
+    # the library path of the benchmark's replication study at its size:
+    # 20 subjects x 20 channels x 100 time points, smoothed, and the fPCA
+    # threshold set so that k components are kept
+    design = SimDesign(n_subjects=20, n_channels=20, n_timepoints=100,
+                       n_group_a=10, snr=snr, seed=seed)
+    data, _ = simulate(design)
+    smoothed = smooth_dataset(data, 25, None)
+    basis = fit_fpca(smoothed, var_threshold=0.8 if k == 2 else 0.01)
+    assert basis.n_components == k
+    return smoothed, basis, estimate_hyperparams(basis, data.group_codes, seed=seed)
+
+
+@pytest.mark.parametrize("init_mode", ["empirical", "prior_draw"])
+@pytest.mark.parametrize("snr", [6.0, 2.0])
+@pytest.mark.parametrize("k", [1, 2])
+def test_replication_size_chains_keep_archive_invariants(k, snr, init_mode):
+    # the output checks of the benchmark's replication workload: finite
+    # scalars, categories in {1, 2, 3}, channel labels -1 exactly off
+    # category 3 and in 4..3+J on it, and repeat chains of one seed equal
+    # byte for byte
+    data, basis, hp = _replication_like(snr, k, seed=int(snr) * 10 + k)
+    cfg = SamplerConfig(n_iter=120, burn_in=20, thin=2, seed=5, init_mode=init_mode)
+    archive = run_chain(data, basis, hp, cfg)
+    assert np.isfinite(archive.scalars).all()
+    cats = archive.subject_alloc_draws
+    assert np.isin(cats, (1, 2, 3)).all()
+    own = np.broadcast_to((cats == 3)[:, :, None, :], archive.channel_alloc_draws.shape)
+    chan = archive.channel_alloc_draws
+    np.testing.assert_array_equal(chan == -1, ~own)
+    assert np.all((chan[own] >= 4) & (chan[own] < 4 + hp.max_subject_clusters))
+    again = run_chain(data, basis, hp, cfg)
+    for left, right in ((archive.scalars, again.scalars), (cats, again.subject_alloc_draws),
+                        (chan, again.channel_alloc_draws)):
+        assert left.tobytes() == right.tobytes()
+
+
 def test_audit_passes_in_all_sampler_variants(tiny_problem):
     data, basis, hp = tiny_problem
     for init_mode in ("empirical", "prior_draw"):
@@ -568,7 +681,9 @@ def test_multichain_parallel_matches_serial(tiny_problem, monkeypatch):
                                       right.subject_alloc_draws)
 
 
-@pytest.mark.parametrize("cap", ["two", "", "-1", "0"])
+# "\u0661" is the Arabic-Indic digit one and "\u00b2" a superscript two:
+# both pass str.isdigit(), and only the first passes int()
+@pytest.mark.parametrize("cap", ["two", "", "-1", "0", "\u0661", "\u00b2"])
 def test_worker_count_rejects_malformed_thread_cap(monkeypatch, cap):
     monkeypatch.setenv("MLPP_THREADS", cap)
     with pytest.raises(ValueError, match="MLPP_THREADS must be a positive integer"):
