@@ -35,11 +35,11 @@ import numpy as np
 
 from .fpca import GROUP_A, EigenBasis, FunctionalDataset
 from .hyperparams import HyperParams
-from .model import (CAT_COMMON, CAT_GROUP, CAT_SUBJECT, FIRST_SUBJECT_LABEL,
+from .model import (CAT_COMMON, CAT_GROUP, CAT_SUBJECT, FIRST_SUBJECT_LABEL, LOG_2PI,
                     ChainConstants, ModelState, chain_constants, cluster_index,
                     cluster_params_for_labels, cluster_prior, fitted_curves,
-                    load_state, noise_loglik, norm_logpdf, residual_ssr,
-                    save_state, scores_logprior, sticks_to_weights, validate_state)
+                    load_state, noise_loglik, residual_ssr, save_state,
+                    scores_logprior, sticks_to_weights, validate_state)
 from .tables import grid_index, read_table, scatter, write_table
 
 # Audit tolerance on the residual sum of squares, relative to the scale of
@@ -440,48 +440,69 @@ def update_cluster_params(state: ModelState, hp: HyperParams,
     state.cluster_mean, state.cluster_prec = means, precs
 
 
-def alloc_log_weights(state: ModelState, dim: int):
-    """Per-subject log weights of the three categories in one dimension,
-    (U, 3), the channel labels marginalized in category 3, and the
-    unnormalized channel-label posterior under category 3, laid out
-    label-first as (J, U, n) so that the reductions over labels run
-    across whole (U, n) planes."""
+def alloc_log_weights(state: ModelState):
+    """Log weights of the three categories of every subject in every
+    dimension, (K, U, 3), the channel labels marginalized in category 3,
+    and the unnormalized channel-label posterior under category 3, laid
+    out label-first as (J, K, U, n) so that the reductions over labels
+    run across whole (K, U, n) blocks.
+
+    The scores are transposed once to (K, U, n).  Categories 1 and 2 sum
+    over channels in closed form, n (log p - log 2pi) / 2 - (p / 2) *
+    sum (x - m)^2, taken for the common and both group clusters and then
+    picked by group.  Category 3 takes, per (label, dimension, subject),
+    the log stick weight plus (log p - log 2pi) / 2 and subtracts
+    p/2 (x - m)^2 from it in place.
+    """
+    u, n, k = state.scores.shape
     gidx = state.group_codes - GROUP_A
-    x = state.scores[:, :, dim]
-    log_common = norm_logpdf(x, state.common_mean[dim], state.common_prec[dim])
-    log_group = norm_logpdf(x, state.group_mean[dim, gidx][:, None],
-                            state.group_prec[dim, gidx][:, None])
-    log_subj = norm_logpdf(x, state.subject_mean[:, dim, :].T[:, :, None],
-                           state.subject_prec[:, dim, :].T[:, :, None])   # (J, U, n)
-    log_sticks = np.log(np.maximum(state.stick_weights[dim, gidx, :], 1e-300))
-    chan_post = log_sticks.T[:, :, None] + log_subj
+    x = np.ascontiguousarray(state.scores.transpose(2, 0, 1))
+    mean, prec = state.cluster_mean, state.cluster_prec
+    log_omega = np.log(np.maximum(state.category_weights, 1e-300))
+    dev = x[:, None] - mean[:, :3, None, None]                   # (K, 3, U, n)
+    dev *= dev
+    p = prec[:, :3, None]
+    shared = 0.5 * n * (np.log(p) - LOG_2PI) - 0.5 * p * dev.sum(axis=3)
+    weights = np.empty((k, u, 3))
+    weights[:, :, 0] = log_omega[:, 0, None] + shared[:, 0]
+    weights[:, :, 1] = log_omega[:, 1, None] + np.where(gidx == 0, shared[:, 1], shared[:, 2])
+    m = mean[:, 3:].reshape(k, u, -1).transpose(2, 0, 1)         # (J, K, U)
+    p = prec[:, 3:].reshape(k, u, -1).transpose(2, 0, 1)
+    log_sticks = np.log(np.maximum(state.stick_weights, 1e-300))[:, gidx].transpose(2, 0, 1)
+    # m repeated along the channels, so that x broadcasts over whole planes
+    chan_post = np.repeat(m, n).reshape(m.shape + (n,))
+    chan_post -= x
+    chan_post *= chan_post
+    chan_post *= (0.5 * p)[..., None]
+    np.subtract((log_sticks + 0.5 * (np.log(p) - LOG_2PI))[..., None], chan_post,
+                out=chan_post)
     top = chan_post.max(axis=0)
     chan_post -= top
     np.exp(chan_post, out=chan_post)
-    third = (top + np.log(chan_post.sum(axis=0))).sum(axis=1)
-    log_omega = np.log(np.maximum(state.category_weights[dim], 1e-300))
-    weights = np.stack([log_omega[0] + log_common.sum(axis=1),
-                        log_omega[1] + log_group.sum(axis=1),
-                        log_omega[2] + third], axis=1)
+    weights[:, :, 2] = log_omega[:, 2, None] + (top + np.log(chan_post.sum(axis=0))).sum(axis=2)
     return weights, chan_post
 
 
 def update_subject_alloc(state: ModelState, rng: np.random.Generator) -> None:
     """Draw each subject's category, then the channel labels of the
-    subjects in category 3 from their posterior.  No later step reads the
-    other labels, so they are left as they are, which keeps the
-    stationary law (van Dyk & Park 2008, partially collapsed Gibbs)."""
+    subjects in category 3 from their posterior, one dimension after the
+    other.  No later step reads the other labels, so they are left as they
+    are, which keeps the stationary law (van Dyk & Park 2008, partially
+    collapsed Gibbs)."""
+    weights, chan_post = alloc_log_weights(state)
+    top = weights.max(axis=2, keepdims=True)
+    finite = np.isfinite(top).all(axis=(1, 2))
+    if not finite.all():
+        raise SamplerError(
+            f"allocation weights underflowed in dimension {finite.argmin() + 1}")
+    probs = np.exp(weights - top)
     for dim in range(state.n_components):
-        weights, chan_post = alloc_log_weights(state, dim)
-        top = weights.max(axis=1, keepdims=True)
-        if not np.isfinite(top).all():
-            raise SamplerError(
-                f"allocation weights underflowed in dimension {dim + 1}")
-        cat = _categorical_draw(rng, np.exp(weights - top).T) + 1
+        cat = _categorical_draw(rng, probs[dim].T) + 1
         state.subject_alloc[:, dim] = cat
         own = cat == CAT_SUBJECT
-        state.channel_alloc[own, :, dim] = _categorical_draw(rng, chan_post[:, own]) \
-            + FIRST_SUBJECT_LABEL
+        if own.any():       # a draw for no subject would take no variates
+            state.channel_alloc[own, :, dim] = _categorical_draw(rng, chan_post[:, dim, own]) \
+                + FIRST_SUBJECT_LABEL
 
 
 def category_weight_params(state: ModelState, hp: HyperParams) -> np.ndarray:

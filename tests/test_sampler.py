@@ -307,11 +307,13 @@ def test_stick_update_matches_closed_form():
                     assert b[dim, col, lab] == hp.stick_conc[dim] + counts[lab + 1:].sum()
 
 
-def test_subject_alloc_weights_closed_form():
-    state, _, _, _ = random_state_and_workspace(6)
+@pytest.mark.parametrize("k", [1, 2])
+def test_subject_alloc_weights_closed_form(k):
+    state, _, _, _ = random_state_and_workspace(6, k=k)
     u, n, k = state.scores.shape
+    assert alloc_log_weights(state)[0].shape == (k, u, 3)
     for dim in range(k):
-        weights, *_ = alloc_log_weights(state, dim)
+        weights = alloc_log_weights(state)[0][dim]
         gidx = state.group_codes - 2
         for subj in range(u):
             x = state.scores[subj, :, dim]
@@ -342,7 +344,7 @@ def test_conditioned_weight_uses_current_labels():
     u, n, k = state.scores.shape
     for dim in range(k):
         cond = label_conditioned_weights(state, dim)
-        coll, _ = alloc_log_weights(state, dim)
+        coll = alloc_log_weights(state)[0][dim]
         for subj in range(u):
             manual = 0.0
             for chan in range(n):
@@ -355,15 +357,16 @@ def test_conditioned_weight_uses_current_labels():
         np.testing.assert_allclose(coll[:, :2], cond[:, :2], atol=1e-12)
 
 
-def test_channel_posterior_matches_mixture_weights():
+@pytest.mark.parametrize("k", [1, 2])
+def test_channel_posterior_matches_mixture_weights(k):
     # the unnormalized channel posterior is proportional, per channel, to
     # stick weight times subject-cluster density
-    state, _, _, _ = random_state_and_workspace(13)
+    state, _, _, _ = random_state_and_workspace(13, k=k)
     u, n, k = state.scores.shape
+    assert alloc_log_weights(state)[1].shape == (state.max_subject_clusters, k, u, n)
     gidx = state.group_codes - 2
     for dim in range(k):
-        _, chan_post = alloc_log_weights(state, dim)
-        chan_post = np.moveaxis(chan_post, 0, 2)
+        chan_post = np.moveaxis(alloc_log_weights(state)[1][:, dim], 0, 2)
         for subj in range(u):
             for chan in range(n):
                 dens = [state.stick_weights[dim, gidx[subj], lab]
@@ -435,6 +438,19 @@ def test_alloc_update_keeps_state_valid():
         validate_state(state)
         update_subject_alloc(state, rng)
         validate_state(state)
+
+
+def test_alloc_update_raises_on_underflow_before_drawing():
+    # a score so far out that every category's log weight is -inf in
+    # dimension 2: the update names that dimension and draws nothing
+    state, _, _, rng = random_state_and_workspace(20)
+    state.scores[1, 2, 1] = 1e200
+    before = state.copy()
+    with pytest.raises(SamplerError, match="underflowed in dimension 2"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        update_subject_alloc(state, rng)
+    np.testing.assert_array_equal(state.subject_alloc, before.subject_alloc)
+    np.testing.assert_array_equal(state.channel_alloc, before.channel_alloc)
 
 
 def test_alloc_update_keeps_labels_outside_category_three():
