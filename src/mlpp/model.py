@@ -7,11 +7,12 @@ clusters labelled 4 .. 3+J (J = max_subject_clusters).  The state keeps
 the parameters of every cluster of every dimension in one flat grid,
 (K, 3 + U*J) in cluster_index slot order, and states are built, drawn
 and saved only as such grids: cluster_prior gives the matching prior
-grids, and a snapshot holds one clusters.csv row per grid cell.  The
-per-level arrays are views of the grid, and the flat label and
-slot of each (subject, channel, dimension) are derived from the
-category, the subject's group code and the channel allocation whenever
-they are needed.
+grids (chain_constants bundles them with the cluster_index slots and
+the precision truncation points for a chain's scans), and a snapshot
+holds one clusters.csv row per grid cell.  The per-level arrays are
+views of the grid, and the flat label and slot of each (subject,
+channel, dimension) are derived from the category, the subject's group
+code and the channel allocation whenever they are needed.
 """
 from __future__ import annotations
 
@@ -164,9 +165,9 @@ def cluster_prior(hp: HyperParams, group_codes: np.ndarray) -> np.ndarray:
     three grids."""
     k, j = hp.n_components, hp.max_subject_clusters
     gidx = np.asarray(group_codes) - GROUP_A
-    common = np.stack([np.zeros(k), hp.common_mean_prec, hp.common_sd_bound])
-    group = np.stack([hp.group_mean_loc, hp.group_mean_prec, hp.group_sd_bound])
-    subject = np.stack([hp.subject_mean_loc, hp.subject_mean_prec,
+    common = np.array([np.zeros(k), hp.common_mean_prec, hp.common_sd_bound])
+    group = np.array([hp.group_mean_loc, hp.group_mean_prec, hp.group_sd_bound])
+    subject = np.array([hp.subject_mean_loc, hp.subject_mean_prec,
                         hp.subject_sd_bound])[:, :, gidx]         # (3, K, U)
     return np.concatenate([common[:, :, None], group,
                            np.repeat(subject, j, axis=2)], axis=2)
@@ -180,17 +181,18 @@ class ChainConstants:
 
     prior: np.ndarray       # (3, K, 3 + U*J) cluster_prior grids
     prec_floor: np.ndarray  # (K, 3 + U*J) precision truncation points, sd_bound^-2
-    gidx: np.ndarray        # (U,) group index, 0 for GROUP_A and 1 for GROUP_B
     slots: tuple            # cluster_slots
 
 
 def chain_constants(hp: HyperParams, group_codes: np.ndarray) -> ChainConstants:
+    """The ChainConstants of a chain with these hyperparameters and group
+    codes."""
     group_codes = np.asarray(group_codes)
     prior = cluster_prior(hp, group_codes)
     consts = ChainConstants(
-        prior=prior, prec_floor=prior[2] ** -2.0, gidx=group_codes - GROUP_A,
+        prior=prior, prec_floor=prior[2] ** -2.0,
         slots=cluster_slots(group_codes, hp.max_subject_clusters, hp.n_components))
-    for arr in (consts.prior, consts.prec_floor, consts.gidx, *consts.slots):
+    for arr in (consts.prior, consts.prec_floor, *consts.slots):
         arr.flags.writeable = False
     return consts
 

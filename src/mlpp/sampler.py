@@ -14,9 +14,15 @@ subject/channel allocations, category weights, stick proportions.
   point; the others, and nonpositive shapes, take the scalar rejection
   sampler.
 - The allocation update marginalizes the channel labels when choosing
-  each subject's category; one exponentiation of the per-channel mixture
-  densities serves both that weight and the channel-label posterior,
-  from which labels are drawn only for the subjects in category 3.
+  each subject's category.  One pass over all dimensions gives every
+  category weight and, from one exponentiation of the per-channel
+  mixture densities, the channel-label posterior; categories and then
+  labels are drawn dimension by dimension, labels only for the subjects
+  in category 3.
+- What no scan changes, the cluster_prior grids, the precision
+  truncation points, the group index and the cluster_index slots, is a
+  ChainConstants that run_chain builds once per chain and passes to
+  every scan; gibbs_scan builds it when called without one.
 
 The optional audit (``audit_every``) validates the state, checks the
 scan's sufficient-statistic SSR against the direct residual sum, and
