@@ -139,14 +139,15 @@ def _categorical_draw(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray
 
     The running sums are accumulated one category plane at a time, which
     adds in the same order as np.cumsum but is several times faster than
-    cumsum along a leading axis.
+    cumsum along a leading axis.  A uniform below 1 times the total never
+    rounds above the total, so the count of sums below it stays below the
+    number of categories.
     """
     cum = np.array(probs, dtype=float)
     for c in range(1, cum.shape[0]):
         cum[c] += cum[c - 1]
     r = rng.random(cum.shape[1:]) * cum[-1]
-    idx = (r > cum).sum(axis=0)
-    return np.minimum(idx, cum.shape[0] - 1)
+    return (r > cum).sum(axis=0)
 
 
 def _uniform_sd_draw(rng: np.random.Generator, bound: np.ndarray) -> np.ndarray:
@@ -238,7 +239,8 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
     if (rate <= 0).any():
         raise ValueError("rate must be positive")
     bulk = _in_bulk(shape, rate, lower)
-    a, b, low = shape[bulk], rate[bulk], lower[bulk]
+    every = bulk.all()
+    a, b, low = (shape, rate, lower) if every else (shape[bulk], rate[bulk], lower[bulk])
     x = rng.gamma(a) / b
     redo = np.flatnonzero(x <= low)
     for _ in range(_MAX_ROUNDS):
@@ -248,6 +250,8 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
         redo = redo[x[redo] <= low[redo]]
     if redo.size:
         raise SamplerError("truncated gamma bulk sampler failed to accept")
+    if every:
+        return x
     out = np.empty_like(shape)
     out[bulk] = x
     for i in np.flatnonzero(~bulk):
@@ -632,9 +636,13 @@ def _audit(state: ModelState, ws: Workspace, hp: HyperParams, ssr: float,
 
 
 def _check_finite(state: ModelState, iteration: int) -> None:
+    """Raise, naming the first non-finite array, unless every real
+    quantity of the state is finite; one check covers all of them."""
     checks = [("scores", state.scores), ("noise_prec", np.float64(state.noise_prec)),
               ("cluster_mean", state.cluster_mean), ("cluster_prec", state.cluster_prec),
               ("weights", state.category_weights), ("sticks", state.stick_weights)]
+    if np.isfinite(np.concatenate([arr.ravel() for _, arr in checks])).all():
+        return
     for name, arr in checks:
         if not np.isfinite(arr).all():
             raise SamplerError(f"non-finite {name} after iteration {iteration}")

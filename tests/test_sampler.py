@@ -751,10 +751,18 @@ def test_channel_draws_masked_outside_subject_category(tiny_problem):
     assert stored.max() < 4 + hp.max_subject_clusters
 
 
-def test_check_finite_raises():
+@pytest.mark.parametrize("name,field", [
+    ("scores", "scores"), ("noise_prec", "noise_prec"), ("cluster_mean", "cluster_mean"),
+    ("cluster_prec", "cluster_prec"), ("weights", "category_weights"),
+    ("sticks", "stick_weights")])
+def test_check_finite_raises(name, field):
     state, _, _, _ = random_state_and_workspace(12)
-    state.scores[0, 0, 0] = np.inf
-    with pytest.raises(SamplerError, match="non-finite"):
+    _check_finite(state, 3)
+    if field == "noise_prec":
+        state.noise_prec = np.nan
+    else:
+        getattr(state, field).flat[-1] = np.inf
+    with pytest.raises(SamplerError, match=f"non-finite {name} after iteration 3"):
         _check_finite(state, 3)
 
 
