@@ -307,8 +307,15 @@ def test_stick_update_matches_closed_form():
                     assert b[dim, col, lab] == hp.stick_conc[dim] + counts[lab + 1:].sum()
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_subject_alloc_weights_closed_form(k):
+def test_subject_alloc_weights_closed_form():
+    _check_alloc_weights_closed_form(k=2)
+
+
+def test_subject_alloc_weights_closed_form_one_dimension():
+    _check_alloc_weights_closed_form(k=1)
+
+
+def _check_alloc_weights_closed_form(k):
     state, _, _, _ = random_state_and_workspace(6, k=k)
     u, n, k = state.scores.shape
     assert alloc_log_weights(state)[0].shape == (k, u, 3)
@@ -357,8 +364,15 @@ def test_conditioned_weight_uses_current_labels():
         np.testing.assert_allclose(coll[:, :2], cond[:, :2], atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_channel_posterior_matches_mixture_weights(k):
+def test_channel_posterior_matches_mixture_weights():
+    _check_channel_posterior(k=2)
+
+
+def test_channel_posterior_matches_mixture_weights_one_dimension():
+    _check_channel_posterior(k=1)
+
+
+def _check_channel_posterior(k):
     # the unnormalized channel posterior is proportional, per channel, to
     # stick weight times subject-cluster density
     state, _, _, _ = random_state_and_workspace(13, k=k)
@@ -751,11 +765,18 @@ def test_channel_draws_masked_outside_subject_category(tiny_problem):
     assert stored.max() < 4 + hp.max_subject_clusters
 
 
+def test_check_finite_raises():
+    state, _, _, _ = random_state_and_workspace(12)
+    state.scores[0, 0, 0] = np.inf
+    with pytest.raises(SamplerError, match="non-finite"):
+        _check_finite(state, 3)
+
+
 @pytest.mark.parametrize("name,field", [
     ("scores", "scores"), ("noise_prec", "noise_prec"), ("cluster_mean", "cluster_mean"),
     ("cluster_prec", "cluster_prec"), ("weights", "category_weights"),
     ("sticks", "stick_weights")])
-def test_check_finite_raises(name, field):
+def test_check_finite_names_the_array(name, field):
     state, _, _, _ = random_state_and_workspace(12)
     _check_finite(state, 3)
     if field == "noise_prec":
