@@ -130,10 +130,10 @@ def derive_cluster_labels(subject_alloc: np.ndarray, channel_alloc: np.ndarray,
 
 def cluster_slots(group_codes: np.ndarray, n_subject_clusters: int,
                   n_components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cluster_index slot of each category's cluster: the common
-    cluster's (K,), each subject's group cluster's (U, 1, K), and each
-    subject's first subject cluster's less FIRST_SUBJECT_LABEL (U, 1, K),
-    to which a channel label adds its own cluster."""
+    """The cluster_index slots of a state's categories: the common
+    cluster's (K,), each subject's group cluster's (U, 1, K), and the
+    offset (U, 1, K) to which a category-3 channel label is added to give
+    the slot of that subject's cluster."""
     u, j, k = len(group_codes), n_subject_clusters, n_components
     common = (3 + u * j) * np.arange(k)
     group = common + 1 + (np.asarray(group_codes) - GROUP_A)[:, None, None]

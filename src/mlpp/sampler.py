@@ -20,9 +20,9 @@ subject/channel allocations, category weights, stick proportions.
   labels are drawn dimension by dimension, labels only for the subjects
   in category 3.
 - What no scan changes, the cluster_prior grids, the precision
-  truncation points, the group index and the cluster_index slots, is a
-  ChainConstants that run_chain builds once per chain and passes to
-  every scan; gibbs_scan builds it when called without one.
+  truncation points and the cluster_index slots, is a ChainConstants
+  that run_chain builds once per chain and passes to every scan;
+  gibbs_scan builds it when called without one.
 
 The optional audit (``audit_every``) validates the state, checks the
 scan's sufficient-statistic SSR against the direct residual sum, and
