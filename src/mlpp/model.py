@@ -248,15 +248,14 @@ def scores_logprior(state: ModelState) -> float:
     return float(np.sum(norm_logpdf(state.scores, *cluster_params_for_labels(state))))
 
 
-def sticks_to_weights(raw_sticks: np.ndarray, check: bool = True) -> np.ndarray:
+def sticks_to_weights(raw_sticks: np.ndarray) -> np.ndarray:
     """Truncated stick-breaking weights, renormalized to sum exactly 1.
 
     Operates on the last axis: w_j = p_j * prod_{l<j} (1 - p_l), then
-    divided by the total.  With check, proportions outside (0, 1) raise;
-    callers that have just clipped them into range pass check=False.
+    divided by the total.
     """
     raw = np.asarray(raw_sticks, dtype=float)
-    if check and ((raw <= 0).any() or (raw >= 1).any()):
+    if (raw <= 0).any() or (raw >= 1).any():
         raise ValueError("stick proportions must lie strictly inside (0, 1)")
     remaining = np.cumprod(1.0 - raw, axis=-1)
     weights = raw.copy()

@@ -239,8 +239,7 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
     if (rate <= 0).any():
         raise ValueError("rate must be positive")
     bulk = _in_bulk(shape, rate, lower)
-    every = bulk.all()
-    a, b, low = (shape, rate, lower) if every else (shape[bulk], rate[bulk], lower[bulk])
+    a, b, low = shape[bulk], rate[bulk], lower[bulk]
     x = rng.gamma(a) / b
     redo = np.flatnonzero(x <= low)
     for _ in range(_MAX_ROUNDS):
@@ -250,8 +249,6 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
         redo = redo[x[redo] <= low[redo]]
     if redo.size:
         raise SamplerError("truncated gamma bulk sampler failed to accept")
-    if every:
-        return x
     out = np.empty_like(shape)
     out[bulk] = x
     for i in np.flatnonzero(~bulk):
@@ -276,7 +273,7 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
     category_weights = np.vstack([rng.dirichlet(hp.category_conc) for _ in range(k)])
     raw_sticks = np.clip(rng.beta(1.0, hp.stick_conc[:, None, None],
                                   size=(k, 2, j)), 1e-12, 1.0 - 1e-12)
-    stick_weights = sticks_to_weights(raw_sticks, check=False)
+    stick_weights = sticks_to_weights(raw_sticks)
 
     subject_alloc = _categorical_draw(
         rng, np.broadcast_to(category_weights.T[:, None, :], (3, n_subjects, k))) + 1
@@ -549,7 +546,7 @@ def stick_params(state: ModelState, hp: HyperParams):
 def update_sticks(state: ModelState, hp: HyperParams, rng: np.random.Generator) -> None:
     a, b = stick_params(state, hp)
     state.raw_sticks = np.clip(rng.beta(a, b), 1e-12, 1.0 - 1e-12)
-    state.stick_weights = sticks_to_weights(state.raw_sticks, check=False)
+    state.stick_weights = sticks_to_weights(state.raw_sticks)
 
 
 def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
