@@ -131,13 +131,13 @@ def derive_cluster_labels(subject_alloc: np.ndarray, channel_alloc: np.ndarray,
 def cluster_slots(group_codes: np.ndarray, n_subject_clusters: int,
                   n_components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cluster_index slots of a state's categories: the common
-    cluster's (K,), each subject's group cluster's (U, 1, K), and the
-    offset (U, 1, K) to which a category-3 channel label is added to give
-    the slot of that subject's cluster."""
+    cluster's (K,), each subject's group cluster's (U, K), and the offset
+    (U, K) to which a category-3 channel label is added to give the slot
+    of that subject's cluster."""
     u, j, k = len(group_codes), n_subject_clusters, n_components
     common = (3 + u * j) * np.arange(k)
-    group = common + 1 + (np.asarray(group_codes) - GROUP_A)[:, None, None]
-    subject = common + (3 - FIRST_SUBJECT_LABEL + j * np.arange(u))[:, None, None]
+    group = common + 1 + (np.asarray(group_codes) - GROUP_A)[:, None]
+    subject = common + (3 - FIRST_SUBJECT_LABEL + j * np.arange(u))[:, None]
     return common, group, subject
 
 
@@ -153,9 +153,11 @@ def cluster_index(state: ModelState, slots: tuple | None = None) -> np.ndarray:
         slots = cluster_slots(state.group_codes, state.max_subject_clusters,
                               state.n_components)
     common, group, subject = slots
-    category = state.subject_alloc[:, None, :]
-    return np.where(category == CAT_SUBJECT, subject + state.channel_alloc,
-                    np.where(category == CAT_GROUP, group, common))
+    category = state.subject_alloc
+    own = category == CAT_SUBJECT
+    # one slot per (subject, dimension); the channel label adds in category 3
+    base = np.where(own, subject, np.where(category == CAT_GROUP, group, common))
+    return state.channel_alloc * own[:, None, :] + base[:, None, :]
 
 
 def cluster_prior(hp: HyperParams, group_codes: np.ndarray) -> np.ndarray:

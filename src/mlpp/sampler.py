@@ -152,7 +152,8 @@ def _categorical_draw(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray
 
 def _uniform_sd_draw(rng: np.random.Generator, bound: np.ndarray) -> np.ndarray:
     """Uniform cluster-sd draws on (0, bound), kept strictly inside."""
-    return np.clip(bound * rng.random(bound.shape), 1e-12 * bound, (1.0 - 1e-12) * bound)
+    return np.minimum(np.maximum(bound * rng.random(bound.shape), 1e-12 * bound),
+                      (1.0 - 1e-12) * bound)
 
 
 def _in_bulk(shape, rate, lower):
@@ -240,12 +241,12 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
         raise ValueError("rate must be positive")
     bulk = _in_bulk(shape, rate, lower)
     a, b, low = shape[bulk], rate[bulk], lower[bulk]
-    x = rng.gamma(a) / b
+    x = rng.standard_gamma(a) / b
     redo = np.flatnonzero(x <= low)
     for _ in range(_MAX_ROUNDS):
         if not redo.size:
             break
-        x[redo] = rng.gamma(a[redo]) / b[redo]
+        x[redo] = rng.standard_gamma(a[redo]) / b[redo]
         redo = redo[x[redo] <= low[redo]]
     if redo.size:
         raise SamplerError("truncated gamma bulk sampler failed to accept")
@@ -437,7 +438,7 @@ def update_cluster_params(state: ModelState, hp: HyperParams,
         index = cluster_index(state, consts.slots)
     counts = cluster_counts(state, index)
     loc, post_prec = cluster_mean_params(state, consts.prior, index, counts)
-    means = rng.normal(loc, np.sqrt(1.0 / post_prec))
+    means = loc + np.sqrt(1.0 / post_prec) * rng.standard_normal(loc.shape)
     shape, rate = cluster_prec_params(state, index, counts, means)
     precs = np.empty_like(means)
     fit = rate > 0.5 * _TINY_SS
@@ -520,7 +521,13 @@ def category_weight_params(state: ModelState, hp: HyperParams) -> np.ndarray:
 
 def update_category_weights(state: ModelState, hp: HyperParams,
                             rng: np.random.Generator) -> None:
-    draws = [rng.dirichlet(row) for row in category_weight_params(state, hp)]
+    """Draw each dimension's category weights from its Dirichlet
+    conditional, as normalized gamma variates.  This is what
+    rng.dirichlet does row by row when a row's largest concentration is
+    at least 0.1, and here it always is: a row's counts sum to U >= 1, so
+    its largest concentration is at least 1."""
+    draws = rng.standard_gamma(category_weight_params(state, hp))
+    draws *= 1.0 / draws.sum(axis=1, keepdims=True)
     state.category_weights = np.maximum(draws, 1e-300)
 
 
@@ -545,7 +552,7 @@ def stick_params(state: ModelState, hp: HyperParams):
 
 def update_sticks(state: ModelState, hp: HyperParams, rng: np.random.Generator) -> None:
     a, b = stick_params(state, hp)
-    state.raw_sticks = np.clip(rng.beta(a, b), 1e-12, 1.0 - 1e-12)
+    state.raw_sticks = np.minimum(np.maximum(rng.beta(a, b), 1e-12), 1.0 - 1e-12)
     state.stick_weights = sticks_to_weights(state.raw_sticks)
 
 

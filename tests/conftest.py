@@ -314,3 +314,32 @@ def all_channel_stick_counts(state):
                 counts[dim, state.group_codes[subj] - 2,
                        state.channel_alloc[subj, chan, dim] - 4] += 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Earlier forms of the sampler's draws, kept as references: the library
+# draws the same variates from the generator with fewer checks per call.
+# ---------------------------------------------------------------------------
+
+def reference_normal_draw(rng, loc, scale):
+    """Normal variates with array parameters, as rng.normal draws them."""
+    return rng.normal(loc, scale)
+
+
+def reference_gamma_draw(rng, shape):
+    """Unit-rate gamma variates, as rng.gamma draws them."""
+    return rng.gamma(shape)
+
+
+def reference_dirichlet_rows(rng, conc):
+    """One rng.dirichlet draw per row of the concentrations."""
+    return np.array([rng.dirichlet(row) for row in conc])
+
+
+def reference_cluster_index(state, slots):
+    """cluster_index as two np.where over (U, n, K): the category-3 slot
+    plus the channel label, else the group or the common slot."""
+    common, group, subject = slots
+    category = state.subject_alloc[:, None, :]
+    return np.where(category == 3, subject[:, None, :] + state.channel_alloc,
+                    np.where(category == 2, group[:, None, :], common))

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from mlpp.model import (ModelState, cluster_index, cluster_params_for_labels,
-                        data_loglik, derive_cluster_labels, load_state,
+                        cluster_slots, data_loglik, derive_cluster_labels, load_state,
                         save_state, scores_logprior, sticks_to_weights,
                         validate_state)
-from conftest import random_state_and_workspace
+from conftest import random_state_and_workspace, reference_cluster_index
 
 
 def test_derive_cluster_labels_mapping():
@@ -26,6 +26,18 @@ def test_derive_cluster_labels_validation():
         derive_cluster_labels(np.array([[0], [1]]), np.full((2, 1, 1), 4), codes)
     with pytest.raises(ValueError, match=">= 4"):
         derive_cluster_labels(np.array([[1], [1]]), np.full((2, 1, 1), 2), codes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), u=st.integers(2, 7), n=st.integers(1, 5),
+       k=st.integers(1, 3), j=st.integers(1, 6))
+def test_cluster_index_matches_two_where_reference(seed, u, n, k, j):
+    state, _, _, rng = random_state_and_workspace(seed, u=u, n=n, k=k, j=j)
+    state.subject_alloc[:] = rng.integers(1, 4, size=(u, k))
+    slots = cluster_slots(state.group_codes, j, k)
+    index = cluster_index(state, slots)
+    np.testing.assert_array_equal(index, reference_cluster_index(state, slots))
+    np.testing.assert_array_equal(cluster_index(state), index)
 
 
 def test_cluster_params_gather_by_dimension_then_group():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1
@@ -20,11 +21,14 @@ from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
                           scalar_names, score_update_params, stick_counts,
                           stick_params, sufficient_ssr, truncated_gamma_batch,
                           truncated_gamma_sample, update_cluster_params,
-                          update_noise_prec, update_subject_alloc)
+                          update_category_weights, update_noise_prec,
+                          update_subject_alloc)
 from mlpp.simgen import SimDesign, simulate
 from conftest import (all_channel_stick_counts, label_conditioned_alloc_update,
                       label_conditioned_weights, make_hyperparams,
-                      naive_cluster_conditionals, random_state_and_workspace)
+                      naive_cluster_conditionals, random_state_and_workspace,
+                      reference_dirichlet_rows, reference_gamma_draw,
+                      reference_normal_draw)
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +282,52 @@ def test_category_weight_update_matches_counts():
             count = sum(1 for subj in range(9)
                         if state.subject_alloc[subj, dim] == cat)
             assert conc[dim, cat - 1] == hp.category_conc[cat - 1] + count
+
+
+_SHAPES = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple)
+
+
+def _same_generators(left, right):
+    assert left.bit_generator.state == right.bit_generator.state
+    assert left.random() == right.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=_SHAPES)
+def test_plain_normal_variates_match_rng_normal(seed, shape):
+    # the cluster-mean draw of update_cluster_params
+    params = np.random.default_rng(seed)
+    loc, scale = params.normal(0.0, 3.0, shape), params.uniform(1e-3, 5.0, shape)
+    rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    draws = loc + scale * rng.standard_normal(loc.shape)
+    np.testing.assert_array_equal(draws, reference_normal_draw(ref, loc, scale))
+    _same_generators(rng, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=_SHAPES)
+def test_plain_gamma_variates_match_rng_gamma(seed, shape):
+    # the bulk rounds of truncated_gamma_batch, shapes on both sides of 1
+    params = np.random.default_rng(seed)
+    a, b = params.uniform(0.05, 30.0, shape), params.uniform(0.1, 10.0, shape)
+    rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    np.testing.assert_array_equal(rng.standard_gamma(a) / b,
+                                  reference_gamma_draw(ref, a) / b)
+    _same_generators(rng, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), u=st.integers(2, 12), k=st.integers(1, 4),
+       conc=st.lists(st.floats(0.01, 3.0), min_size=3, max_size=3))
+def test_category_weight_draw_matches_rowwise_dirichlet(seed, u, k, conc):
+    state, hp, _, _ = random_state_and_workspace(seed, u=u, k=k)
+    hp.category_conc = np.array(conc)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    update_category_weights(state, hp, rng)
+    expected = np.maximum(reference_dirichlet_rows(ref, category_weight_params(state, hp)),
+                          1e-300)
+    np.testing.assert_array_equal(state.category_weights, expected)
+    _same_generators(rng, ref)
 
 
 def test_stick_update_matches_closed_form():
