@@ -88,10 +88,22 @@ class HyperParams:
             raise ValueError("max_subject_clusters must be at least 1")
 
 
+# Bootstrap resamples averaged per block, which bounds the gathered values
+# held at once to _BOOT_BLOCK x sample_size.
+_BOOT_BLOCK = 64
+
+
 def _bootstrap_mean_var(rng: np.random.Generator, values: np.ndarray,
                         sample_size: int, reps: int) -> float:
-    idx = rng.integers(0, values.size, size=(reps, sample_size))
-    return float(np.var(values[idx].mean(axis=1), ddof=1))
+    """Variance (ddof 1) of the means of reps resamples, with replacement,
+    of sample_size values.  The int32 indices consume the generator as
+    int64 ones would, and the means are taken a block of resamples at a
+    time, so that no (reps, sample_size) float array is ever built; a
+    row's mean does not depend on its block."""
+    idx = rng.integers(0, values.size, size=(reps, sample_size), dtype=np.int32)
+    means = np.concatenate([values[idx[i:i + _BOOT_BLOCK]].mean(axis=1)
+                            for i in range(0, reps, _BOOT_BLOCK)])
+    return float(np.var(means, ddof=1))
 
 
 def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,

@@ -343,3 +343,20 @@ def reference_cluster_index(state, slots):
     category = state.subject_alloc[:, None, :]
     return np.where(category == 3, subject[:, None, :] + state.channel_alloc,
                     np.where(category == 2, group[:, None, :], common))
+
+
+def reference_bootstrap_mean_var(rng, values, sample_size, reps):
+    """Bootstrap variance of resample means from one int64 index array and
+    one (reps, sample_size) gather."""
+    idx = rng.integers(0, values.size, size=(reps, sample_size))
+    return float(np.var(values[idx].mean(axis=1), ddof=1))
+
+
+def reference_gcv_score(smoother, curves, penalty):
+    """Pooled GCV score from a refit of every curve: mean squared residual
+    / (1 - df/T)^2."""
+    curves = np.asarray(curves, dtype=float).reshape(-1, smoother.time_grid.size)
+    resid = smoother.fit(curves, penalty) - curves
+    t = smoother.time_grid.size
+    denom = (1.0 - smoother.effective_df(penalty) / t) ** 2
+    return float(np.vdot(resid, resid)) / (curves.shape[0] * t * denom)

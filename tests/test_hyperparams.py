@@ -6,7 +6,7 @@ from mlpp.hyperparams import (DEFAULT_CATEGORY_CONC, DEFAULT_STICK_CONC,
                               HyperParams, _bootstrap_mean_var, apply_scenario,
                               estimate_hyperparams, from_dict, load_hyperparams,
                               save_hyperparams, to_dict)
-from conftest import make_hyperparams
+from conftest import make_hyperparams, reference_bootstrap_mean_var
 
 
 def _basis_from_scores(scores):
@@ -31,6 +31,19 @@ def test_bootstrap_variance_matches_closed_form():
     assert var_n == pytest.approx(target, rel=0.05)
     var_half = _bootstrap_mean_var(rng, values, 150, reps=10_000)
     assert var_half == pytest.approx(np.var(values) / 150, rel=0.05)
+
+
+@pytest.mark.parametrize("size, sample_size, reps", [
+    (2000, 2000, 1000), (1000, 500, 1000), (400, 200, 10_000), (50, 50, 65),
+    (7, 4, 3), (3, 1, 2)])
+def test_bootstrap_variance_matches_one_shot_int64_reference(size, sample_size, reps):
+    for seed in range(5):
+        values = np.random.default_rng(seed + 100).normal(0.0, 1.0, size)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _bootstrap_mean_var(rng, values, sample_size, reps) == \
+            reference_bootstrap_mean_var(ref, values, sample_size, reps)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.integers(0, 2**40) == ref.integers(0, 2**40)
 
 
 def test_recipe_on_plus_minus_one_scores():
