@@ -126,17 +126,27 @@ class CurveSmoother:
     def effective_df(self, penalty: float) -> float:
         return float(np.sum(1.0 / (1.0 + penalty * self._shrink_dirs)))
 
-    def gcv_score(self, curves: np.ndarray, penalty: float) -> float:
-        """Pooled GCV: mean squared residual / (1 - df/T)^2 over all curves."""
+    def gcv_scores(self, curves: np.ndarray, grid: np.ndarray = GCV_GRID) -> np.ndarray:
+        """Pooled GCV score at each penalty of the grid: mean squared
+        residual / (1 - df/T)^2 over all curves.
+
+        The curves are projected once onto the orthonormal Demmler-Reinsch
+        directions Q = B R^-1 U, z = Q'y.  A fit shrinks direction b by
+        s_b = 1 / (1 + lam d_b), so its residual sum of squares is
+        ||y - Q z||^2 + sum_b (lam d_b s_b)^2 ||z_b||^2, a sum of
+        nonnegative terms that needs no refit per penalty.
+        """
         curves = np.asarray(curves, dtype=float).reshape(-1, self.time_grid.size)
-        resid = self.fit(curves, penalty)
-        resid -= curves                 # in place: no curve-sized temporaries
         t = self.time_grid.size
-        rss = float(np.vdot(resid, resid))
-        denom = (1.0 - self.effective_df(penalty) / t) ** 2
+        z = self._from_data @ curves.T                       # (basis_size, curves)
+        outside = curves - ((self.basis @ self._to_coef) @ z).T
+        z_sq = np.einsum("bc,bc->b", z, z)
+        lam_d = np.asarray(grid, dtype=float)[:, None] * self._shrink_dirs
+        shrink = 1.0 / (1.0 + lam_d)
+        rss = float(np.vdot(outside, outside)) + (lam_d * shrink) ** 2 @ z_sq
+        denom = (1.0 - shrink.sum(axis=1) / t) ** 2
         return rss / (curves.shape[0] * t * denom)
 
     def select_penalty(self, curves: np.ndarray, grid: np.ndarray = GCV_GRID) -> float:
         """Penalty with the smallest pooled GCV score on the grid."""
-        scores = [self.gcv_score(curves, lam) for lam in grid]
-        return float(grid[int(np.argmin(scores))])
+        return float(grid[int(np.argmin(self.gcv_scores(curves, grid)))])

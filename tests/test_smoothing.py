@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mlpp.smoothing import (SPLINE_DEGREE, CurveSmoother, _bspline_values, _knot_vector,
-                            basis_matrix, penalty_matrix)
+from mlpp.smoothing import (GCV_GRID, SPLINE_DEGREE, CurveSmoother, _bspline_values,
+                            _knot_vector, basis_matrix, penalty_matrix)
+from conftest import reference_gcv_score
 
 
 def test_basis_partition_of_unity():
@@ -93,6 +94,21 @@ def test_gcv_recovers_noise_scale():
     resid_var = float(np.mean((noisy - fitted) ** 2))
     assert 0.75 * noise_sd ** 2 < resid_var < 1.25 * noise_sd ** 2
     assert np.mean((fitted - clean) ** 2) < 0.5 * np.mean((noisy - clean) ** 2)
+
+
+@pytest.mark.parametrize("n_points, size, n_curves, noise_sd", [
+    (100, 20, 8, 0.3), (150, 25, 40, 1.0), (40, 12, 3, 1e-6), (24, 24, 5, 0.1)])
+def test_gcv_scores_match_refit_reference(n_points, size, n_curves, noise_sd):
+    # one projection against a refit per penalty; the last case has as
+    # many basis functions as points, so nothing lies outside the basis
+    rng = np.random.default_rng(n_points)
+    grid = np.linspace(0.0, 1.0, n_points)
+    clean = np.sin(2 * np.pi * np.outer(rng.uniform(0.5, 2.0, n_curves), grid))
+    noisy = clean + rng.normal(0.0, noise_sd, clean.shape)
+    sm = CurveSmoother(grid, size)
+    expected = [reference_gcv_score(sm, noisy, lam) for lam in GCV_GRID]
+    np.testing.assert_allclose(sm.gcv_scores(noisy), expected, rtol=1e-12)
+    assert sm.select_penalty(noisy) == GCV_GRID[int(np.argmin(expected))]
 
 
 def test_fit_preserves_input_shape():
