@@ -134,6 +134,8 @@ def cmd_fit(parser, args) -> int:
     hp = apply_scenario(hp, args.scenario, _parse_overrides(parser, args.set))
     archives = run_chains(smoothed, basis, hp, cfg)
 
+    # the run is incomplete until save_archives writes meta.json again
+    (out / "meta.json").unlink(missing_ok=True)
     write_basis(basis, out / "basis")
     save_hyperparams(hp, out / "hyperparams.json")
     save_archives(archives, out, extra_meta=_manifest(args, inputs))

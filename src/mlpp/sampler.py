@@ -804,19 +804,27 @@ def _read_chain(chain_dir: Path, names: list, shape) -> tuple:
 
 
 def save_archives(archives: list, run_dir, extra_meta: dict | None = None) -> None:
-    """One directory per run: meta.json plus per-chain scalar and label CSVs."""
+    """One directory per run: meta.json plus per-chain scalar and label CSVs.
+
+    meta.json marks the run complete: an old one is removed before any
+    chain file is written, and the new one is written last, through a
+    temporary file renamed into place."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    meta_path = run_dir / "meta.json"
+    meta_path.unlink(missing_ok=True)
     meta = {"n_chains": len(archives), "chains": [a.meta for a in archives],
             "scalar_names": archives[0].scalar_names,
             "group_codes": archives[0].group_codes.tolist()}
     if extra_meta:
         meta.update(extra_meta)
-    (run_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     for idx, archive in enumerate(archives):
         chain_dir = run_dir / f"chain_{idx:02d}"
         chain_dir.mkdir(exist_ok=True)
         _write_chain(archive, chain_dir)
+    tmp = run_dir / "meta.json.tmp"
+    tmp.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    os.replace(tmp, meta_path)
 
 
 def load_archives(run_dir) -> list:

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import mlpp
+import mlpp.sampler
 from mlpp.cli import main
 
 
@@ -179,6 +181,36 @@ def test_diagnose_requires_run_dir(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["diagnose", "--run", str(tmp_path)])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("reuse", [False, True])
+def test_fit_stopped_while_saving_leaves_no_run_marker(sim_dir, run_dir, tmp_path,
+                                                       monkeypatch, capsys, reuse):
+    out = tmp_path / "run"
+    if reuse:               # a complete earlier run in the directory
+        shutil.copytree(run_dir, out)
+        assert (out / "meta.json").exists()
+    write_chain = mlpp.sampler._write_chain
+    written = []
+
+    def stopped_on_chain_1(archive, chain_dir):
+        if written:
+            raise KeyboardInterrupt("stopped")
+        written.append(chain_dir)
+        write_chain(archive, chain_dir)
+
+    monkeypatch.setattr(mlpp.sampler, "_write_chain", stopped_on_chain_1)
+    with pytest.raises(KeyboardInterrupt):
+        main(["fit", "--data", str(sim_dir / "rep_01"), "--out", str(out),
+              "--iters", "20", "--burnin", "10", "--chains", "2", "--seed", "4",
+              "--no-smooth", "--force"])
+    assert written == [out / "chain_00"]
+    assert not (out / "meta.json").exists()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(["diagnose", "--run", str(out)])
+    assert err.value.code == 2
+    assert "does not look like a run directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
