@@ -20,7 +20,10 @@ A timing block is SCANS scans of one tree at one size.  Blocks alternate
 between the trees, and the tree that goes first alternates from round to
 round.  Per tree and size the script reports the best (minimum) time per
 scan over the rounds, which is the least disturbed by other load on the
-machine, and the median beside it.  Separate rounds wrap each of the six
+machine, and the median beside it.  Load on a shared machine drifts
+between rounds more than within one, so the comparison rests on the
+paired ratios new / ref of the two blocks of each round: their median,
+quartiles and the share of rounds in which the new tree was faster.  Separate rounds wrap each of the six
 update functions of ``mlpp.sampler`` in a timer to give the time per
 update block (the medians over those rounds; the wrappers add about a
 microsecond per call).  At cal size the script also times
@@ -208,6 +211,18 @@ def _rounds(trees: dict, rounds: int, op: dict) -> dict:
     return out
 
 
+def _paired(ref: list, new: list) -> dict:
+    """Median, quartiles and share of rounds won (ratio below 1) of the
+    per-round ratios new / ref."""
+    ratios = [b / a for a, b in zip(ref, new)]
+    if len(ratios) == 1:
+        q1 = median = q3 = ratios[0]
+    else:
+        q1, median, q3 = statistics.quantiles(ratios, n=4)
+    return {"median": median, "q1": q1, "q3": q3,
+            "won": sum(r < 1.0 for r in ratios) / len(ratios)}
+
+
 def main() -> None:
     if sys.argv[1:2] == ["--worker"]:
         worker(sys.argv[2])
@@ -241,11 +256,15 @@ def main() -> None:
                 "digest": digests[label]} for label in trees}
             ref, new = results[size]["ref"], results[size]["new"]
             results[size]["best_ratio"] = new["best_ms"] / ref["best_ms"]
+            paired = results[size]["paired_ratio"] = _paired(samples[size]["ref"],
+                                                             samples[size]["new"])
             results[size]["same_draws"] = digests["ref"] == digests["new"]
             print(f"{size}: best ms/scan {ref['best_ms']:.3f} -> {new['best_ms']:.3f} "
                   f"({results[size]['best_ratio'] - 1:+.1%}), median {ref['median_ms']:.3f} "
-                  f"-> {new['median_ms']:.3f}; same draws: {results[size]['same_draws']}",
-                  flush=True)
+                  f"-> {new['median_ms']:.3f}; paired ratio median {paired['median']:.3f} "
+                  f"(quartiles {paired['q1']:.3f}-{paired['q3']:.3f}, new faster in "
+                  f"{paired['won']:.0%} of rounds); same draws: "
+                  f"{results[size]['same_draws']}", flush=True)
             for name in BLOCKS:
                 print(f"    {name:24s} {ref['block_median_ms'][name]:.4f} -> "
                       f"{new['block_median_ms'][name]:.4f} ms")
@@ -256,8 +275,12 @@ def main() -> None:
                                      for label, reps in prior.items()}
         samples["cal_prior_draw"] = {label: [r["ms"] for r in reps]
                                      for label, reps in prior.items()}
+        paired = results["cal_prior_draw"]["paired_ratio"] = _paired(
+            samples["cal_prior_draw"]["ref"], samples["cal_prior_draw"]["new"])
         ref, new = (results["cal_prior_draw"][label]["best_ms"] for label in ("ref", "new"))
-        print(f"cal draw_state_from_prior: best ms/call {ref:.4f} -> {new:.4f}")
+        print(f"cal draw_state_from_prior: best ms/call {ref:.4f} -> {new:.4f}; paired "
+              f"ratio median {paired['median']:.3f} (quartiles {paired['q1']:.3f}-"
+              f"{paired['q3']:.3f}, new faster in {paired['won']:.0%} of rounds)")
     finally:
         for tree in trees.values():
             tree.close()
@@ -265,7 +288,8 @@ def main() -> None:
     import numpy
     doc = {"script": "scripts/bench_scan_overhead.py",
            "what": "ms per Gibbs scan, best and median over alternating blocks, "
-                   "per update block, and fixed-seed draw digests",
+                   "paired per-round ratios new/ref, per update block, and fixed-seed "
+                   "draw digests",
            "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
                            "machine": platform.machine(), "cpus": os.cpu_count()},
            "settings": {"rounds": args.rounds, "scans_per_block": args.scans,
