@@ -492,25 +492,25 @@ def alloc_log_weights(state: ModelState):
 
 
 def update_subject_alloc(state: ModelState, rng: np.random.Generator) -> None:
-    """Draw each subject's category, then the channel labels of the
-    subjects in category 3 from their posterior, one dimension after the
-    other.  No later step reads the other labels, so they are left as they
-    are, which keeps the stationary law (van Dyk & Park 2008, partially
-    collapsed Gibbs)."""
+    """Draw every subject's category in every dimension in one call, then
+    in one more the channel labels of every (dimension, subject) in
+    category 3 from their posterior.  All weights are computed at the
+    start of the block, and given them the dimensions are independent, so
+    drawing them together keeps each conditional.  No later step reads
+    the other labels, so they are left as they are, which keeps the
+    stationary law (van Dyk & Park 2008, partially collapsed Gibbs)."""
     weights, chan_post = alloc_log_weights(state)
     top = weights.max(axis=2, keepdims=True)
     finite = np.isfinite(top).all(axis=(1, 2))
     if not finite.all():
         raise SamplerError(
             f"allocation weights underflowed in dimension {finite.argmin() + 1}")
-    probs = np.exp(weights - top)
-    for dim in range(state.n_components):
-        cat = _categorical_draw(rng, probs[dim].T) + 1
-        state.subject_alloc[:, dim] = cat
-        own = cat == CAT_SUBJECT
-        if own.any():       # a draw for no subject would take no variates
-            state.channel_alloc[own, :, dim] = _categorical_draw(rng, chan_post[:, dim, own]) \
-                + FIRST_SUBJECT_LABEL
+    cat = _categorical_draw(rng, np.exp(weights - top).transpose(2, 0, 1)) + 1   # (K, U)
+    state.subject_alloc[:] = cat.T
+    dims, subjects = np.nonzero(cat == CAT_SUBJECT)
+    if dims.size:           # a draw for no row would take no variates
+        state.channel_alloc[subjects, :, dims] = \
+            _categorical_draw(rng, chan_post[:, dims, subjects]) + FIRST_SUBJECT_LABEL
 
 
 def category_weight_params(state: ModelState, hp: HyperParams) -> np.ndarray:
