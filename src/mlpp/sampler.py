@@ -33,6 +33,7 @@ directory, which checkpoints also use.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -183,6 +184,10 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
         return float(truncated_gamma_batch(rng, [shape], [rate], [lower])[0])
     if lower <= 0:
         raise ValueError("nonpositive shape requires a positive truncation point")
+    # one entry at a time: Python floats and math cost a fraction of numpy
+    # scalar arithmetic
+    shape, rate, lower = float(shape), float(rate), float(lower)
+    floor = math.nextafter(lower, math.inf)
     if shape > 1:
         # Shifted-exponential proposal with reduced rate so the tangent
         # bound on the increasing power part holds; past the bulk
@@ -190,9 +195,9 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
         prop_rate = rate - (shape - 1.0) / lower
         for _ in range(_MAX_ROUNDS):
             x = lower + rng.exponential(1.0 / prop_rate)
-            log_accept = (shape - 1.0) * (np.log(x / lower) - (x - lower) / lower)
-            if np.log(1.0 - rng.random()) < log_accept:
-                return max(x, np.nextafter(lower, np.inf))
+            log_accept = (shape - 1.0) * (math.log(x / lower) - (x - lower) / lower)
+            if math.log(1.0 - rng.random()) < log_accept:
+                return max(x, floor)
         raise SamplerError("tail rejection sampler failed to accept")
     # shape <= 1 (the power part is nonincreasing, e.g. a single-member
     # cluster with shape 0): two-piece envelope.  On (lower, c] bound the
@@ -201,27 +206,29 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
     # shifted exponential.  With c = lower + 1/rate both pieces accept
     # with probability at least exp(-1)-ish, whatever rate * lower is.
     c = lower + 1.0 / rate
-    log_span = np.log1p(1.0 / (rate * lower))          # log(c / lower)
+    log_span = math.log1p(1.0 / (rate * lower))          # log(c / lower)
     if shape == 0.0:
-        log_mass_a = -rate * lower + np.log(log_span)
+        log_mass_a = -rate * lower + math.log(log_span)
     else:
-        log_mass_a = -rate * lower + shape * np.log(lower) \
-            + np.log(np.expm1(shape * log_span) / shape)
-    log_mass_b = (shape - 1.0) * np.log(c) - rate * c - np.log(rate)
-    prob_a = 1.0 / (1.0 + np.exp(log_mass_b - log_mass_a))
+        log_mass_a = -rate * lower + shape * math.log(lower) \
+            + math.log(math.expm1(shape * log_span) / shape)
+    log_mass_b = (shape - 1.0) * math.log(c) - rate * c - math.log(rate)
+    # mass_b / mass_a is at most about max(1, |shape|) / e, so exp cannot
+    # overflow
+    prob_a = 1.0 / (1.0 + math.exp(log_mass_b - log_mass_a))
     for _ in range(_MAX_ROUNDS):
         if rng.random() < prob_a:
             u = rng.random()
             if shape == 0.0:
-                x = lower * np.exp(u * log_span)
+                x = lower * math.exp(u * log_span)
             else:
-                x = lower * (1.0 + u * np.expm1(shape * log_span)) ** (1.0 / shape)
+                x = lower * (1.0 + u * math.expm1(shape * log_span)) ** (1.0 / shape)
             log_accept = -rate * (x - lower)
         else:
             x = c + rng.exponential(1.0 / rate)
-            log_accept = (shape - 1.0) * np.log(x / c)
-        if np.log(1.0 - rng.random()) < log_accept:
-            return max(x, np.nextafter(lower, np.inf))
+            log_accept = (shape - 1.0) * math.log(x / c)
+        if math.log(1.0 - rng.random()) < log_accept:
+            return max(x, floor)
     raise SamplerError("tail rejection sampler failed to accept")
 
 
