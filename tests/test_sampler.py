@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1
-from scipy.stats import gamma, kstest
+from scipy.stats import binom, gamma, kstest
 
 import mlpp.sampler
 from mlpp.fpca import fit_fpca, smooth_dataset
@@ -502,6 +502,39 @@ def test_alloc_update_keeps_state_valid():
         validate_state(state)
         update_subject_alloc(state, rng)
         validate_state(state)
+
+
+def test_alloc_update_draws_each_cell_from_its_conditional():
+    # every dimension's categories and every category-3 row's labels come
+    # from one call each: each (dimension, subject) cell must still follow
+    # its own weights, and each label its own row's posterior
+    state, _, _, rng = random_state_and_workspace(21, u=4, n=2, k=3, j=3)
+    state.category_weights[:] = [0.25, 0.25, 0.5]
+    state.scores *= 0.3
+    weights, chan_post = alloc_log_weights(state)
+    cat_p = np.exp(weights - weights.max(axis=2, keepdims=True))
+    cat_p /= cat_p.sum(axis=2, keepdims=True)                    # (K, U, 3)
+    label_p = chan_post / chan_post.sum(axis=0)                  # (J, K, U, n)
+    draws = 20000
+    cat_counts = np.zeros((3, 4, 3))
+    label_counts = np.zeros((3, 3, 4, 2))
+    for _ in range(draws):
+        update_subject_alloc(state, rng)
+        cat = state.subject_alloc.T                              # (K, U)
+        cat_counts[np.arange(3)[:, None], np.arange(4), cat - 1] += 1
+        dims, subjects = np.nonzero(cat == 3)
+        for chan in range(2):
+            labels = state.channel_alloc[subjects, chan, dims] - 4
+            label_counts[labels, dims, subjects, chan] += 1
+    in_three = cat_counts[:, :, 2]                               # (K, U)
+    assert in_three.min() > 100
+    # two-sided binomial tail of every cell's count, Bonferroni at 1e-3
+    counts = np.concatenate([cat_counts.ravel(), label_counts.ravel()])
+    trials = np.concatenate([np.full(cat_counts.size, draws),
+                             np.broadcast_to(in_three[:, :, None], label_counts.shape).ravel()])
+    probs = np.concatenate([cat_p.ravel(), label_p.ravel()])
+    tails = np.minimum(binom.cdf(counts, trials, probs), binom.sf(counts - 1, trials, probs))
+    assert 2 * tails.min() > 1e-3 / counts.size
 
 
 def test_alloc_update_raises_on_underflow_before_drawing():
