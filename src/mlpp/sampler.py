@@ -275,12 +275,12 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
     j = hp.max_subject_clusters
     group_codes = np.asarray(group_codes, dtype=int)
     loc, prec, bound = cluster_prior(hp, group_codes)
-    cluster_mean = rng.normal(loc, prec ** -0.5)
+    cluster_mean = loc + prec ** -0.5 * rng.standard_normal(loc.shape)
     cluster_prec = _uniform_sd_draw(rng, bound) ** -2.0
 
     category_weights = np.vstack([rng.dirichlet(hp.category_conc) for _ in range(k)])
-    raw_sticks = np.clip(rng.beta(1.0, hp.stick_conc[:, None, None],
-                                  size=(k, 2, j)), 1e-12, 1.0 - 1e-12)
+    raw_sticks = np.minimum(np.maximum(rng.beta(1.0, hp.stick_conc[:, None, None],
+                                                size=(k, 2, j)), 1e-12), 1.0 - 1e-12)
     stick_weights = sticks_to_weights(raw_sticks)
 
     subject_alloc = _categorical_draw(
@@ -301,7 +301,7 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
         group_codes=group_codes.copy(),
     )
     means, precs = cluster_params_for_labels(state)
-    state.scores = rng.normal(means, np.sqrt(1.0 / precs))
+    state.scores = means + np.sqrt(1.0 / precs) * rng.standard_normal(means.shape)
     return state
 
 
