@@ -6,19 +6,22 @@ subject/channel allocations, category weights, stick proportions.
 - The noise update reads the residual sum of squares from sufficient
   statistics (the score projections and Gram matrix of the Workspace),
   not from the curves.
+- Array draws are plain Generator variates (standard_normal,
+  standard_gamma) scaled and shifted in numpy, which skips the parameter
+  checks that normal, gamma and dirichlet make on every call.
 - The cluster update puts every cluster of every dimension on one flat
   index, takes member counts and sums as segment sums, and draws all
   means, then all precisions, in array calls.  A precision whose
   truncation point lies in the bulk of its gamma conditional (at most
   one sd above the mean) is an array gamma draw, redrawn while below the
   point; the others, and nonpositive shapes, take the scalar rejection
-  sampler.
+  sampler, which works in Python floats and math.
 - The allocation update marginalizes the channel labels when choosing
   each subject's category.  One pass over all dimensions gives every
   category weight and, from one exponentiation of the per-channel
-  mixture densities, the channel-label posterior; categories and then
-  labels are drawn dimension by dimension, labels only for the subjects
-  in category 3.
+  mixture densities, the channel-label posterior.  One categorical draw
+  then gives every dimension's categories, and one more the labels of
+  every (dimension, subject) row in category 3.
 - What no scan changes, the cluster_prior grids, the precision
   truncation points and the cluster_index slots, is a ChainConstants
   that run_chain builds once per chain and passes to every scan;
