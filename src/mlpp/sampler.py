@@ -147,7 +147,7 @@ def _categorical_draw(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray
     rounds above the total, so the count of sums below it stays below the
     number of categories.
     """
-    cum = np.array(probs, dtype=float)
+    cum = np.array(probs, dtype=float, order="C")
     for c in range(1, cum.shape[0]):
         cum[c] += cum[c - 1]
     r = rng.random(cum.shape[1:]) * cum[-1]
