@@ -141,9 +141,11 @@ def _categorical_draw(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray
     """One categorical draw per cell of probs[0], over the leading axis of
     unnormalized probabilities.
 
-    The running sums are accumulated one category plane at a time, which
-    adds in the same order as np.cumsum but is several times faster than
-    cumsum along a leading axis.  A uniform below 1 times the total never
+    The running sums are accumulated one category plane at a time, in a
+    C-ordered copy so that every plane is contiguous whatever the layout
+    of probs (a transpose or a gather).  This adds in the same order as
+    np.cumsum but is several times faster than cumsum along a leading
+    axis.  A uniform below 1 times the total never
     rounds above the total, so the count of sums below it stays below the
     number of categories.
     """
