@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .diagnostics import (diagnose_archives, export_density, export_trace,
                           format_diagnostics_table, write_diagnostics_csv)
@@ -34,6 +32,8 @@ PACKAGE_VERSION = "0.1.0"
 
 
 def _sha256(path) -> str:
+    import hashlib              # only fit and simulate hash their inputs
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -42,6 +42,9 @@ def _sha256(path) -> str:
 
 
 def _manifest(args: argparse.Namespace, inputs: dict | None = None) -> dict:
+    # only the commands that write a manifest pay for importing scipy
+    import scipy
+
     doc = {
         "command": args.command,
         "flags": {key: val for key, val in sorted(vars(args).items())
@@ -54,6 +57,15 @@ def _manifest(args: argparse.Namespace, inputs: dict | None = None) -> dict:
         doc["inputs"] = {name: {"path": str(path), "sha256": _sha256(path)}
                          for name, path in inputs.items()}
     return doc
+
+
+def _read(parser: argparse.ArgumentParser, reader, *args):
+    """reader(*args), a ValueError (a malformed input file, which the
+    message names with the line) reported as a usage error."""
+    try:
+        return reader(*args)
+    except ValueError as err:
+        parser.error(str(err))
 
 
 def _prepare_out(parser: argparse.ArgumentParser, out, force: bool) -> Path:
@@ -119,17 +131,17 @@ def cmd_fit(parser, args) -> int:
         if not path.exists():
             parser.error(f"missing input file {path}")
     out = _prepare_out(parser, args.out, args.force)
-    raw = read_dataset_csv(data_csv, grid_csv)
+    raw = _read(parser, read_dataset_csv, data_csv, grid_csv)
+    inputs = {"data": data_csv, "time_grid": grid_csv}
+    hp = None
+    if args.hyperparams:
+        hp = _read(parser, load_hyperparams, args.hyperparams)
+        inputs["hyperparams"] = Path(args.hyperparams)
 
     smoothed = raw if args.no_smooth else smooth_dataset(
         raw, args.basis_size, args.penalty)
     basis = fit_fpca(smoothed, var_threshold=args.var_threshold)
-
-    inputs = {"data": data_csv, "time_grid": grid_csv}
-    if args.hyperparams:
-        hp = load_hyperparams(args.hyperparams)
-        inputs["hyperparams"] = Path(args.hyperparams)
-    else:
+    if hp is None:
         hp = estimate_hyperparams(basis, raw.group_codes, seed=args.seed)
     hp = apply_scenario(hp, args.scenario, _parse_overrides(parser, args.set))
     archives = run_chains(smoothed, basis, hp, cfg)
@@ -148,7 +160,7 @@ def cmd_diagnose(parser, args) -> int:
     run_dir = Path(args.run)
     if not (run_dir / "meta.json").exists():
         parser.error(f"{run_dir} does not look like a run directory")
-    archives = load_archives(run_dir)
+    archives = _read(parser, load_archives, run_dir, ("draws_scalar.csv",))
     rows = diagnose_archives(archives, rhat_threshold=args.rhat_threshold,
                              ess_threshold=args.ess_threshold)
     write_diagnostics_csv(run_dir / "diagnostics.csv", rows)
@@ -174,12 +186,12 @@ def cmd_summarize(parser, args) -> int:
     run_dir = Path(args.run)
     if not (run_dir / "meta.json").exists():
         parser.error(f"{run_dir} does not look like a run directory")
-    archives = load_archives(run_dir)
+    archives = _read(parser, load_archives, run_dir, ("labels_g.csv",))
     subject_draws = np.concatenate([a.subject_alloc_draws for a in archives])
     group_codes = archives[0].group_codes
     n_components = subject_draws.shape[2]
 
-    truth = read_truth_json(args.truth) if args.truth else None
+    truth = _read(parser, read_truth_json, args.truth) if args.truth else None
     reports = []
     for dim in range(n_components):
         truth_labels = None

@@ -57,7 +57,8 @@ class FunctionalDataset:
             raise ValueError("time grid must be strictly increasing")
         if self.group_codes.shape != (u,):
             raise ValueError("one group code per subject required")
-        if not set(np.unique(self.group_codes)) <= {GROUP_A, GROUP_B}:
+        # return_index: a plain np.unique imports numpy.ma (numpy 2.4)
+        if not set(np.unique(self.group_codes, return_index=True)[0]) <= {GROUP_A, GROUP_B}:
             raise ValueError(f"group codes must be {GROUP_A} or {GROUP_B}")
         if not self.subject_ids:
             self.subject_ids = list(range(1, u + 1))

@@ -216,5 +216,9 @@ def save_hyperparams(hp: HyperParams, path) -> None:
 
 
 def load_hyperparams(path) -> HyperParams:
-    with open(path) as fh:
-        return from_dict(json.load(fh))
+    """A save_hyperparams file; a ValueError names the file."""
+    try:
+        with open(path) as fh:
+            return from_dict(json.load(fh))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -117,7 +117,9 @@ def derive_cluster_labels(subject_alloc: np.ndarray, channel_alloc: np.ndarray,
     """
     subject_alloc = np.asarray(subject_alloc)
     channel_alloc = np.asarray(channel_alloc)
-    if not set(np.unique(subject_alloc)) <= {CAT_COMMON, CAT_GROUP, CAT_SUBJECT}:
+    # return_index: a plain np.unique imports numpy.ma (numpy 2.4)
+    if not set(np.unique(subject_alloc, return_index=True)[0]) \
+            <= {CAT_COMMON, CAT_GROUP, CAT_SUBJECT}:
         raise ValueError("subject allocations must be 1, 2 or 3")
     if np.any(channel_alloc < FIRST_SUBJECT_LABEL):
         raise ValueError(f"channel allocations must be >= {FIRST_SUBJECT_LABEL}")
@@ -275,7 +277,7 @@ def validate_state(state: ModelState, hp: HyperParams | None = None,
         raise ValueError("scores must be finite")
     if not (np.isfinite(state.noise_prec) and state.noise_prec > 0):
         raise ValueError("noise precision must be finite and positive")
-    if not set(np.unique(state.group_codes)) <= {GROUP_A, GROUP_B}:
+    if not set(np.unique(state.group_codes, return_index=True)[0]) <= {GROUP_A, GROUP_B}:
         raise ValueError("group codes must be 2 or 3")
     if np.any((state.subject_alloc < CAT_COMMON) | (state.subject_alloc > CAT_SUBJECT)):
         raise ValueError("subject allocations must be 1, 2 or 3")

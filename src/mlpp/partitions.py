@@ -278,7 +278,8 @@ def _summarize_dimension(subject_alloc_draws, group_codes, dim, truth_labels, le
     report = {
         "dim": dim + 1,
         "estimate": [int(v) for v in estimate],
-        "n_blocks": int(np.unique(estimate).size),
+        # return_index: a plain np.unique imports numpy.ma (numpy 2.4)
+        "n_blocks": int(np.unique(estimate, return_index=True)[0].size),
         "expected_vi_bound": bound,
         "credible_ball": ball,
         "category_share": category_share,

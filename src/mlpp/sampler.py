@@ -31,7 +31,10 @@ The optional audit (``audit_every``) validates the state, checks the
 scan's sufficient-statistic SSR against the direct residual sum, and
 requires a finite log joint.  Chains are deterministic given (seed,
 inputs).  Kept draws have one on-disk format, the chain files of a run
-directory, which checkpoints also use.
+directory, which checkpoints also use.  Each chain file has its own
+reader, and load_archives reads the files a caller names: diagnose needs
+draws_scalar.csv only, summarize labels_g.csv only (its draw count then
+comes from the settings in meta.json).
 """
 from __future__ import annotations
 
@@ -189,9 +192,14 @@ def truncated_gamma_sample(rng: np.random.Generator, shape: float, rate: float,
         return float(truncated_gamma_batch(rng, [shape], [rate], [lower])[0])
     if lower <= 0:
         raise ValueError("nonpositive shape requires a positive truncation point")
-    # one entry at a time: Python floats and math cost a fraction of numpy
-    # scalar arithmetic
-    shape, rate, lower = float(shape), float(rate), float(lower)
+    return _truncated_gamma_tail(rng, float(shape), float(rate), float(lower))
+
+
+def _truncated_gamma_tail(rng: np.random.Generator, shape: float, rate: float,
+                          lower: float) -> float:
+    """The rejection branches of truncated_gamma_sample for an entry past
+    the bulk with lower > 0, unchecked.  One entry at a time: Python
+    floats and math cost a fraction of numpy scalar arithmetic."""
     floor = math.nextafter(lower, math.inf)
     if shape > 1:
         # Shifted-exponential proposal with reduced rate so the tangent
@@ -245,13 +253,16 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
     entries still at or below their truncation point.  In the bulk the
     acceptance is at least about 0.12 for a truncated shape >= 0.5 (the
     smallest positive shape of a cluster with two or more members is
-    0.5).  The other entries go in order to the scalar sampler's
+    0.5).  The other entries go in order straight to the scalar sampler's
     rejection branches.
     """
     shape, rate, lower = (np.asarray(a, dtype=float) for a in (shape, rate, lower))
     if (rate <= 0).any():
         raise ValueError("rate must be positive")
     bulk = _in_bulk(shape, rate, lower)
+    tail = np.flatnonzero(~bulk)
+    if (lower[tail] <= 0).any():
+        raise ValueError("nonpositive shape requires a positive truncation point")
     a, b, low = shape[bulk], rate[bulk], lower[bulk]
     x = rng.standard_gamma(a) / b
     redo = np.flatnonzero(x <= low)
@@ -264,8 +275,9 @@ def truncated_gamma_batch(rng: np.random.Generator, shape, rate,
         raise SamplerError("truncated gamma bulk sampler failed to accept")
     out = np.empty_like(shape)
     out[bulk] = x
-    for i in np.flatnonzero(~bulk):
-        out[i] = truncated_gamma_sample(rng, shape[i], rate[i], lower[i])
+    params = zip(shape[tail].tolist(), rate[tail].tolist(), lower[tail].tolist())
+    for i, args in zip(tail.tolist(), params):
+        out[i] = _truncated_gamma_tail(rng, *args)
     return out
 
 
@@ -623,15 +635,18 @@ def _scalar_row(state: ModelState) -> list[float]:
 @dataclass
 class ChainArchive:
     scalar_names: list
-    scalars: np.ndarray               # (R, len(scalar_names))
-    subject_alloc_draws: np.ndarray   # (R, U, K) int8
-    channel_alloc_draws: np.ndarray   # (R, U, n, K) int16, -1 unless category 3
+    scalars: np.ndarray | None               # (R, len(scalar_names))
+    subject_alloc_draws: np.ndarray | None   # (R, U, K) int8
+    channel_alloc_draws: np.ndarray | None   # (R, U, n, K) int16, -1 unless category 3
     group_codes: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
     def n_draws(self) -> int:
-        return self.scalars.shape[0]
+        """R, from the first of the arrays present (load_archives leaves
+        those of unread chain files None)."""
+        arrays = (self.scalars, self.subject_alloc_draws, self.channel_alloc_draws)
+        return next(a for a in arrays if a is not None).shape[0]
 
 
 def _audit(state: ModelState, ws: Workspace, hp: HyperParams, ssr: float,
@@ -773,7 +788,10 @@ def _load_checkpoint(directory):
     state = load_state(directory / "state")
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
-    kept = _read_chain(directory, scalar_names(state.n_components), state.scores.shape)
+    shape = state.scores.shape
+    scalars = _read_scalars(directory, scalar_names(state.n_components))
+    kept = (scalars, _read_categories(directory, len(scalars), shape),
+            _read_labels(directory, len(scalars), shape))
     return state, rng, doc["iteration"], kept
 
 
@@ -781,6 +799,7 @@ def _load_checkpoint(directory):
 # Archive files (draws, subjects, channels and dimensions counted from 1)
 # ---------------------------------------------------------------------------
 
+CHAIN_FILES = ("draws_scalar.csv", "labels_g.csv", "labels_eta.csv")
 _LABELS_G_HEADER = ["draw", "subject", "dim", "category"]
 _LABELS_ETA_HEADER = ["draw", "subject", "channel", "dim", "label"]
 
@@ -798,21 +817,28 @@ def _write_chain(archive: ChainArchive, chain_dir: Path) -> None:
                 archive.channel_alloc_draws[tuple(cells.T)])
 
 
-def _read_chain(chain_dir: Path, names: list, shape) -> tuple:
-    """Scalars, subject categories and channel labels (-1 outside category
-    3) of one chain's files; shape is (U, n, K)."""
-    u, n, k = shape
+def _read_scalars(chain_dir: Path, names: list) -> np.ndarray:
+    """draws_scalar.csv: (draws, len(names)), the draw count its row count."""
     path = chain_dir / "draws_scalar.csv"
     table = read_table(path, ["draw"] + names)
-    draws = len(table)
-    scalars = scatter(path, table, (draws,), 1, complete=True)
+    return scatter(path, table, (len(table),), 1, complete=True)
+
+
+def _read_categories(chain_dir: Path, draws: int, shape) -> np.ndarray:
+    """labels_g.csv: the (draws, U, K) subject categories, every cell
+    named; shape is (U, n, K)."""
+    u, _, k = shape
     path = chain_dir / "labels_g.csv"
-    alloc = scatter(path, read_table(path, _LABELS_G_HEADER, np.int64), (draws, u, k),
-                    1, dtype=np.int8, complete=True)[..., 0]
+    return scatter(path, read_table(path, _LABELS_G_HEADER, np.int64), (draws, u, k), 1,
+                   dtype=np.int8, complete=True)[..., 0]
+
+
+def _read_labels(chain_dir: Path, draws: int, shape) -> np.ndarray:
+    """labels_eta.csv: the (draws, U, n, K) channel labels, -1 outside
+    category 3; shape is (U, n, K)."""
     path = chain_dir / "labels_eta.csv"
-    chan = scatter(path, read_table(path, _LABELS_ETA_HEADER, np.int64),
-                   (draws, u, n, k), 1, fill=-1, dtype=np.int16)[..., 0]
-    return scalars, alloc, chan
+    return scatter(path, read_table(path, _LABELS_ETA_HEADER, np.int64),
+                   (draws,) + tuple(shape), 1, fill=-1, dtype=np.int16)[..., 0]
 
 
 def save_archives(archives: list, run_dir, extra_meta: dict | None = None) -> None:
@@ -839,16 +865,38 @@ def save_archives(archives: list, run_dir, extra_meta: dict | None = None) -> No
     os.replace(tmp, meta_path)
 
 
-def load_archives(run_dir) -> list:
+def load_archives(run_dir, files=CHAIN_FILES) -> list:
+    """The chains of a run directory, reading and checking the chain files
+    named in files (each command reads only those it uses); the arrays of
+    the others are None.  The draw count is the row count of
+    draws_scalar.csv, or without it the count meta.json's settings keep."""
     run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "meta.json").read_text())
+    meta_path = run_dir / "meta.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as err:
+        raise ValueError(f"{meta_path}: {err}") from None
     archives = []
     for idx in range(meta["n_chains"]):
         chain_meta = meta["chains"][idx]
+        chain_dir = run_dir / f"chain_{idx:02d}"
         shape = (chain_meta["n_subjects"], chain_meta["n_channels"],
                  chain_meta["n_components"])
-        scalars, alloc, chan = _read_chain(run_dir / f"chain_{idx:02d}",
-                                           meta["scalar_names"], shape)
+        scalars = alloc = chan = None
+        if "draws_scalar.csv" in files:
+            scalars = _read_scalars(chain_dir, meta["scalar_names"])
+            draws = len(scalars)
+        else:
+            try:
+                draws = SamplerConfig(n_iter=chain_meta["n_iter"], thin=chain_meta["thin"],
+                                      burn_in=chain_meta["burn_in"]).n_draws
+            except (KeyError, TypeError, ValueError) as err:
+                raise ValueError(f"{meta_path}: chain {idx} has no valid n_iter, burn_in "
+                                 f"and thin ({err})") from None
+        if "labels_g.csv" in files:
+            alloc = _read_categories(chain_dir, draws, shape)
+        if "labels_eta.csv" in files:
+            chan = _read_labels(chain_dir, draws, shape)
         archives.append(ChainArchive(
             scalar_names=meta["scalar_names"], scalars=scalars,
             subject_alloc_draws=alloc, channel_alloc_draws=chan,

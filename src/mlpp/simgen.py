@@ -181,18 +181,22 @@ def write_truth_json(truth: GroundTruth, path) -> None:
 
 
 def read_truth_json(path) -> GroundTruth:
-    with open(path) as fh:
-        doc = json.load(fh)
-    design_doc = doc["design"]
-    for key in ("dim1_means", "dim2_sds", "outlier_subjects"):
-        design_doc[key] = tuple(design_doc[key])
-    return GroundTruth(
-        subject_kind=np.array(doc["subject_kind"], dtype=int),
-        subject_labels=np.array(doc["subject_labels"], dtype=int),
-        channel_labels={k: np.array(v, dtype=int)
-                        for k, v in doc["channel_labels"].items()},
-        scores=np.array(doc["scores"]),
-        noiseless=np.empty(0),
-        noise_sd=doc["noise_sd"],
-        design=SimDesign(**design_doc),
-    )
+    """A write_truth_json file; a ValueError names the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        design_doc = doc["design"]
+        for key in ("dim1_means", "dim2_sds", "outlier_subjects"):
+            design_doc[key] = tuple(design_doc[key])
+        return GroundTruth(
+            subject_kind=np.array(doc["subject_kind"], dtype=int),
+            subject_labels=np.array(doc["subject_labels"], dtype=int),
+            channel_labels={k: np.array(v, dtype=int)
+                            for k, v in doc["channel_labels"].items()},
+            scores=np.array(doc["scores"]),
+            noiseless=np.empty(0),
+            noise_sd=doc["noise_sd"],
+            design=SimDesign(**design_doc),
+        )
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

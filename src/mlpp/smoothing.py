@@ -65,7 +65,8 @@ def penalty_matrix(time_grid: np.ndarray, basis_size: int) -> np.ndarray:
     """
     knots = _knot_vector(time_grid, basis_size)
     nodes, weights = np.polynomial.legendre.leggauss(3)
-    spans = np.unique(knots)
+    # return_index: a plain np.unique imports numpy.ma (numpy 2.4)
+    spans = np.unique(knots, return_index=True)[0]
     half = 0.5 * np.diff(spans)[:, None]
     x = (half * nodes + 0.5 * (spans[:-1] + spans[1:])[:, None]).ravel()
     w = (half * weights).ravel()

@@ -1,10 +1,16 @@
 """CSV tables: the one place that knows the on-disk text format.
 
 A table is a header line plus rows in the csv module's default dialect
-(commas, CRLF line ends, a field quoted only where it holds a comma or a
-quote), floats written as repr(), which reads back to the same double.
-Tables keyed by index columns hold one row per array cell and are read
-back with scatter(), which checks every index.
+(commas, CRLF line ends, a field quoted only where it holds a comma, a
+quote or a line break), floats written as repr(), which reads back to the
+same double.  Tables keyed by index columns hold one row per array cell
+and are read back with scatter(), which checks every index.
+
+write_table writes the bytes the csv module's writer would, at array
+speed: each column becomes a fixed-width bytes array (integers from a
+lookup table of their digits, floats through repr, anything else quoted
+as the csv module quotes it), and the rows are assembled in one byte
+matrix, from which the padding is dropped.
 """
 from __future__ import annotations
 
@@ -18,17 +24,83 @@ def grid_index(shape, base: int) -> np.ndarray:
     return np.indices(shape).reshape(len(shape), -1).T + base
 
 
+# The csv module's default dialect: a field holding one of _SPECIAL is
+# quoted, with its quotes doubled.
+_DIALECT = csv.excel
+_SPECIAL = _DIALECT.delimiter + _DIALECT.quotechar + _DIALECT.lineterminator
+
+
+def _csv_field(value) -> str:
+    """One field as the csv module's writer writes it: None empty, a string
+    as it is, anything else through str, quoted where needed."""
+    text = "" if value is None else value if isinstance(value, str) else str(value)
+    if any(c in text for c in _SPECIAL):
+        quote = _DIALECT.quotechar
+        return quote + text.replace(quote, 2 * quote) + quote
+    return text
+
+
+def _csv_line(fields) -> str:
+    """One row of _csv_field texts; the csv module quotes a row's only
+    field when it is empty, so that the line is not blank."""
+    fields = list(fields)
+    if fields == [""]:
+        fields = [2 * _DIALECT.quotechar]
+    return _DIALECT.delimiter.join(fields) + _DIALECT.lineterminator
+
+
+def _field_bytes(col: np.ndarray, end: str, alone: bool) -> np.ndarray:
+    """The fields of a (rows, c) column block, each followed by end, as an
+    'S' array of the same shape.  Integers come from a lookup table of
+    their digits when their range is no wider than the column (else str),
+    floats from repr, anything else from _csv_field (alone marks a table's
+    only column), UTF-8 encoded with NUL written as 0xff, a byte UTF-8
+    never uses: an 'S' array pads with NUL."""
+    kind = col.dtype.kind
+    if kind in "iu":
+        # offsets from the minimum, in a type that holds them
+        offsets = col.astype(np.uint64 if kind == "u" else np.int64, order="C")
+        low = offsets.min()
+        lo, hi = int(low), int(offsets.max())
+        if hi - lo <= max(col.size, 1024):
+            digits = np.array([f"{v}{end}".encode() for v in range(lo, hi + 1)])
+            offsets -= low
+            return digits[offsets]
+    if kind in "iuf":
+        texts = np.array(list(map(str if kind in "iu" else repr, col.ravel().tolist())),
+                         dtype="S")
+        return np.strings.add(texts, end.encode()).reshape(col.shape)
+    quoted = 2 * _DIALECT.quotechar
+    texts = [(_csv_field(v) or (quoted if alone else "")) + end for v in col.ravel().tolist()]
+    return np.array([text.encode().replace(b"\0", b"\xff") for text in texts],
+                    dtype="S").reshape(col.shape)
+
+
 def write_table(path, header, *columns) -> None:
     """Header line, then one row per entry of the columns: each 1-D (one
-    field) or 2-D (rows first).  Values go through tolist(), so numpy
-    floats print as Python floats."""
-    fields = []
-    for col in map(np.asarray, columns):
-        fields += [col.tolist()] if col.ndim == 1 else [c.tolist() for c in col.T]
+    field) or 2-D (rows first), all with the same number of rows.  The
+    bytes are those of the csv module's writer given the rows' tolist()
+    values (so numpy floats print as Python floats)."""
+    blocks = [col[:, None] if col.ndim == 1 else col for col in map(np.asarray, columns)]
+    blocks = [block for block in blocks if block.shape[1]]
+    rows = {block.shape[0] for block in blocks}
+    if len(rows) > 1:
+        raise ValueError(f"{path}: columns of different lengths {sorted(rows)}")
+    body = b""
+    if blocks and rows != {0}:
+        # the last field of a row ends the line, every other one a delimiter
+        *blocks, last = blocks
+        blocks += [last[:, :-1], last[:, -1:]]
+        ends = [_DIALECT.delimiter] * (len(blocks) - 1) + [_DIALECT.lineterminator]
+        alone = sum(block.shape[1] for block in blocks) == 1
+        matrix = np.concatenate(
+            [np.ascontiguousarray(_field_bytes(block, end, alone)).view(np.uint8)
+             .reshape(block.shape[0], -1) for block, end in zip(blocks, ends)
+             if block.shape[1]], axis=1)
+        body = matrix[matrix != 0].tobytes().replace(b"\xff", b"\0")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*fields))
+        fh.write(_csv_line(map(_csv_field, header)))
+        fh.write(body.decode())
 
 
 def read_header(path) -> list:

@@ -4,13 +4,15 @@ The reference implementations here are deliberately naive (explicit
 loops over items and pairs) so the vectorized library code is checked
 against independent arithmetic rather than against itself.
 """
+import csv
 import itertools
 
 import numpy as np
 
 from mlpp.hyperparams import HyperParams
 from mlpp.partitions import variation_of_information
-from mlpp.sampler import Workspace, draw_state_from_prior
+from mlpp.sampler import (_MAX_ROUNDS, Workspace, _in_bulk, draw_state_from_prior,
+                          truncated_gamma_sample)
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
 
@@ -336,6 +338,26 @@ def reference_dirichlet_rows(rng, conc):
     return np.array([rng.dirichlet(row) for row in conc])
 
 
+def reference_truncated_gamma_batch(rng, shape, rate, lower):
+    """truncated_gamma_batch with every entry past the bulk drawn through
+    truncated_gamma_sample, which checks it again."""
+    shape, rate, lower = (np.asarray(a, dtype=float) for a in (shape, rate, lower))
+    bulk = _in_bulk(shape, rate, lower)
+    a, b, low = shape[bulk], rate[bulk], lower[bulk]
+    x = rng.standard_gamma(a) / b
+    redo = np.flatnonzero(x <= low)
+    for _ in range(_MAX_ROUNDS):
+        if not redo.size:
+            break
+        x[redo] = rng.standard_gamma(a[redo]) / b[redo]
+        redo = redo[x[redo] <= low[redo]]
+    out = np.empty_like(shape)
+    out[bulk] = x
+    for i in np.flatnonzero(~bulk):
+        out[i] = truncated_gamma_sample(rng, shape[i], rate[i], lower[i])
+    return out
+
+
 def reference_cluster_index(state, slots):
     """cluster_index as two np.where over (U, n, K): the category-3 slot
     plus the channel label, else the group or the common slot."""
@@ -360,3 +382,15 @@ def reference_gcv_score(smoother, curves, penalty):
     t = smoother.time_grid.size
     denom = (1.0 - smoother.effective_df(penalty) / t) ** 2
     return float(np.vdot(resid, resid)) / (curves.shape[0] * t * denom)
+
+
+def reference_write_table(path, header, *columns):
+    """write_table through the csv module's writer: the header row, then
+    one row of the columns' tolist() values per entry."""
+    fields = []
+    for col in map(np.asarray, columns):
+        fields += [col.tolist()] if col.ndim == 1 else [c.tolist() for c in col.T]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*fields))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,9 @@ import pytest
 import mlpp
 import mlpp.sampler
 from mlpp.cli import main
+from mlpp.sampler import save_archives
+
+from test_tables import ARCHIVE_CASES, _drop, _edit_lines, _replace, small_archive
 
 
 @pytest.fixture(scope="module")
@@ -283,22 +287,115 @@ finally:
 
 def test_cli_commands_import_no_scipy_linalg_or_special(sim_dir, tmp_path):
     # each subpackage costs a fresh process a noticeable share of a
-    # minimal fit; the fit smooths, so the smoother is on this path
+    # minimal fit; the fit smooths, so the smoother is on this path.
+    # scipy itself is imported only for a manifest's version entry, and
+    # numpy.ma by nothing (a plain np.unique would import it)
     env = {key: val for key, val in os.environ.items() if key != "MLPP_THREADS"}
     env["PYTHONPATH"] = str(Path(mlpp.__file__).resolve().parents[1])
     run = tmp_path / "run"
     commands = {
-        "fit": ["fit", "--data", str(sim_dir / "rep_01"), "--out", str(run),
-                "--iters", "20", "--burnin", "10", "--chains", "2", "--seed", "5"],
-        "diagnose": ["diagnose", "--run", str(run)],
-        "summarize": ["summarize", "--run", str(run)],
+        "fit": (["fit", "--data", str(sim_dir / "rep_01"), "--out", str(run),
+                 "--iters", "20", "--burnin", "10", "--chains", "2", "--seed", "5"],
+                {"scipy.linalg", "scipy.special", "numpy.ma"}),
+        "diagnose": (["diagnose", "--run", str(run)], {"scipy", "numpy.ma"}),
+        "summarize": (["summarize", "--run", str(run)], {"scipy", "numpy.ma"}),
     }
-    for name, argv in commands.items():
+    for name, (argv, barred) in commands.items():
         modules = tmp_path / f"{name}_modules.json"
         done = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, str(modules),
                                *argv], env=env, capture_output=True, text=True)
         assert modules.exists(), done.stderr
         imported = set(json.loads(modules.read_text()))
         assert "mlpp.cli" in imported
-        heavy = imported & {"scipy.linalg", "scipy.special"}
+        heavy = imported & barred
         assert not heavy, f"mlpp {name} imported {sorted(heavy)}"
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs: exit 2 with one line naming the file and the line
+# ---------------------------------------------------------------------------
+
+def _usage_error(capsys, argv) -> str:
+    """The error line of a command that must stop with a usage error."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: mlpp {argv[0]} [-h]")
+    assert lines[-1].startswith(f"mlpp {argv[0]}: error: ")
+    return lines[-1]
+
+
+# the chain file each command reads: the cases of load_archives for it
+COMMAND_FILES = {"diagnose": "draws_scalar.csv", "summarize": "labels_g.csv"}
+COMMAND_CASES = [(command, *case) for command, name in COMMAND_FILES.items()
+                 for case in ARCHIVE_CASES if case[0] == name]
+
+
+@pytest.mark.parametrize("command,name,edit,message", COMMAND_CASES,
+                         ids=[f"{c[0]}-{c[1].split('.')[0]}-{i}"
+                              for i, c in enumerate(COMMAND_CASES)])
+def test_commands_report_malformed_chain_files(tmp_path, capsys, command, name, edit,
+                                               message):
+    # the chains of small_archive as a fit leaves them: two draws kept of two
+    archive = small_archive()
+    archive.meta.update(n_iter=2, burn_in=0, thin=1)
+    save_archives([archive], tmp_path)
+    _edit_lines(tmp_path / "chain_00" / name, edit)
+    assert re.search(message, _usage_error(capsys, [command, "--run", str(tmp_path)]))
+
+
+def _set_group_code(lines):
+    # the first curve of the first subject moves to the other group
+    fields = lines[1].split(",")
+    fields[2] = "3" if fields[2] == "2" else "2"
+    return lines[:1] + [",".join(fields)] + lines[2:]
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("data.csv", _set_group_code, r"data.csv: subject \S+ has inconsistent group codes"),
+    ("data.csv", _drop(0), r"data.csv: expected subject_id"),
+    ("time_grid.csv", _replace(2, "soon"), r"time_grid.csv: could not convert string 'soon' .*row 1"),
+    ("hp.json", lambda lines: ["{"], r"hp.json: Expecting property name .*line 2"),
+])
+def test_fit_reports_malformed_inputs(sim_dir, tmp_path, capsys, name, edit, message):
+    data = tmp_path / "data"
+    shutil.copytree(sim_dir / "rep_01", data)
+    (data / "hp.json").write_text("{}\n")
+    _edit_lines(data / name, edit)
+    argv = ["fit", "--data", str(data), "--out", str(tmp_path / "out"), "--iters", "20",
+            "--burnin", "10", "--no-smooth"]
+    if name == "hp.json":
+        argv += ["--hyperparams", str(data / name)]
+    assert re.search(message, _usage_error(capsys, argv))
+
+
+@pytest.mark.parametrize("command,name,edit,message", [
+    ("diagnose", "meta.json", lambda lines: lines[:3], r"meta.json: Expecting .*line 4"),
+    ("summarize", "meta.json", lambda lines: lines[:-2] + ["}"], r"meta.json: Expecting"),
+    ("summarize", "truth.json", lambda lines: [lines[0][:50]],
+     r"truth.json: Expecting value: line 2"),
+])
+def test_commands_report_malformed_run_files(sim_dir, run_dir, tmp_path, capsys, command,
+                                             name, edit, message):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    shutil.copy(sim_dir / "rep_01" / "truth.json", run / "truth.json")
+    _edit_lines(run / name, edit)
+    argv = [command, "--run", str(run)]
+    if command == "summarize":
+        argv += ["--truth", str(run / "truth.json")]
+    assert re.search(message, _usage_error(capsys, argv))
+
+
+def test_summarize_needs_the_kept_draw_count(run_dir, tmp_path, capsys):
+    # summarize reads labels_g.csv alone, so the draw count comes from the
+    # settings meta.json records
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    meta = json.loads((run / "meta.json").read_text())
+    del meta["chains"][1]["thin"]
+    (run / "meta.json").write_text(json.dumps(meta))
+    line = _usage_error(capsys, ["summarize", "--run", str(run)])
+    assert re.search(r"meta.json: chain 1 has no valid n_iter, burn_in and thin", line)

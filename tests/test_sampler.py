@@ -28,7 +28,7 @@ from conftest import (all_channel_stick_counts, label_conditioned_alloc_update,
                       label_conditioned_weights, make_hyperparams,
                       naive_cluster_conditionals, random_state_and_workspace,
                       reference_dirichlet_rows, reference_gamma_draw,
-                      reference_normal_draw)
+                      reference_normal_draw, reference_truncated_gamma_batch)
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +94,13 @@ def test_truncated_gamma_batch_mixes_paths(monkeypatch):
     per_case = 100_000
     shape, rate, lower = (np.tile([c[i] for c in cases], per_case) for i in range(3))
     calls = []
+    tail = mlpp.sampler._truncated_gamma_tail
 
     def counted(*args):
         calls.append(args)
-        return truncated_gamma_sample(*args)
+        return tail(*args)
 
-    monkeypatch.setattr(mlpp.sampler, "truncated_gamma_sample", counted)
+    monkeypatch.setattr(mlpp.sampler, "_truncated_gamma_tail", counted)
     draws = truncated_gamma_batch(np.random.default_rng(23), shape, rate, lower)
     assert len(calls) == len(scalar_cases) * per_case
     assert {tuple(float(v) for v in args[1:]) for args in calls} == set(scalar_cases)
@@ -313,6 +314,24 @@ def test_plain_gamma_variates_match_rng_gamma(seed, shape):
     rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     np.testing.assert_array_equal(rng.standard_gamma(a) / b,
                                   reference_gamma_draw(ref, a) / b)
+    _same_generators(rng, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 40))
+def test_truncated_gamma_batch_matches_per_entry_checked_reference(seed, size):
+    # the cluster-precision draw: bulk entries, tail entries of every
+    # branch (shape above 1, shape in (0, 1], shape 0 and negative, shapes
+    # below 0.5 truncated) and untruncated ones, interleaved
+    params = np.random.default_rng(seed)
+    shape = params.choice([-1.5, 0.0, 0.1, 0.5, 1.0, 2.5, 7.0], size) \
+        + params.uniform(0.0, 0.4, size) * params.integers(0, 2, size)
+    rate = params.uniform(0.1, 5.0, size)
+    lower = params.choice([0.0, 0.2, 1.0, 5.0, 40.0], size) * params.uniform(0.5, 2.0, size)
+    lower[(shape <= 0) & (lower <= 0)] = 1.0
+    rng, ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    np.testing.assert_array_equal(truncated_gamma_batch(rng, shape, rate, lower),
+                                  reference_truncated_gamma_batch(ref, shape, rate, lower))
     _same_generators(rng, ref)
 
 

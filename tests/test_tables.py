@@ -6,9 +6,12 @@ quoted headers that hold a comma), repr() for floats, and each file's
 header and index base.  A change to any of them fails here first.
 """
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mlpp.diagnostics
 from mlpp.diagnostics import export_density, export_trace, write_diagnostics_csv
@@ -17,6 +20,9 @@ from mlpp.fpca import (EigenBasis, FunctionalDataset, write_basis,
 from mlpp.model import ModelState, save_state, sticks_to_weights
 from mlpp.partitions import write_similarity_csv
 from mlpp.sampler import ChainArchive, save_archives, scalar_names
+from mlpp.tables import write_table
+
+from conftest import reference_write_table
 
 PINNED = {
     "data.csv":
@@ -178,6 +184,80 @@ def test_every_csv_writer_keeps_its_bytes(tmp_path, monkeypatch):
     assert written == sorted(PINNED)
     for name, expected in PINNED.items():
         assert (tmp_path / name).read_bytes() == expected, name
+
+
+# ---------------------------------------------------------------------------
+# write_table against the csv module's writer
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+                2.2250738585072014e-308, 1e16, 1e-5, 1e-4, 9999999999999998.0, 1e300]
+_TEXT = st.text(alphabet=st.sampled_from(list(',"\r\n \0a1-é;#\'')) | st.characters(),
+                max_size=6)
+
+
+@st.composite
+def _tables(draw):
+    """A header and columns of one row count: integer (negative, large,
+    narrow or wide), float (edge values among them) and text columns, 1-D
+    or 2-D."""
+    rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["int", "narrow", "extreme", "uint", "float", "text",
+                                     "object"]))
+        width = draw(st.sampled_from([None, 1, 3]))
+        size = rows * (width or 1)
+        if kind == "int":
+            values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=size, max_size=size))
+            col = np.array(values, dtype=np.int64)
+        elif kind == "extreme":     # a narrow range at either end of int64
+            low = draw(st.sampled_from([-2**63, 2**63 - 100]))
+            values = draw(st.lists(st.integers(low, low + 99), min_size=size, max_size=size))
+            col = np.array(values, dtype=np.int64)
+        elif kind == "narrow":
+            values = draw(st.lists(st.integers(-128, 127), min_size=size, max_size=size))
+            col = np.array(values, dtype=np.int8)
+        elif kind == "uint":
+            values = draw(st.lists(st.integers(2**64 - 3000, 2**64 - 1) | st.integers(0, 9),
+                                   min_size=size, max_size=size))
+            col = np.array(values, dtype=np.uint64)
+        elif kind == "float":
+            values = draw(st.lists(st.floats(allow_subnormal=True) | st.sampled_from(_EDGE_FLOATS),
+                                   min_size=size, max_size=size))
+            col = np.array(values, dtype=float)
+        elif kind == "text":
+            col = np.array(draw(st.lists(_TEXT, min_size=size, max_size=size)), dtype=object)
+        else:
+            values = draw(st.lists(_TEXT | st.integers() | st.none() | st.floats(),
+                                   min_size=size, max_size=size))
+            col = np.empty(size, dtype=object)
+            col[:] = values
+        columns.append(col if width is None else col.reshape(rows, width))
+    n_fields = sum(1 if col.ndim == 1 else col.shape[1] for col in columns)
+    header = draw(st.lists(_TEXT, min_size=n_fields, max_size=n_fields))
+    return header, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_write_table_matches_the_csv_module_writer(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        write_table(ours, header, *columns)
+        reference_write_table(ref, header, *columns)
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("values", [[""], [None], ["", "x", None]])
+def test_write_table_quotes_an_empty_only_field(tmp_path, values):
+    col = np.empty(len(values), dtype=object)
+    col[:] = values
+    write_table(tmp_path / "ours.csv", [""], col)
+    reference_write_table(tmp_path / "ref.csv", [""], col)
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "ours.csv").read_bytes().startswith(b'""\r\n""\r\n')
 
 
 @pytest.mark.parametrize("n_chains", [1, 2])
