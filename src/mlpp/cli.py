@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (diagnose_archives, export_density, export_trace,
+from .diagnostics import (MIN_DRAWS, diagnose_archives, export_density, export_trace,
                           format_diagnostics_table, write_diagnostics_csv)
 from .fpca import (fit_fpca, read_dataset_csv, smooth_dataset, write_basis,
                    write_dataset_csv, write_time_grid_csv)
@@ -125,25 +125,24 @@ def cmd_fit(parser, args) -> int:
     except ValueError as err:
         parser.error(str(err))
     data_dir = Path(args.data)
-    data_csv = data_dir / "data.csv"
-    grid_csv = data_dir / "time_grid.csv"
-    for path in (data_csv, grid_csv):
-        if not path.exists():
-            parser.error(f"missing input file {path}")
-    out = _prepare_out(parser, args.out, args.force)
-    raw = _read(parser, read_dataset_csv, data_csv, grid_csv)
-    inputs = {"data": data_csv, "time_grid": grid_csv}
-    hp = None
+    inputs = {"data": data_dir / "data.csv", "time_grid": data_dir / "time_grid.csv"}
     if args.hyperparams:
-        hp = _read(parser, load_hyperparams, args.hyperparams)
         inputs["hyperparams"] = Path(args.hyperparams)
+    for path in inputs.values():
+        if not path.is_file():
+            parser.error(f"missing input file {path}")
+    # every input is read and checked before --out is made
+    raw = _read(parser, read_dataset_csv, inputs["data"], inputs["time_grid"])
+    hp = _read(parser, load_hyperparams, args.hyperparams) if args.hyperparams else None
+    overrides = _parse_overrides(parser, args.set)
+    out = _prepare_out(parser, args.out, args.force)
 
     smoothed = raw if args.no_smooth else smooth_dataset(
         raw, args.basis_size, args.penalty)
     basis = fit_fpca(smoothed, var_threshold=args.var_threshold)
     if hp is None:
         hp = estimate_hyperparams(basis, raw.group_codes, seed=args.seed)
-    hp = apply_scenario(hp, args.scenario, _parse_overrides(parser, args.set))
+    hp = apply_scenario(hp, args.scenario, overrides)
     archives = run_chains(smoothed, basis, hp, cfg)
 
     # the run is incomplete until save_archives writes meta.json again
@@ -161,6 +160,9 @@ def cmd_diagnose(parser, args) -> int:
     if not (run_dir / "meta.json").exists():
         parser.error(f"{run_dir} does not look like a run directory")
     archives = _read(parser, load_archives, run_dir, ("draws_scalar.csv",))
+    if archives[0].n_draws < MIN_DRAWS:
+        parser.error(f"{run_dir} keeps {archives[0].n_draws} draw(s) per chain; "
+                     f"diagnose needs at least {MIN_DRAWS}")
     rows = diagnose_archives(archives, rhat_threshold=args.rhat_threshold,
                              ess_threshold=args.ess_threshold)
     write_diagnostics_csv(run_dir / "diagnostics.csv", rows)

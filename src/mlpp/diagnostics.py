@@ -11,6 +11,7 @@ import numpy as np
 from .tables import grid_index, write_table
 
 _CONSTANT_TOL = 1e-12
+MIN_DRAWS = 4
 
 
 def _as_matrix(chains) -> np.ndarray:
@@ -22,6 +23,89 @@ def _as_matrix(chains) -> np.ndarray:
     return arr
 
 
+def _as_block(chains) -> np.ndarray:
+    """One series of draws as a C-ordered (1, chains, draws) block."""
+    arr = _as_matrix(chains)
+    _check_length(arr.shape[1])
+    return np.ascontiguousarray(arr)[None]
+
+
+def _check_length(n_draws: int) -> None:
+    if n_draws < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws per chain, got {n_draws}")
+
+
+def _negligible(within: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Which mean within-chain variances are negligible against the square
+    of their series' largest absolute draw (a series that never moves)."""
+    return np.array([w < _CONSTANT_TOL * max(1.0, s ** 2)
+                     for w, s in zip(within.tolist(), scale.tolist())], dtype=bool)
+
+
+# The block functions below compute one statistic for every series of a
+# C-ordered (series, chains, draws) block.  Every reduction runs along the
+# last, contiguous axis, where numpy sums each row exactly as it sums a
+# one-series array, so a series gets the same bits whatever block holds it.
+
+def _split_rhat(block: np.ndarray) -> np.ndarray:
+    n = block.shape[2]
+    half = n // 2
+    pieces = np.concatenate([block[:, :, :half], block[:, :, n - half:]], axis=1)
+    w = pieces.var(axis=2, ddof=1).mean(axis=1)
+    b = half * pieces.mean(axis=2).var(axis=1, ddof=1)
+    var_plus = (half - 1) / half * w + b / half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhat = np.sqrt(var_plus / w)
+    rhat[_negligible(w, np.abs(pieces).max(axis=(1, 2)))] = 1.0
+    return rhat
+
+
+def _autocovariances(arr: np.ndarray) -> np.ndarray:
+    """Mean autocovariance over chains at every lag, biased normalization,
+    for an (..., chains, draws) array.
+
+    Computed by FFT with zero padding (circular correlation of the padded
+    sequence equals the linear one), so long chains stay O(n log n).
+    The power spectrum is formed one series at a time: numpy's complex
+    product over a whole block rounds some entries differently.  Chains
+    are summed in order, as a loop over them would.
+    """
+    *lead, m, n = arr.shape
+    size = 2 * n
+    spec = np.fft.rfft(arr - arr.mean(axis=-1, keepdims=True), size)
+    power = np.stack([row * np.conj(row) for row in spec.reshape(-1, n + 1)])
+    each = (np.fft.irfft(power, size)[:, :n] / n).reshape(*lead, m, n)
+    acov = np.zeros((*lead, n))
+    for chain in range(m):
+        acov += each[..., chain, :]
+    return acov / m
+
+
+def _effective_sample_size(block: np.ndarray) -> np.ndarray:
+    s, m, n = block.shape
+    ess = np.full(s, float(m * n))
+    w = block.var(axis=2, ddof=1).mean(axis=1)
+    moving = ~_negligible(w, np.abs(block).max(axis=(1, 2)))
+    if not moving.any():
+        return ess
+    arr, w = block[moving], w[moving]
+    acov = _autocovariances(arr)
+    if m > 1:
+        b = n * arr.mean(axis=2).var(axis=1, ddof=1)
+        var_plus = (n - 1) / n * w + b / n
+        rho = 1.0 - (w[:, None] - acov * n / (n - 1)) / var_plus[:, None]
+    else:
+        rho = acov / acov[:, :1]
+    # the sum stops at the first nonpositive pair of successive lags
+    # (1, 2), (3, 4), ...; tau adds the pairs before it in order
+    pairs = rho[:, 1:n - 1:2] + rho[:, 2:n:2]
+    ends = pairs <= 0.0
+    stop = np.where(ends.any(axis=1), ends.argmax(axis=1), pairs.shape[1])
+    tau = np.cumsum(np.concatenate([np.ones((len(arr), 1)), 2.0 * pairs], axis=1), axis=1)
+    ess[moving] = m * n / tau[np.arange(len(arr)), stop]
+    return ess
+
+
 def split_rhat(chains) -> float:
     """Split potential scale reduction factor.
 
@@ -29,35 +113,8 @@ def split_rhat(chains) -> float:
     odd) and the usual between/within variance ratio is computed over
     the resulting sequences.  Constant chains return 1.0.
     """
-    arr = _as_matrix(chains)
-    m, n = arr.shape
-    half = n // 2
-    if half < 2:
-        raise ValueError("need at least 4 draws per chain")
-    pieces = np.concatenate([arr[:, :half], arr[:, n - half:]], axis=0)
-    within = pieces.var(axis=1, ddof=1)
-    w = within.mean()
-    if w < _CONSTANT_TOL * max(1.0, float(np.abs(pieces).max()) ** 2):
-        return 1.0
-    b = half * pieces.mean(axis=1).var(ddof=1)
-    var_plus = (half - 1) / half * w + b / half
-    return float(np.sqrt(var_plus / w))
+    return float(_split_rhat(_as_block(chains))[0])
 
-
-def _autocovariances(arr: np.ndarray) -> np.ndarray:
-    """Mean autocovariance over chains at every lag, biased normalization.
-
-    Computed by FFT with zero padding (circular correlation of the padded
-    sequence equals the linear one), so long chains stay O(n log n).
-    """
-    m, n = arr.shape
-    size = 2 * n
-    acov = np.zeros(n)
-    for row in arr:
-        centred = row - row.mean()
-        spec = np.fft.rfft(centred, size)
-        acov += np.fft.irfft(spec * np.conj(spec), size)[:n] / n
-    return acov / m
 
 def effective_sample_size(chains) -> float:
     """Effective sample size from the pairwise-truncated autocorrelation sum.
@@ -68,31 +125,7 @@ def effective_sample_size(chains) -> float:
     Summation stops at the first nonpositive pair of successive lags.
     Constant chains count every draw.
     """
-    arr = _as_matrix(chains)
-    m, n = arr.shape
-    if n < 4:
-        raise ValueError("need at least 4 draws per chain")
-    within = arr.var(axis=1, ddof=1)
-    w = within.mean()
-    if w < _CONSTANT_TOL * max(1.0, float(np.abs(arr).max()) ** 2):
-        return float(m * n)
-    acov = _autocovariances(arr)
-    if m > 1:
-        b = n * arr.mean(axis=1).var(ddof=1)
-        var_plus = (n - 1) / n * w + b / n
-        rho = 1.0 - (w - acov * n / (n - 1)) / var_plus
-    else:
-        rho = acov / acov[0]
-    rho[0] = 1.0
-    tau = 1.0
-    t = 1
-    while t + 1 < n:
-        pair = rho[t] + rho[t + 1]
-        if pair <= 0.0:
-            break
-        tau += 2.0 * pair
-        t += 2
-    return float(m * n / tau)
+    return float(_effective_sample_size(_as_block(chains))[0])
 
 
 def export_trace(path, chains, name: str = "value") -> None:
@@ -140,29 +173,29 @@ def diagnose_archives(archives, rhat_threshold: float = 1.1,
     Returns one dict per stored scalar with rhat, ess, posterior mean
     and sd, and the list of triggered flags.  Columns that never move
     (for instance a count locked at its posterior mode) are marked
-    'constant' and not treated as failures.
+    'constant' and not treated as failures.  Every statistic is computed
+    for all scalars at once, from one (scalars, chains, draws) block.
     """
     names = archives[0].scalar_names
+    n = archives[0].scalars.shape[0]
+    _check_length(n)
+    block = np.empty((len(names), len(archives), n))
+    for chain, archive in enumerate(archives):
+        block[:, chain] = archive.scalars.T
+    pooled = block.reshape(len(names), -1)
+    constant = _negligible(block.var(axis=2).mean(axis=1), np.abs(block).max(axis=(1, 2)))
+    stats = zip(names, _split_rhat(block).tolist(), _effective_sample_size(block).tolist(),
+                pooled.mean(axis=1).tolist(), pooled.std(axis=1, ddof=1).tolist(),
+                constant.tolist())
     rows = []
-    for j, name in enumerate(names):
-        chains = np.stack([a.scalars[:, j] for a in archives])
-        pooled = chains.ravel()
-        flags = []
-        constant = chains.var(axis=1).mean() < _CONSTANT_TOL * max(
-            1.0, float(np.abs(chains).max()) ** 2)
-        rhat = split_rhat(chains)
-        ess = effective_sample_size(chains)
-        if constant:
-            flags.append("constant")
+    for name, rhat, ess, mean, sd, fixed in stats:
+        if fixed:
+            flags = ["constant"]
         else:
-            if rhat > rhat_threshold:
-                flags.append("rhat")
-            if ess < ess_threshold:
-                flags.append("ess")
-        rows.append({"name": name, "rhat": float(rhat), "ess": float(ess),
-                     "mean": float(pooled.mean()), "sd": float(pooled.std(ddof=1)),
-                     "flags": flags, "ok": not any(f in ("rhat", "ess")
-                                                   for f in flags)})
+            flags = [flag for flag, bad in (("rhat", rhat > rhat_threshold),
+                                            ("ess", ess < ess_threshold)) if bad]
+        rows.append({"name": name, "rhat": rhat, "ess": ess, "mean": mean, "sd": sd,
+                     "flags": flags, "ok": fixed or not flags})
     return rows
 
 

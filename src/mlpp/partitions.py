@@ -129,14 +129,38 @@ def _n_blocks(rows: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(np.diff(np.sort(rows, axis=1), axis=1), axis=1)
 
 
+def _same_block(rows: np.ndarray) -> np.ndarray:
+    """(C, n, n) booleans: whether items i and j share a block in row c."""
+    return rows[:, :, None] == rows[:, None, :]
+
+
+def _row_sums(values: np.ndarray, lengths) -> np.ndarray:
+    """values[i, :lengths[i]].sum() for every row i of a 2-D array.
+
+    Rows of one length are summed together along the last axis, where
+    numpy sums each row as it sums a one-dimensional array (pairwise, in
+    blocks of eight), so every sum equals its own np.sum call bit for bit.
+    """
+    lengths = np.broadcast_to(lengths, values.shape[:1])
+    out = np.empty(values.shape[0])
+    for length in set(lengths.tolist()):
+        pick = lengths == length
+        out[pick] = values[pick, :length].sum(axis=1)
+    return out
+
+
+def _similarity(same: np.ndarray, counts: np.ndarray, n_draws: int) -> np.ndarray:
+    """Co-clustering frequencies from the same-block matrices of the
+    distinct partitions and the number of draws holding each."""
+    together = counts @ same.reshape(len(counts), -1)
+    return together.reshape(same.shape[1:]) / n_draws
+
+
 def similarity_matrix(draws: np.ndarray) -> np.ndarray:
     """Posterior co-clustering frequencies; draws is (R, n) labels."""
     draws = np.asarray(draws)
     rows, counts, _ = _distinct(draws)
-    together = np.zeros((draws.shape[1],) * 2, dtype=np.int64)
-    for row, count in zip(rows, counts):
-        together += count * (row[:, None] == row[None, :])
-    return together / draws.shape[0]
+    return _similarity(_same_block(rows), counts, draws.shape[0])
 
 
 def vi_point_estimate(draws: np.ndarray):
@@ -147,23 +171,69 @@ def vi_point_estimate(draws: np.ndarray):
     draw.  Returns (labels, bound_value).
     """
     draws = np.asarray(draws)
-    return _vi_point_estimate(draws, similarity_matrix(draws))
+    rows, counts, inverse = _distinct(draws)
+    same = _same_block(rows)
+    return _vi_point_estimate(rows, inverse, _n_blocks(rows), same,
+                              _similarity(same, counts, draws.shape[0]))
 
 
-def _vi_point_estimate(draws: np.ndarray, sim: np.ndarray):
-    """vi_point_estimate given the similarity matrix of the draws."""
-    n = draws.shape[1]
-    candidates, _, inverse = _distinct(draws)
-    log_sizes = np.empty(len(candidates))
-    log_overlaps = np.empty(len(candidates))
-    for i, cand in enumerate(candidates):
-        same = cand[:, None] == cand[None, :]
-        log_sizes[i] = np.sum(np.log2(same.sum(axis=1)))
-        log_overlaps[i] = np.sum(np.log2(np.sum(sim * same, axis=1)))
+def _vi_point_estimate(candidates, inverse, blocks, same, sim):
+    """vi_point_estimate over the distinct partitions of the draws, given
+    each one's block count and same-block matrix and the similarity
+    matrix; every candidate is scored in one (C, n, n) pass."""
+    n = candidates.shape[1]
+    log_sizes = np.log2(same.sum(axis=2)).sum(axis=1)
+    log_overlaps = np.log2((sim * same).sum(axis=2)).sum(axis=1)
     mean_log_sizes = np.mean(log_sizes[inverse]) / n
     bounds = log_sizes / n + mean_log_sizes - 2.0 * log_overlaps / n
-    best = np.lexsort((_n_blocks(candidates), bounds))[0]
+    best = np.lexsort((blocks, bounds))[0]
     return candidates[best].copy(), float(bounds[best])
+
+
+def _vi_to_centre(centre, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """variation_of_information(centre, row) for every row of a (C, n)
+    array of labels with the given block counts, bit for bit.
+
+    The contingency tables of all rows come from one bincount, with the
+    centre's blocks as table rows: its labels are ranked once, and each
+    row's labels by one sort.  Each table is zero-padded to the most
+    blocks of any row.  The block totals, cells, logarithms and sums are
+    those variation_of_information computes for one table: a sum over
+    table columns is taken over the row's own blocks (_row_sums), and
+    the column totals add table rows in order, except for a one-block
+    row, whose single column numpy sums pairwise.
+    """
+    centre = np.asarray(centre).ravel()
+    c, n = rows.shape
+    if centre.size != n:
+        raise ValueError("partitions must label the same items")
+    _, centre_rank = np.unique(centre, return_inverse=True)
+    ka, width = int(centre_rank.max()) + 1, int(blocks.max())
+    order = np.argsort(rows, axis=1, kind="stable")
+    steps = np.diff(np.take_along_axis(rows, order, axis=1), axis=1) != 0
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.concatenate(
+        [np.zeros((c, 1), dtype=order.dtype), np.cumsum(steps, axis=1)], axis=1), axis=1)
+    cells = (np.arange(c)[:, None] * ka + centre_rank) * width + rank
+    table = np.bincount(cells.ravel(), minlength=c * ka * width).reshape(c, ka, width)
+    p = table / n
+    row_p = _row_sums(p.reshape(c * ka, width), np.repeat(blocks, ka)).reshape(c, ka)
+    col_p = p[:, 0].copy()
+    for block in range(1, ka):
+        col_p += p[:, block]
+    single = blocks == 1
+    if single.any():
+        col_p[single, 0] = _row_sums(p[single, :, 0], ka)
+    which, r, k = np.nonzero(table)
+    cell = p[which, r, k]
+    with np.errstate(divide="ignore"):
+        terms = np.log2(row_p)[which, r] + np.log2(col_p)[which, k] - 2.0 * np.log2(cell)
+    counts = np.bincount(which, minlength=c)
+    padded = np.zeros((c, counts.max()))
+    padded[which, np.arange(which.size) - np.repeat(np.cumsum(counts) - counts, counts)] = \
+        cell * terms
+    total = _row_sums(padded, counts)
+    return np.where(total < 0.0, 0.0, total)
 
 
 def credible_ball(draws: np.ndarray, centre: np.ndarray, level: float = 0.95):
@@ -181,14 +251,23 @@ def credible_ball(draws: np.ndarray, centre: np.ndarray, level: float = 0.95):
     order, so equal distances can differ in the last bits.
     """
     draws = np.asarray(draws)
+    _check_level(level)
+    rows, counts, inverse = _distinct(draws)
+    return _credible_ball(rows, counts, inverse, _n_blocks(rows), centre, level)
+
+
+def _check_level(level: float) -> None:
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
-    r = draws.shape[0]
-    rows, counts, inverse = _distinct(draws)
-    dist = np.array([variation_of_information(centre, row) for row in rows])
+
+
+def _credible_ball(rows, counts, inverse, blocks, centre, level):
+    """credible_ball over the distinct partitions of the draws, given each
+    one's count, block count and the draws' indices into them."""
+    r = inverse.size
+    dist = _vi_to_centre(centre, rows, blocks)
     radius = float(np.sort(dist[inverse])[int(np.ceil(level * r)) - 1])
     inside = dist <= radius + 1e-12
-    blocks = _n_blocks(rows)
 
     def _farthest(pool):
         far = pool & (dist >= dist[pool].max() - 1e-12)
@@ -266,10 +345,14 @@ def summarize_dimension(subject_alloc_draws: np.ndarray, group_codes: np.ndarray
 
 def _summarize_dimension(subject_alloc_draws, group_codes, dim, truth_labels, level):
     """summarize_dimension's report and the similarity matrix behind it."""
+    _check_level(level)
     draws = partition_draws(subject_alloc_draws, group_codes, dim)
-    sim = similarity_matrix(draws)
-    estimate, bound = _vi_point_estimate(draws, sim)
-    ball = credible_ball(draws, estimate, level)
+    rows, counts, inverse = _distinct(draws)
+    blocks = _n_blocks(rows)
+    same = _same_block(rows)
+    sim = _similarity(same, counts, draws.shape[0])
+    estimate, bound = _vi_point_estimate(rows, inverse, blocks, same, sim)
+    ball = _credible_ball(rows, counts, inverse, blocks, estimate, level)
     category_share = {
         "common": float(np.mean(subject_alloc_draws[:, :, dim] == CAT_COMMON)),
         "group": float(np.mean(subject_alloc_draws[:, :, dim] == CAT_GROUP)),

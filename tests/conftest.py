@@ -394,3 +394,92 @@ def reference_write_table(path, header, *columns):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*fields))
+
+
+# ---------------------------------------------------------------------------
+# Convergence diagnostics one series at a time, the library's earlier
+# form: the batched diagnose_archives must give the same rows.
+# ---------------------------------------------------------------------------
+
+_CONSTANT_TOL = 1e-12
+
+
+def reference_split_rhat(arr):
+    """Split R-hat of one (chains, draws) array."""
+    m, n = arr.shape
+    half = n // 2
+    if half < 2:
+        raise ValueError("need at least 4 draws per chain")
+    pieces = np.concatenate([arr[:, :half], arr[:, n - half:]], axis=0)
+    within = pieces.var(axis=1, ddof=1)
+    w = within.mean()
+    if w < _CONSTANT_TOL * max(1.0, float(np.abs(pieces).max()) ** 2):
+        return 1.0
+    b = half * pieces.mean(axis=1).var(ddof=1)
+    var_plus = (half - 1) / half * w + b / half
+    return float(np.sqrt(var_plus / w))
+
+
+def reference_autocovariances(arr):
+    """Mean autocovariance over chains, one FFT and spectrum per chain."""
+    m, n = arr.shape
+    size = 2 * n
+    acov = np.zeros(n)
+    for row in arr:
+        centred = row - row.mean()
+        spec = np.fft.rfft(centred, size)
+        acov += np.fft.irfft(spec * np.conj(spec), size)[:n] / n
+    return acov / m
+
+
+def reference_effective_sample_size(arr):
+    """Pair-truncated ESS of one (chains, draws) array, summed lag by lag."""
+    m, n = arr.shape
+    if n < 4:
+        raise ValueError("need at least 4 draws per chain")
+    within = arr.var(axis=1, ddof=1)
+    w = within.mean()
+    if w < _CONSTANT_TOL * max(1.0, float(np.abs(arr).max()) ** 2):
+        return float(m * n)
+    acov = reference_autocovariances(arr)
+    if m > 1:
+        b = n * arr.mean(axis=1).var(ddof=1)
+        var_plus = (n - 1) / n * w + b / n
+        rho = 1.0 - (w - acov * n / (n - 1)) / var_plus
+    else:
+        rho = acov / acov[0]
+    rho[0] = 1.0
+    tau = 1.0
+    t = 1
+    while t + 1 < n:
+        pair = rho[t] + rho[t + 1]
+        if pair <= 0.0:
+            break
+        tau += 2.0 * pair
+        t += 2
+    return float(m * n / tau)
+
+
+def reference_diagnose_archives(archives, rhat_threshold=1.1, ess_threshold=1000.0):
+    """diagnose_archives as a loop over scalars, each stacked on its own."""
+    rows = []
+    for j, name in enumerate(archives[0].scalar_names):
+        chains = np.stack([a.scalars[:, j] for a in archives])
+        pooled = chains.ravel()
+        flags = []
+        constant = chains.var(axis=1).mean() < _CONSTANT_TOL * max(
+            1.0, float(np.abs(chains).max()) ** 2)
+        rhat = reference_split_rhat(chains)
+        ess = reference_effective_sample_size(chains)
+        if constant:
+            flags.append("constant")
+        else:
+            if rhat > rhat_threshold:
+                flags.append("rhat")
+            if ess < ess_threshold:
+                flags.append("ess")
+        rows.append({"name": name, "rhat": float(rhat), "ess": float(ess),
+                     "mean": float(pooled.mean()), "sd": float(pooled.std(ddof=1)),
+                     "flags": flags, "ok": not any(f in ("rhat", "ess")
+                                                   for f in flags)})
+    return rows

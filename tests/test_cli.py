@@ -369,6 +369,25 @@ def test_fit_reports_malformed_inputs(sim_dir, tmp_path, capsys, name, edit, mes
     if name == "hp.json":
         argv += ["--hyperparams", str(data / name)]
     assert re.search(message, _usage_error(capsys, argv))
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_reports_missing_hyperparams_before_writing(sim_dir, tmp_path, capsys):
+    missing = tmp_path / "hp.json"
+    line = _usage_error(capsys, ["fit", "--data", str(sim_dir / "rep_01"), "--out",
+                                 str(tmp_path / "out"), "--hyperparams", str(missing)])
+    assert line.endswith(f"error: missing input file {missing}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_diagnose_reports_too_few_draws(tmp_path, capsys):
+    # small_archive as a fit leaves it: two draws kept of two
+    archive = small_archive()
+    archive.meta.update(n_iter=2, burn_in=0, thin=1)
+    save_archives([archive], tmp_path)
+    line = _usage_error(capsys, ["diagnose", "--run", str(tmp_path)])
+    assert line.endswith(f"error: {tmp_path} keeps 2 draw(s) per chain; "
+                         "diagnose needs at least 4")
 
 
 @pytest.mark.parametrize("command,name,edit,message", [

@@ -3,7 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import (reference_autocovariances, reference_diagnose_archives,
+                      reference_effective_sample_size, reference_split_rhat)
 from mlpp.diagnostics import (_autocovariances, diagnose_archives,
                               effective_sample_size, export_density,
                               export_trace, format_diagnostics_table,
@@ -156,3 +159,84 @@ def test_diagnose_archives_flags(tmp_path):
         written = list(csv.reader(fh))
     assert written[0][0] == "parameter"
     assert len(written) == 5
+
+
+# ---------------------------------------------------------------------------
+# The batched diagnostics against the per-series reference, == on floats
+# ---------------------------------------------------------------------------
+
+def _column(rng, kind, m, n):
+    """One scalar's (chains, draws) draws of the named kind."""
+    loc = rng.normal(0.0, 10.0)
+    if kind == "normal":
+        return loc + rng.gamma(1.0, 2.0) * rng.normal(size=(m, n))
+    if kind == "counts":
+        return rng.integers(0, 4, (m, n)).astype(float) + rng.integers(0, 40)
+    if kind == "constant":
+        return np.full((m, n), loc)
+    if kind == "constant_in_one_chain":
+        col = loc + rng.normal(size=(m, n))
+        col[rng.integers(m)] = loc
+        return col
+    if kind == "jitter":
+        # 1e-13 lies far below the constant test's tolerance, 1e-6 at it
+        scale = rng.choice([1e-13, 1e-7, 1e-6, 1e-5]) * max(1.0, abs(loc))
+        return loc + scale * rng.normal(size=(m, n))
+    # slow AR(1) chains far apart: with m > 1 every pair sum stays positive
+    return np.stack([_ar1(rng, 0.999, n, loc=10.0 * c) for c in range(m)])
+
+
+KINDS = ("normal", "counts", "constant", "constant_in_one_chain", "jitter", "slow_ar1")
+
+
+@st.composite
+def scalar_archives(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(4, 40))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = [_column(rng, kind, m, n) for kind in kinds]
+    return _fake_archives(columns, [f"{kind}[{j}]" for j, kind in enumerate(kinds)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_archives(), st.sampled_from([1.01, 1.1]), st.sampled_from([5.0, 1000.0]))
+def test_diagnose_archives_equals_per_series_reference(archives, rhat_threshold,
+                                                       ess_threshold):
+    rows = diagnose_archives(archives, rhat_threshold, ess_threshold)
+    assert rows == reference_diagnose_archives(archives, rhat_threshold, ess_threshold)
+    for j, row in enumerate(rows):
+        chains = np.stack([a.scalars[:, j] for a in archives])
+        assert split_rhat(chains) == row["rhat"] == reference_split_rhat(chains)
+        assert effective_sample_size(chains) == row["ess"] \
+            == reference_effective_sample_size(chains)
+
+
+def test_diagnose_archives_equals_reference_on_long_chains():
+    # 2 chains x 1500 draws, the size of a default fit
+    rng = np.random.default_rng(14)
+    kinds = KINDS * 4
+    archives = _fake_archives([_column(rng, kind, 2, 1500) for kind in kinds],
+                              [f"{kind}[{j}]" for j, kind in enumerate(kinds)])
+    assert diagnose_archives(archives) == reference_diagnose_archives(archives)
+
+
+def test_ess_sums_every_pair_when_none_turns_nonpositive():
+    # chains far apart keep every pooled autocorrelation pair positive, so
+    # tau adds all of them
+    rng = np.random.default_rng(15)
+    chains = _column(rng, "slow_ar1", 3, 41)
+    m, n = chains.shape
+    w = chains.var(axis=1, ddof=1).mean()
+    var_plus = (n - 1) / n * w + chains.mean(axis=1).var(ddof=1)
+    rho = 1.0 - (w - reference_autocovariances(chains) * n / (n - 1)) / var_plus
+    assert np.all(rho[1:n - 1:2] + rho[2:n:2] > 0.0)
+    assert effective_sample_size(chains) == reference_effective_sample_size(chains)
+
+
+def test_autocovariances_of_a_block_equal_each_series():
+    rng = np.random.default_rng(16)
+    block = rng.normal(size=(5, 3, 64)).cumsum(axis=2)
+    acov = _autocovariances(block)
+    for s in range(5):
+        assert np.array_equal(acov[s], reference_autocovariances(block[s]))

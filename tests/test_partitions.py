@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlpp.partitions import (_best_matching_total, _contingency,
+from mlpp.partitions import (_best_matching_total, _contingency, _n_blocks,
+                             _vi_to_centre,
                              adjusted_rand_index, credible_ball,
                              format_partition_table, misclassification_count,
                              partition_draws, similarity_matrix,
@@ -260,8 +261,23 @@ def pooled_labellings(draw):
     return np.array([pool[i] for i in picks])
 
 
+@st.composite
+def many_labellings(draw):
+    """(R, 20) draws holding 200 to 300 distinct labellings of 20 subjects,
+    as category-3 channel labels 4..3+J give them, plus relabelled copies
+    of some and repeats, so that several labellings name one partition."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    j = draw(st.integers(2, 8))
+    pool = np.unique(4 + rng.integers(0, j, (400, 20)), axis=0)[:draw(st.integers(200, 300))]
+    names = np.array([4 + rng.permutation(j) for _ in range(40)])
+    copies = np.take_along_axis(names, pool[:40] - 4, axis=1)
+    pool = np.concatenate([pool, copies])
+    picks = np.concatenate([np.arange(len(pool)), rng.integers(0, len(pool), 100)])
+    return pool[rng.permutation(picks)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(repetitive_draws() | pooled_labellings(), st.data())
+@given(repetitive_draws() | pooled_labellings() | many_labellings(), st.data())
 def test_distinct_partition_summaries_equal_per_draw_loops(draws, data):
     r = draws.shape[0]
     level = data.draw(st.sampled_from([1.0, 1.0 / r, 0.5, 0.95])
@@ -346,3 +362,17 @@ def test_contingency_equals_per_side_unique(pair):
     ref = naive_contingency(a, b)
     assert table.shape == ref.shape
     assert np.array_equal(table, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 12), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-5, 30), min_size=n, max_size=n), min_size=1,
+             max_size=12))))
+def test_vi_to_centre_equals_variation_of_information(case):
+    # one-block rows and centres, and tables with 8 or more blocks a side,
+    # where numpy sums pairwise in blocks of eight
+    centre, rows = np.array(case[0]), np.array(case[1])
+    rows[0] = 7
+    dist = _vi_to_centre(centre, rows, _n_blocks(rows))
+    assert dist.tolist() == [variation_of_information(centre, row) for row in rows]
