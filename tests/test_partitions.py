@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlpp.partitions import (_best_matching_total, _contingency, _n_blocks,
-                             _vi_to_centre,
-                             adjusted_rand_index, credible_ball,
+                             _vi_to_centre, adjusted_rand_index, credible_ball,
                              format_partition_table, misclassification_count,
                              partition_draws, similarity_matrix,
                              subject_partition, summarize_dimension,
