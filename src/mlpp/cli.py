@@ -42,15 +42,11 @@ def _sha256(path) -> str:
 
 
 def _manifest(args: argparse.Namespace, inputs: dict | None = None) -> dict:
-    # only the commands that write a manifest pay for importing scipy
-    import scipy
-
     doc = {
         "command": args.command,
         "flags": {key: val for key, val in sorted(vars(args).items())
                   if key not in ("func", "command")},
         "versions": {"mlpp": PACKAGE_VERSION, "numpy": np.__version__,
-                     "scipy": scipy.__version__,
                      "python": sys.version.split()[0]},
     }
     if inputs:
@@ -61,7 +57,8 @@ def _manifest(args: argparse.Namespace, inputs: dict | None = None) -> dict:
 
 def _read(parser: argparse.ArgumentParser, reader, *args):
     """reader(*args), a ValueError (a malformed input file, which the
-    message names with the line) reported as a usage error."""
+    message names with the line, or an out-of-range flag value) reported
+    as a usage error."""
     try:
         return reader(*args)
     except ValueError as err:
@@ -77,13 +74,21 @@ def _prepare_out(parser: argparse.ArgumentParser, out, force: bool) -> Path:
 
 
 def cmd_simulate(parser, args) -> int:
+    if args.replicates < 1:
+        parser.error(f"--replicates {args.replicates}: need at least 1")
+    # every design is checked before --out is made
+    try:
+        designs = [SimDesign(n_subjects=args.subjects, n_channels=args.channels,
+                             n_timepoints=args.timepoints,
+                             n_group_a=args.subjects // 2, snr=args.snr,
+                             seed=args.seed + rep)
+                   for rep in range(args.replicates)]
+    except ValueError as err:
+        parser.error(f"--subjects {args.subjects} --channels {args.channels} "
+                     f"--timepoints {args.timepoints} --snr {args.snr}: {err}")
     out = _prepare_out(parser, args.out, args.force)
     rep_dirs = []
-    for rep in range(1, args.replicates + 1):
-        design = SimDesign(n_subjects=args.subjects, n_channels=args.channels,
-                           n_timepoints=args.timepoints,
-                           n_group_a=args.subjects // 2, snr=args.snr,
-                           seed=args.seed + rep - 1)
+    for rep, design in enumerate(designs, start=1):
         data, truth = simulate(design)
         rep_dir = out / f"rep_{rep:02d}"
         rep_dir.mkdir(exist_ok=True)
@@ -131,18 +136,23 @@ def cmd_fit(parser, args) -> int:
     for path in inputs.values():
         if not path.is_file():
             parser.error(f"missing input file {path}")
-    # every input is read and checked before --out is made
+    # every input and flag value is checked, by the stages that use it,
+    # before --out is made
     raw = _read(parser, read_dataset_csv, inputs["data"], inputs["time_grid"])
     hp = _read(parser, load_hyperparams, args.hyperparams) if args.hyperparams else None
     overrides = _parse_overrides(parser, args.set)
+    smoothed = raw if args.no_smooth else _read(
+        parser, smooth_dataset, raw, args.basis_size, args.penalty)
+    basis = _read(parser, fit_fpca, smoothed, args.var_threshold)
+    if hp is None:
+        hp = _read(parser, estimate_hyperparams, basis, raw.group_codes, args.seed)
+    hp = _read(parser, apply_scenario, hp, args.scenario, overrides)
+    if hp.n_components != basis.n_components:
+        parser.error(f"the hyperparameters have {hp.n_components} component(s), but "
+                     f"the basis at --var-threshold {args.var_threshold} has "
+                     f"{basis.n_components}")
     out = _prepare_out(parser, args.out, args.force)
 
-    smoothed = raw if args.no_smooth else smooth_dataset(
-        raw, args.basis_size, args.penalty)
-    basis = fit_fpca(smoothed, var_threshold=args.var_threshold)
-    if hp is None:
-        hp = estimate_hyperparams(basis, raw.group_codes, seed=args.seed)
-    hp = apply_scenario(hp, args.scenario, overrides)
     archives = run_chains(smoothed, basis, hp, cfg)
 
     # the run is incomplete until save_archives writes meta.json again
@@ -194,6 +204,9 @@ def cmd_summarize(parser, args) -> int:
     n_components = subject_draws.shape[2]
 
     truth = _read(parser, read_truth_json, args.truth) if args.truth else None
+    if truth is not None and len(truth.subject_labels) != subject_draws.shape[1]:
+        parser.error(f"{args.truth} plants {len(truth.subject_labels)} subject(s); "
+                     f"the run in {run_dir} has {subject_draws.shape[1]}")
     reports = []
     for dim in range(n_components):
         truth_labels = None

@@ -88,8 +88,9 @@ class HyperParams:
             raise ValueError("max_subject_clusters must be at least 1")
 
 
-# Bootstrap resamples averaged per block, which bounds the gathered values
-# held at once to _BOOT_BLOCK x sample_size.
+# Bootstrap resamples per variance estimate, averaged per block, which
+# bounds the gathered values held at once to _BOOT_BLOCK x sample_size.
+_BOOT_REPS = 1000
 _BOOT_BLOCK = 64
 
 
@@ -107,7 +108,7 @@ def _bootstrap_mean_var(rng: np.random.Generator, values: np.ndarray,
 
 
 def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,
-                         boot_reps: int = 1000, seed: int = 0) -> HyperParams:
+                         seed: int = 0) -> HyperParams:
     """Empirical prior constants from fPC scores.
 
     Per dimension: the common-mean precision is 1 / (2 x bootstrap
@@ -137,7 +138,7 @@ def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,
         if np.std(pooled) <= 0:
             raise ValueError(f"scores in dimension {dim + 1} have zero variance")
         common_mean_prec[dim] = 1.0 / (2.0 * _bootstrap_mean_var(
-            rng, pooled, pooled.size, boot_reps))
+            rng, pooled, pooled.size, _BOOT_REPS))
         common_sd_bound[dim] = np.std(pooled, ddof=1) ** 2
         for col, code in enumerate(GROUP_CODES):
             grp = basis.scores[group_codes == code, :, dim].ravel()
@@ -147,7 +148,7 @@ def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,
             group_mean_loc[dim, col] = grp.mean()
             half = int(np.ceil(grp.size / 2))
             group_mean_prec[dim, col] = 1.0 / (2.0 * _bootstrap_mean_var(
-                rng, grp, half, boot_reps))
+                rng, grp, half, _BOOT_REPS))
             group_sd_bound[dim, col] = np.std(grp, ddof=1) ** 2
             subject_mean_prec[dim, col] = 1.0 / ((np.ptp(grp) / 2.5) ** 2)
             subject_sd_bound[dim, col] = group_sd_bound[dim, col]

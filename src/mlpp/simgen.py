@@ -45,6 +45,8 @@ class SimDesign:
     def __post_init__(self):
         if self.n_timepoints < MIN_TIMEPOINTS:
             raise ValueError(f"need at least {MIN_TIMEPOINTS} time points")
+        if self.n_channels < 1:
+            raise ValueError("n_channels must be at least 1")
         if not 1 <= self.n_group_a < self.n_subjects:
             raise ValueError("n_group_a must be in [1, n_subjects)")
         if not self.snr > 0:

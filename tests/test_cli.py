@@ -46,7 +46,7 @@ def test_simulate_outputs_and_manifest(sim_dir):
     assert meta["command"] == "simulate"
     assert meta["replicates"] == ["rep_01", "rep_02"]
     assert meta["flags"]["seed"] == 3
-    assert set(meta["versions"]) >= {"python", "numpy", "scipy", "mlpp"}
+    assert set(meta["versions"]) == {"python", "numpy", "mlpp"}
 
 
 def test_simulate_is_byte_deterministic(tmp_path):
@@ -285,22 +285,25 @@ finally:
 """
 
 
-def test_cli_commands_import_no_scipy_linalg_or_special(sim_dir, tmp_path):
-    # each subpackage costs a fresh process a noticeable share of a
-    # minimal fit; the fit smooths, so the smoother is on this path.
-    # scipy itself is imported only for a manifest's version entry, and
-    # numpy.ma by nothing (a plain np.unique would import it)
+def test_cli_commands_import_no_scipy(tmp_path):
+    # numpy is the only runtime dependency, and each scipy module costs a
+    # fresh process a noticeable share of a minimal fit; the fit smooths,
+    # so the smoother is on this path.  numpy.ma is needed by nothing (a
+    # plain np.unique would import it)
+    barred = {"scipy", "numpy.ma"}
     env = {key: val for key, val in os.environ.items() if key != "MLPP_THREADS"}
     env["PYTHONPATH"] = str(Path(mlpp.__file__).resolve().parents[1])
-    run = tmp_path / "run"
+    sim, run = tmp_path / "sim", tmp_path / "run"
     commands = {
-        "fit": (["fit", "--data", str(sim_dir / "rep_01"), "--out", str(run),
-                 "--iters", "20", "--burnin", "10", "--chains", "2", "--seed", "5"],
-                {"scipy.linalg", "scipy.special", "numpy.ma"}),
-        "diagnose": (["diagnose", "--run", str(run)], {"scipy", "numpy.ma"}),
-        "summarize": (["summarize", "--run", str(run)], {"scipy", "numpy.ma"}),
+        "simulate": ["simulate", "--subjects", "6", "--channels", "5", "--timepoints",
+                     "40", "--seed", "5", "--out", str(sim)],
+        "fit": ["fit", "--data", str(sim / "rep_01"), "--out", str(run),
+                "--iters", "20", "--burnin", "10", "--chains", "2", "--seed", "5"],
+        "diagnose": ["diagnose", "--run", str(run)],
+        "summarize": ["summarize", "--run", str(run),
+                      "--truth", str(sim / "rep_01" / "truth.json")],
     }
-    for name, (argv, barred) in commands.items():
+    for name, argv in commands.items():
         modules = tmp_path / f"{name}_modules.json"
         done = subprocess.run([sys.executable, "-c", _MODULES_AT_EXIT, str(modules),
                                *argv], env=env, capture_output=True, text=True)
@@ -378,6 +381,65 @@ def test_fit_reports_missing_hyperparams_before_writing(sim_dir, tmp_path, capsy
                                  str(tmp_path / "out"), "--hyperparams", str(missing)])
     assert line.endswith(f"error: missing input file {missing}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--var-threshold", "0"], r"var_threshold must lie in \(0, 1\]"),
+    (["--var-threshold", "1.5"], r"var_threshold must lie in \(0, 1\]"),
+    (["--penalty", "-1"], r"penalty must be nonnegative"),
+    (["--basis-size", "2"], r"basis_size must be at least 4"),
+    (["--basis-size", "50"], r"basis_size cannot exceed the number of time points"),
+    (["--set", "max_subject_clusters=0"], r"max_subject_clusters must be at least 1"),
+    (["--set", "stick_conc=[0.0,0.0]"], r"concentrations must be positive"),
+    (["--set", "bogus=1"], r"unknown hyperparameter fields: \['bogus'\]"),
+    # the run's two-component prior constants on a one-component basis
+    (["--hyperparams", "RUN_HP", "--var-threshold", "0.01"],
+     r"the hyperparameters have 2 component\(s\), but the basis at "
+     r"--var-threshold 0.01 has 1$"),
+], ids=["threshold-0", "threshold-1.5", "penalty", "basis-2", "basis-50", "clusters",
+        "sticks", "unknown-field", "components"])
+def test_fit_rejects_flag_values_before_writing(sim_dir, run_dir, tmp_path, capsys,
+                                                flags, message):
+    flags = [str(run_dir / "hyperparams.json") if flag == "RUN_HP" else flag
+             for flag in flags]
+    out = tmp_path / "out"
+    line = _usage_error(capsys, ["fit", "--data", str(sim_dir / "rep_01"), "--out",
+                                 str(out), "--iters", "20", "--burnin", "10", *flags])
+    assert re.search(message, line)
+    assert not out.exists()
+
+
+def test_fit_refuses_nonempty_out_without_force(sim_dir, tmp_path, capsys):
+    out = tmp_path / "occupied"
+    out.mkdir()
+    (out / "junk.txt").write_text("keep\n")
+    line = _usage_error(capsys, ["fit", "--data", str(sim_dir / "rep_01"), "--out",
+                                 str(out), "--iters", "20", "--burnin", "10"])
+    assert line.endswith(f"output directory {out} is not empty (use --force to reuse)")
+    assert [path.name for path in out.iterdir()] == ["junk.txt"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--timepoints", "10"], r"--timepoints 10 --snr 6.0: need at least 16 time points"),
+    (["--snr", "0"], r"--snr 0.0: snr must be positive"),
+    (["--subjects", "1"], r"--subjects 1 .*: n_group_a must be in \[1, n_subjects\)"),
+    (["--channels", "0"], r"--channels 0 .*: n_channels must be at least 1"),
+    (["--replicates", "0"], r"--replicates 0: need at least 1$"),
+], ids=["timepoints", "snr", "subjects", "channels", "replicates"])
+def test_simulate_rejects_flag_values_before_writing(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    line = _usage_error(capsys, ["simulate", "--out", str(out), *flags])
+    assert re.search(message, line)
+    assert not out.exists()
+
+
+def test_summarize_rejects_truth_for_other_subjects(run_dir, tmp_path, capsys):
+    # run_dir fits 6 subjects; this truth plants 5
+    assert main(["simulate", "--subjects", "5", "--channels", "4", "--timepoints", "30",
+                 "--out", str(tmp_path / "sim")]) == 0
+    truth = tmp_path / "sim" / "rep_01" / "truth.json"
+    line = _usage_error(capsys, ["summarize", "--run", str(run_dir), "--truth", str(truth)])
+    assert line.endswith(f"error: {truth} plants 5 subject(s); the run in {run_dir} has 6")
 
 
 def test_diagnose_reports_too_few_draws(tmp_path, capsys):

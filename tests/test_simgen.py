@@ -113,6 +113,8 @@ def test_truth_json_round_trip(tmp_path):
 def test_design_validation():
     with pytest.raises(ValueError, match="time points"):
         SimDesign(n_timepoints=8)
+    with pytest.raises(ValueError, match="n_channels"):
+        SimDesign(n_channels=0)
     with pytest.raises(ValueError, match="n_group_a"):
         SimDesign(n_subjects=10, n_group_a=10)
     with pytest.raises(ValueError, match="snr"):

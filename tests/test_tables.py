@@ -245,8 +245,15 @@ def test_write_table_matches_the_csv_module_writer(table):
     header, columns = table
     with tempfile.TemporaryDirectory() as tmp:
         ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
+        try:
+            reference_write_table(ref, header, *columns)
+        except UnicodeEncodeError:
+            # text no UTF-8 file can hold, such as a lone surrogate: the
+            # csv module's writer fails, and write_table must fail alike
+            with pytest.raises(UnicodeEncodeError):
+                write_table(ours, header, *columns)
+            return
         write_table(ours, header, *columns)
-        reference_write_table(ref, header, *columns)
         assert ours.read_bytes() == ref.read_bytes()
 
 
