@@ -16,9 +16,13 @@ MLPP_THREADS removed from its environment.  In each pair both trees run
 the minimal fit, then the short one; the tree that goes first alternates
 from pair to pair, ref first in the first pair.  A sample is the wall time
 of one process, and its peak resident set size comes from os.wait4.
-Before timing, each tree imports mlpp.cli once so that its bytecode is
-compiled.  The default seed, 1001, is the dataset seed of the first
-cli_default benchmark run.
+Before timing, each tree imports mlpp.cli once, which loads its source
+files into the page cache.  That import caches bytecode for the timed
+processes only if the environment lets it: with PYTHONDONTWRITEBYTECODE
+set, which the children inherit, none is written and every timed process
+compiles src/mlpp again.  The environment block of the result records
+the children's sys.flags.dont_write_bytecode.  The default seed, 1001, is
+the dataset seed of the first cli_default benchmark run.
 
 Usage:
     python scripts/bench_fit_startup.py REF_SRC NEW_SRC [--pairs P] [--seed S]
@@ -91,6 +95,9 @@ def main() -> None:
         for src in trees.values():
             subprocess.run([sys.executable, "-c", "import mlpp.cli"], env=_env(src),
                            check=True)
+        dont_write_bytecode = bool(int(subprocess.run(
+            [sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"],
+            env=_env(trees["new"]), check=True, capture_output=True, text=True).stdout))
         for pair in range(args.pairs):
             order = ("ref", "new") if pair % 2 == 0 else ("new", "ref")
             for label in order:
@@ -124,7 +131,8 @@ def main() -> None:
                    "minimal (2 iterations) and short (200 iterations) fits",
            "environment": {"python": platform.python_version(),
                            "numpy": __import__("numpy").__version__,
-                           "machine": platform.machine(), "cpus": os.cpu_count()},
+                           "machine": platform.machine(), "cpus": os.cpu_count(),
+                           "dont_write_bytecode": dont_write_bytecode},
            "settings": {"pairs": args.pairs, "seed": args.seed, "fit_flags": FIT_FLAGS,
                         "kinds": KINDS},
            "summary": summary, "new_faster_pairs": wins, "samples": samples}

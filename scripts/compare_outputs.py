@@ -23,8 +23,13 @@ same data then checkpoints along the way (chain/checkpoint), is resumed
 from its last checkpoint, and saves both the uninterrupted and the
 resumed chain as run archives (chain/straight, chain/resumed).
 
-The report lists every file that differs or exists in one tree only; for
-JSON files it also names the keys that differ.  Within each tree it
+The report lists every file that differs or exists in one tree only, and
+says how far each differing file moved.  For a JSON file it names the
+keys that differ and gives the largest relative difference over its
+numeric leaves.  For a CSV file with the same header and row count it
+gives the largest relative difference over the cells that read as
+non-integer numbers, and whether every integer and text cell is equal.
+The relative difference of a and b is |a - b| / max(|a|, |b|).  Within each tree it
 checks that the resumed chain's files equal the uninterrupted chain's.
 The exit status is 0 when no file differs and both resumes reproduce.
 
@@ -39,7 +44,9 @@ is 20 subjects x 20 channels x 100 time points, size D (the CLI default)
 from __future__ import annotations
 
 import argparse
+import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -129,6 +136,63 @@ def json_differences(a, b, where: str = "") -> list:
     return [] if a == b else [where or "(whole file)"]
 
 
+def _relative(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0 when a == b (both zero,
+    or the same infinity) and 1 when either is NaN and they are not both
+    NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
+        return 1.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _number(cell: str):
+    """The cell as an int, else as a float, else None (text)."""
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return None
+
+
+def csv_distance(a: Path, b: Path) -> str:
+    """How far two CSV files with the same header and row count moved: the
+    largest relative difference over the cells that read as non-integer
+    numbers in both, and whether every other cell is equal."""
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        left, right = list(csv.reader(fa)), list(csv.reader(fb))
+    if not left or not right or left[0] != right[0] or len(left) != len(right):
+        return "header or row count differs"
+    largest, floats, unequal = 0.0, 0, 0
+    for row_a, row_b in zip(left[1:], right[1:]):
+        if len(row_a) != len(row_b):
+            return "row length differs"
+        for x, y in zip(row_a, row_b):
+            nx, ny = _number(x), _number(y)
+            if None not in (nx, ny) and float in (type(nx), type(ny)):
+                floats += 1
+                largest = max(largest, _relative(nx, ny))
+            else:
+                unequal += x != y
+    return (f"max rel diff {largest:.1e} over {floats} numeric cells; "
+            + (f"{unequal} integer or text cells differ" if unequal
+               else "integer and text cells equal"))
+
+
+def json_numbers(a, b) -> list:
+    """(a, b) pairs of the numeric leaves at the same place in two JSON
+    values."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [pair for key in sorted(set(a) & set(b))
+                for pair in json_numbers(a[key], b[key])]
+    if isinstance(a, list) and isinstance(b, list):
+        return [pair for x, y in zip(a, b) for pair in json_numbers(x, y)]
+    numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    return [(float(a), float(b))] if numeric else []
+
+
 def compare(ref: Path, new: Path) -> list:
     left, right = files(ref), files(new)
     lines = []
@@ -140,9 +204,13 @@ def compare(ref: Path, new: Path) -> list:
         elif left[name].read_bytes() != right[name].read_bytes():
             detail = ""
             if name.endswith(".json"):
-                keys = json_differences(json.loads(left[name].read_text()),
-                                        json.loads(right[name].read_text()))
-                detail = " (" + "; ".join(keys[:6]) + (" ..." if len(keys) > 6 else "") + ")"
+                a, b = json.loads(left[name].read_text()), json.loads(right[name].read_text())
+                keys = json_differences(a, b)
+                largest = max((_relative(x, y) for x, y in json_numbers(a, b)), default=0.0)
+                detail = (" (" + "; ".join(keys[:6]) + (" ..." if len(keys) > 6 else "")
+                          + f"; max rel diff {largest:.1e} over numeric leaves)")
+            elif name.endswith(".csv"):
+                detail = f" ({csv_distance(left[name], right[name])})"
             lines.append(f"differs: {name}{detail}")
     return lines
 

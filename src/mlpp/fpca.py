@@ -143,6 +143,14 @@ def fit_fpca(data: FunctionalDataset, var_threshold: float = 0.8,
              min_component_share: float = 0.15) -> EigenBasis:
     """Eigendecomposition of the pooled covariance of all centred curves.
 
+    With c the (N, T) matrix of the N = U*n centred curves and w the
+    trapezoid weights, the eigenvectors v of the symmetric T x T matrix
+    (c * sqrt(w))' (c * sqrt(w)) = (N - 1) W^1/2 V W^1/2, the discretized
+    covariance operator (Ramsay & Silverman 2005, section 8.4), give the
+    eigenfunctions v / sqrt(w) and, divided by N - 1, the eigenvalues.
+    Forming the matrix costs O(N * T^2) and its eigendecomposition
+    O(T^3).
+
     The number of retained components is the smallest K whose cumulative
     variance share reaches var_threshold, then restricted to components
     whose individual share is at least min_component_share; at least one
@@ -158,19 +166,21 @@ def fit_fpca(data: FunctionalDataset, var_threshold: float = 0.8,
     if total <= 1e-12 * flat.size:
         raise ValueError("data has (numerically) zero variance around the mean curve")
 
-    # Eigenproblem of the covariance operator under the trapezoid inner
-    # product: SVD of centred @ diag(sqrt(w)), eigenfunctions w^-1/2 * v.
+    # T x T eigenproblem of the covariance operator under the trapezoid
+    # inner product; eigh returns ascending eigenvalues, and rounding can
+    # push those of the null space just below zero.
     w = trapezoid_weights(data.time_grid)
     sqrt_w = np.sqrt(w)
-    _, sing, vt = np.linalg.svd(centred * sqrt_w, full_matrices=False)
-    eigenvalues_all = sing ** 2 / (u * n - 1)
+    weighted = centred * sqrt_w
+    gram_values, gram_vectors = np.linalg.eigh(weighted.T @ weighted)
+    eigenvalues_all = np.maximum(gram_values[::-1], 0.0) / (u * n - 1)
     shares = eigenvalues_all / eigenvalues_all.sum()
     cumulative = np.cumsum(shares)
     k_cum = int(np.searchsorted(cumulative, var_threshold - 1e-12) + 1)
     k_share = int(np.sum(shares >= min_component_share))
     k = max(1, min(k_cum, k_share))
 
-    eigenfunctions = _fix_signs((vt[:k] / sqrt_w).T)
+    eigenfunctions = _fix_signs(gram_vectors[:, ::-1][:, :k] / sqrt_w[:, None])
     scores = centred @ (w[:, None] * eigenfunctions)
     return EigenBasis(
         mean_curve=mean_curve,

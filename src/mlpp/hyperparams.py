@@ -9,6 +9,7 @@ mean prior.  Six named sensitivity scenarios perturb these recipes.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -77,14 +78,20 @@ class HyperParams:
             raise ValueError("category_conc must have 3 entries")
         if self.stick_conc.shape != (k,):
             raise ValueError("stick_conc must have one entry per dimension")
-        positives = [self.common_mean_prec, self.common_sd_bound,
-                     self.group_mean_prec, self.group_sd_bound,
-                     self.subject_mean_prec, self.subject_sd_bound,
-                     self.category_conc, self.stick_conc,
-                     np.array([self.noise_prec_shape, self.noise_prec_rate])]
-        if any(np.any(arr <= 0) for arr in positives):
-            raise ValueError("precisions, bounds and concentrations must be positive")
-        if self.max_subject_clusters < 1:
+        positives = ("common_mean_prec", "common_sd_bound", "group_mean_prec",
+                     "group_sd_bound", "subject_mean_prec", "subject_sd_bound",
+                     "category_conc", "stick_conc", "noise_prec_shape",
+                     "noise_prec_rate")
+        for name in positives + ("group_mean_loc", "subject_mean_loc"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            if name in positives and np.any(arr <= 0):
+                raise ValueError("precisions, bounds and concentrations must be positive")
+        clusters = self.max_subject_clusters
+        if not isinstance(clusters, numbers.Integral) or isinstance(clusters, bool):
+            raise ValueError(f"max_subject_clusters must be an integer, got {clusters!r}")
+        if clusters < 1:
             raise ValueError("max_subject_clusters must be at least 1")
 
 

@@ -392,12 +392,23 @@ def test_fit_reports_missing_hyperparams_before_writing(sim_dir, tmp_path, capsy
     (["--set", "max_subject_clusters=0"], r"max_subject_clusters must be at least 1"),
     (["--set", "stick_conc=[0.0,0.0]"], r"concentrations must be positive"),
     (["--set", "bogus=1"], r"unknown hyperparameter fields: \['bogus'\]"),
+    (["--set", "noise_prec_rate=NaN"], r"noise_prec_rate must be finite$"),
+    (["--set", "common_sd_bound=[NaN, NaN]"], r"common_sd_bound must be finite$"),
+    (["--set", "common_mean_prec=[Infinity, Infinity]"],
+     r"common_mean_prec must be finite$"),
+    (["--set", "subject_mean_loc=[[0.0, 0.0], [NaN, 0.0]]"],
+     r"subject_mean_loc must be finite$"),
+    (["--set", "max_subject_clusters=2.5"],
+     r"max_subject_clusters must be an integer, got 2.5$"),
+    (["--set", "max_subject_clusters=true"],
+     r"max_subject_clusters must be an integer, got True$"),
     # the run's two-component prior constants on a one-component basis
     (["--hyperparams", "RUN_HP", "--var-threshold", "0.01"],
      r"the hyperparameters have 2 component\(s\), but the basis at "
      r"--var-threshold 0.01 has 1$"),
 ], ids=["threshold-0", "threshold-1.5", "penalty", "basis-2", "basis-50", "clusters",
-        "sticks", "unknown-field", "components"])
+        "sticks", "unknown-field", "noise-nan", "sd-bound-nan", "mean-prec-inf",
+        "mean-loc-nan", "clusters-float", "clusters-bool", "components"])
 def test_fit_rejects_flag_values_before_writing(sim_dir, run_dir, tmp_path, capsys,
                                                 flags, message):
     flags = [str(run_dir / "hyperparams.json") if flag == "RUN_HP" else flag

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlpp.fpca import (FunctionalDataset, fit_fpca, read_basis, read_dataset_csv,
-                       read_time_grid_csv, reconstruct, smooth_dataset,
-                       trapezoid_weights, write_basis, write_dataset_csv,
-                       write_time_grid_csv)
+from mlpp.fpca import (FunctionalDataset, _fix_signs, fit_fpca, read_basis,
+                       read_dataset_csv, read_time_grid_csv, reconstruct,
+                       smooth_dataset, trapezoid_weights, write_basis,
+                       write_dataset_csv, write_time_grid_csv)
 from mlpp.simgen import SimDesign, make_eigenfunctions, simulate
 
 
@@ -56,6 +56,60 @@ def test_rank_two_shares_match_score_variances():
     expected = np.sum(flat ** 2, axis=0)
     np.testing.assert_allclose(basis.var_explained,
                                expected / expected.sum(), atol=1e-8)
+
+
+def _svd_reference(data, var_threshold=0.8, min_component_share=0.15):
+    """fPCA from the SVD of the sqrt(w)-weighted centred curve matrix:
+    (K, eigenvalues, shares, sign-fixed eigenfunctions, scores)."""
+    u, n, t = data.values.shape
+    flat = data.values.reshape(u * n, t)
+    centred = flat - flat.mean(axis=0)
+    w = trapezoid_weights(data.time_grid)
+    sqrt_w = np.sqrt(w)
+    _, sing, vt = np.linalg.svd(centred * sqrt_w, full_matrices=False)
+    eigenvalues = sing ** 2 / (u * n - 1)
+    shares = eigenvalues / eigenvalues.sum()
+    k_cum = int(np.searchsorted(np.cumsum(shares), var_threshold - 1e-12) + 1)
+    k = max(1, min(k_cum, int(np.sum(shares >= min_component_share))))
+    eigenfunctions = _fix_signs((vt[:k] / sqrt_w).T)
+    scores = centred @ (w[:, None] * eigenfunctions)
+    return k, eigenvalues[:k], shares[:k], eigenfunctions, scores.reshape(u, n, k)
+
+
+def _simulated(u, n, t):
+    design = SimDesign(n_subjects=u, n_channels=n, n_timepoints=t,
+                       n_group_a=u // 2, snr=6.0, seed=21)
+    return smooth_dataset(simulate(design)[0], basis_size=25)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _simulated(20, 20, 100),
+    lambda: _simulated(40, 50, 150),
+    lambda: _rank_k_dataset((2.0,), seed=3)[0],
+    lambda: _rank_k_dataset((3.0, 1.0), seed=4)[0],
+], ids=["size-R", "size-D", "rank-1", "rank-2"])
+def test_matches_svd_reference(make):
+    data = make()
+    basis = fit_fpca(data)
+    k, eigenvalues, shares, eigenfunctions, scores = _svd_reference(data)
+    assert basis.n_components == k
+    np.testing.assert_allclose(basis.eigenvalues, eigenvalues, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(basis.var_explained, shares, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(basis.eigenfunctions, eigenfunctions, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(basis.scores, scores, rtol=0, atol=1e-10)
+
+
+def test_null_space_shares_not_negative():
+    # at min_component_share 0 no share rule drops the rank-one set's
+    # null-space eigenvalues, which rounding pushes just below zero; the
+    # cumulative rule alone picks K, and no kept share is negative
+    data, _, _ = _rank_k_dataset((2.0,), seed=3)
+    basis = fit_fpca(data, var_threshold=1.0, min_component_share=0.0)
+    k, eigenvalues, shares, _, _ = _svd_reference(data, 1.0, 0.0)
+    assert basis.n_components == k
+    assert np.all(basis.var_explained >= 0)
+    assert np.all(basis.eigenvalues >= 0)
+    np.testing.assert_allclose(basis.var_explained.sum(), 1.0, rtol=1e-12)
 
 
 def test_small_component_dropped_by_share_rule():

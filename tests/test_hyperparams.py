@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,30 @@ def test_validation_errors():
     bad["category_conc"] = [0.5, 0.5]
     with pytest.raises(ValueError, match="3 entries"):
         from_dict(bad)
+    for name, value in [("noise_prec_shape", float("nan")),
+                        ("noise_prec_rate", float("inf")),
+                        ("common_sd_bound", [1.0, float("nan")]),
+                        ("group_mean_prec", [[1.0, 1.0], [float("inf"), 1.0]]),
+                        ("stick_conc", [float("nan"), 1.0]),
+                        ("group_mean_loc", [[0.0, float("-inf")], [0.0, 0.0]]),
+                        ("subject_mean_loc", [[0.0, 0.0], [float("nan"), 0.0]])]:
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            from_dict({**doc, name: value})
+    for value in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="max_subject_clusters must be an integer"):
+            from_dict({**doc, "max_subject_clusters": value})
+    assert from_dict({**doc, "max_subject_clusters": np.int64(3)}).max_subject_clusters == 3
+
+
+def test_load_rejects_non_finite_field(tmp_path):
+    hp = make_hyperparams(np.random.default_rng(8))
+    doc = to_dict(hp)
+    doc["noise_prec_rate"] = float("nan")
+    path = tmp_path / "hp.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: noise_prec_rate "
+                                         f"must be finite$"):
+        load_hyperparams(path)
 
 
 def test_json_round_trip(tmp_path):
