@@ -17,14 +17,12 @@ compared byte for byte:
 The sizes are cli_default (--iters 200 --burnin 50 --thin 1, the
 benchmark's cli_default workload) and default (the CLI's own 4000
 iterations, burn-in 1000, thin 2).  Fit, diagnose and summarize are
-timed as whole fresh interpreters, MLPP_THREADS removed from their
-environment; save is the save_archives call alone (and data_csv the
-write_dataset_csv call), timed inside a fresh interpreter.  In each pair
-both trees run the whole sequence at each size; the tree that goes first
-alternates from pair to pair, ref first in the first pair.  Before
-timing, each tree imports mlpp.cli once so that its bytecode is
-compiled.  After the last pair every file of each run directory is
-compared between the trees.
+timed as whole fresh interpreters; save is the save_archives call alone
+(and data_csv the write_dataset_csv call), timed inside a fresh
+interpreter.  In each pair both trees run the whole sequence at each
+size.  The children, their order and the statistics are those of the
+harness in scripts/paired.py.  After the last pair every file of each
+run directory is compared between the trees.
 
 Usage:
     python scripts/bench_chain_io.py REF_SRC NEW_SRC [--pairs P] [--seed S]
@@ -39,17 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import shutil
-import statistics
-import subprocess
-import sys
 import tempfile
-import time
 from pathlib import Path
 
-MLPP_MAIN = "import sys; from mlpp.cli import main; sys.exit(main())"
+import paired
+
 FIT_FLAGS = ["--chains", "2", "--var-threshold", "0.9", "--force"]
 SIZES = {"cli_default": ["--iters", "200", "--burnin", "50", "--thin", "1"],
          "default": []}
@@ -73,48 +66,18 @@ print(json.dumps({"save": save, "data_csv": time.perf_counter() - start}))
 """
 
 
-def _env(src: Path) -> dict:
-    env = {key: val for key, val in os.environ.items() if key != "MLPP_THREADS"}
-    env["PYTHONPATH"] = str(src)
-    return env
-
-
-def _process(src: Path, argv: list, cwd: Path, ok=(0,)) -> tuple[float, str]:
-    """Run one fresh interpreter; (wall s, stdout)."""
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, *argv], cwd=cwd, env=_env(src),
-                          capture_output=True, text=True)
-    wall = time.perf_counter() - start
-    if done.returncode not in ok:
-        sys.exit(f"{src}: {' '.join(argv)} failed:\n{done.stderr}")
-    return wall, done.stdout
-
-
 def _sequence(src: Path, work: Path, size: str, seed: int) -> dict:
     """One fit, save, diagnose and summarize at one size; seconds per step."""
     run = f"run_{size}"
-    mlpp = ["-c", MLPP_MAIN]
-    fit, _ = _process(src, mlpp + ["fit", "--data", "sim/rep_01", "--out", run,
-                                   "--seed", str(seed), *FIT_FLAGS, *SIZES[size]], work)
-    _, out = _process(src, ["-c", SAVE, run, str(work / f"save_{size}")], work)
-    diagnose, _ = _process(src, mlpp + ["diagnose", "--run", run], work, ok=(0, 2))
-    summarize, _ = _process(src, mlpp + ["summarize", "--run", run, "--truth",
-                                         "sim/rep_01/truth.json"], work)
-    return {"fit": fit, **json.loads(out), "diagnose": diagnose, "summarize": summarize}
-
-
-def _stats(values: list) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3}
-
-
-def _differing(ref: Path, new: Path) -> list:
-    """Relative paths of the files that differ or exist under one root only."""
-    names = {p.relative_to(root) for root in (ref, new) for p in root.rglob("*")
-             if p.is_file()}
-    return sorted(str(name) for name in names
-                  if not ((ref / name).is_file() and (new / name).is_file()
-                          and (ref / name).read_bytes() == (new / name).read_bytes()))
+    mlpp = ["-c", paired.MLPP_MAIN]
+    fit = paired.run(src, mlpp + ["fit", "--data", "sim/rep_01", "--out", run,
+                                  "--seed", str(seed), *FIT_FLAGS, *SIZES[size]], work)
+    save = paired.run(src, ["-c", SAVE, run, str(work / f"save_{size}")], work)
+    diagnose = paired.run(src, mlpp + ["diagnose", "--run", run], work, ok=(0, 2))
+    summarize = paired.run(src, mlpp + ["summarize", "--run", run, "--truth",
+                                        "sim/rep_01/truth.json"], work)
+    return {"fit": fit.wall_s, **json.loads(save.stdout), "diagnose": diagnose.wall_s,
+            "summarize": summarize.wall_s}
 
 
 def main() -> None:
@@ -138,30 +101,27 @@ def main() -> None:
         works = {label: Path(tmp) / label for label in trees}
         for work in works.values():
             work.mkdir()
-        _process(trees["new"], ["-c", MLPP_MAIN, "simulate", "--seed", str(args.seed),
-                                "--out", "sim"], works["new"])
+        paired.run(trees["new"], ["-c", paired.MLPP_MAIN, "simulate", "--seed",
+                                  str(args.seed), "--out", "sim"], works["new"])
         shutil.copytree(works["new"] / "sim", works["ref"] / "sim")
-        for src in trees.values():
-            subprocess.run([sys.executable, "-c", "import mlpp.cli"], env=_env(src),
-                           check=True)
+        paired.warm_up(*trees.values())
         for pair in range(args.pairs):
-            order = ("ref", "new") if pair % 2 == 0 else ("new", "ref")
             for size in sizes:
-                for label in order:
+                for label in paired.order(pair):
                     times = _sequence(trees[label], works[label], size, args.seed)
                     for step, seconds in times.items():
                         samples[label][size][step].append(seconds)
                 print(f"pair {pair + 1}/{args.pairs} {size}: " + ", ".join(
                     f"{step} {samples['ref'][size][step][-1]:.3f} -> "
                     f"{samples['new'][size][step][-1]:.3f} s" for step in STEPS), flush=True)
-        differing = {size: _differing(works["ref"] / f"run_{size}",
-                                      works["new"] / f"run_{size}") for size in sizes}
+        differing = {size: paired.differing(works["ref"] / f"run_{size}",
+                                            works["new"] / f"run_{size}") for size in sizes}
 
-    summary = {label: {size: {step: _stats(values) for step, values in per.items()}
+    summary = {label: {size: {step: paired.quartiles(values) for step, values in per.items()}
                        for size, per in by_size.items()}
                for label, by_size in samples.items()}
-    wins = {size: {step: sum(n < r for r, n in zip(samples["ref"][size][step],
-                                                     samples["new"][size][step]))
+    wins = {size: {step: paired.pairs_won(samples["ref"][size][step],
+                                          samples["new"][size][step])
                    for step in STEPS} for size in sizes}
     for size in sizes:
         for step in STEPS:
@@ -175,9 +135,7 @@ def main() -> None:
            "what": "wall time of mlpp fit, diagnose and summarize processes and of "
                    "save_archives and write_dataset_csv calls at size D, with the "
                    "cli_default workload's 200 iterations and the CLI's 4000",
-           "environment": {"python": platform.python_version(),
-                           "numpy": __import__("numpy").__version__,
-                           "machine": platform.machine(), "cpus": os.cpu_count()},
+           "environment": paired.environment(trees["new"]),
            "settings": {"pairs": args.pairs, "seed": args.seed, "fit_flags": FIT_FLAGS,
                         "sizes": {size: SIZES[size] for size in sizes}},
            "summary": summary, "new_faster_pairs": wins,

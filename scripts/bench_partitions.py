@@ -12,9 +12,10 @@ Each tree then loads the run and, CALLS times in one process, runs
 ``diagnose_archives`` over its chains; one sample is the wall time of one
 such call, as in the ``summarize_s`` and ``diagnose_s`` metrics of the
 replication benchmark.  The trees alternate process by process, PAIRS
-times, and the reports and the diagnostic rows of both trees must be
-equal.  A pair counts as won by the new tree when the median of its
-CALLS samples is lower than the reference tree's.
+times, with the harness of scripts/paired.py, and the reports and the
+diagnostic rows of both trees must be equal.  A pair counts as won by the
+new tree when the median of its CALLS samples is lower than the reference
+tree's.
 
 Cases (size R is 20 subjects x 20 channels x 100 time points, size D the
 CLI default 40 x 50 x 150):
@@ -34,14 +35,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import paired
 
 # name: (subjects, channels, time points, snr, iterations, burn-in, thin, chains)
 CASES = {
@@ -89,26 +89,15 @@ def worker_time(work: str) -> None:
     print(json.dumps(out))
 
 
-def _run(src: Path, cmd: list, cwd: Path | None = None) -> str:
-    env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1",
-               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable] + cmd, cwd=cwd, env=env,
-                          capture_output=True, text=True)
-    if done.returncode:
-        sys.exit(f"{src}: {' '.join(cmd)} failed:\n{done.stderr}")
-    return done.stdout
-
-
 def fit_case(src: Path, work: Path, case: str, seed: int) -> None:
     u, n, t, snr, iters, burn_in, thin, chains = CASES[case]
     work.mkdir()
-    cli = ["-m", "mlpp.cli"]
-    _run(src, cli + ["simulate", "--subjects", str(u), "--channels", str(n),
-                     "--timepoints", str(t), "--snr", str(snr), "--seed", str(seed),
-                     "--out", "sim"], cwd=work)
-    _run(src, cli + ["fit", "--data", "sim/rep_01", "--out", "run", "--iters", str(iters),
-                     "--burnin", str(burn_in), "--thin", str(thin), "--chains", str(chains),
-                     "--seed", str(seed)], cwd=work)
+    cli = ["-c", paired.MLPP_MAIN]
+    paired.run(src, cli + ["simulate", "--subjects", u, "--channels", n, "--timepoints", t,
+                           "--snr", snr, "--seed", seed, "--out", "sim"], work)
+    paired.run(src, cli + ["fit", "--data", "sim/rep_01", "--out", "run", "--iters", iters,
+                           "--burnin", burn_in, "--thin", thin, "--chains", chains,
+                           "--seed", seed], work)
 
 
 def main() -> None:
@@ -118,7 +107,6 @@ def main() -> None:
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     trees = {"ref": Path(sys.argv[1]).resolve(), "new": Path(sys.argv[2]).resolve()}
-    script = str(Path(__file__).resolve())
 
     steps = ("summarize_dimension", "diagnose_archives")
     results = []
@@ -131,10 +119,9 @@ def main() -> None:
                 medians = {step: {"ref": [], "new": []} for step in steps}
                 seen = {step: set() for step in steps}
                 for pair in range(PAIRS):
-                    order = ("ref", "new") if pair % 2 == 0 else ("new", "ref")
-                    for label in order:
-                        doc = json.loads(_run(trees[label],
-                                              [script, "--worker-time", str(work)]))
+                    for label in paired.order(pair):
+                        doc = json.loads(paired.run(trees[label],
+                                                    [__file__, "--worker-time", work]).stdout)
                         for step in steps:
                             samples[step][label] += doc[step]["walls"]
                             medians[step][label].append(
@@ -144,8 +131,7 @@ def main() -> None:
                 for step in steps:
                     ref_ms = 1e3 * statistics.median(samples[step]["ref"])
                     new_ms = 1e3 * statistics.median(samples[step]["new"])
-                    won = sum(new < ref for ref, new in zip(medians[step]["ref"],
-                                                            medians[step]["new"]))
+                    won = paired.pairs_won(medians[step]["ref"], medians[step]["new"])
                     entry[step] = {"ref_ms_median": ref_ms, "new_ms_median": new_ms,
                                    "speedup": ref_ms / new_ms, "pairs_won": won,
                                    "outputs_identical": len(seen[step]) == 1,
@@ -160,9 +146,7 @@ def main() -> None:
     doc = {"script": "scripts/bench_partitions.py",
            "what": "wall time of summarize_dimension over every dimension and of "
                    "diagnose_archives, per call",
-           "environment": {"python": platform.python_version(),
-                           "numpy": __import__("numpy").__version__,
-                           "machine": platform.machine(), "cpus": os.cpu_count()},
+           "environment": paired.environment(trees["new"]),
            "settings": {"pairs": PAIRS, "calls": CALLS, "seeds": list(SEEDS), "cases": CASES},
            "results": results}
     OUT.write_text(json.dumps(doc, indent=1) + "\n")

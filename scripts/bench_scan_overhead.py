@@ -12,21 +12,22 @@ Three sizes:
 
 At R and D the scan is called as run_chain calls it: with the chain
 constants built once, when the tree has them.  Each tree runs in its own
-worker process (both trees define the package ``mlpp``), which holds one
-chain per size, started from the empirical start (cal: from a prior
-draw) and advanced WARM scans before any timing.
+worker process (both trees define the package ``mlpp``) with the child
+environment of scripts/paired.py; it holds one chain per size, started
+from the empirical start (cal: from a prior draw) and advanced WARM
+scans before any timing.
 
 A timing block is SCANS scans of one tree at one size.  Blocks alternate
-between the trees, and the tree that goes first alternates from round to
-round.  Per tree and size the script reports the best (minimum) time per
-scan over the rounds, which is the least disturbed by other load on the
-machine, and the median beside it.  Load on a shared machine drifts
-between rounds more than within one, so the comparison rests on the
-paired ratios new / ref of the two blocks of each round: their median,
-quartiles and the share of rounds in which the new tree was faster.  Separate rounds wrap each of the six
-update functions of ``mlpp.sampler`` in a timer to give the time per
-update block (the medians over those rounds; the wrappers add about a
-microsecond per call).  At cal size the script also times
+between the trees in the harness's pair order.  Per tree and size the
+script reports the best (minimum) time per scan over the rounds, which
+is the least disturbed by other load on the machine, and the median
+beside it.  Load on a shared machine drifts between rounds more than
+within one, so the comparison rests on the paired ratios new / ref of
+the two blocks of each round: their median, quartiles and the share of
+rounds in which the new tree was faster.  Separate rounds wrap each of
+the six update functions of ``mlpp.sampler`` in a timer to give the time
+per update block (the medians over those rounds; the wrappers add about
+a microsecond per call).  At cal size the script also times
 ``draw_state_from_prior``, which gates 03a and 03b call 1.1e5 times.
 
 Each tree then runs, per size, a fixed-seed chain of DIGEST_SCANS scans
@@ -45,13 +46,13 @@ import argparse
 import hashlib
 import inspect
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import paired
 
 SIZES = ("cal", "R", "D")
 WARM = 200
@@ -115,8 +116,7 @@ def _digest(state) -> str:
     return sha.hexdigest()
 
 
-def worker(src: str) -> None:
-    sys.path.insert(0, src)
+def worker() -> None:
     import numpy as np
     from mlpp import sampler
     scan = sampler.gibbs_scan
@@ -181,10 +181,10 @@ def worker(src: str) -> None:
 
 class Tree:
     def __init__(self, src: Path):
-        env = {key: val for key, val in os.environ.items() if key != "PYTHONPATH"}
         self.proc = subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), "--worker", str(src)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+            [sys.executable, str(Path(__file__).resolve()), "--worker"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=paired.child_env(src))
         self.ask(None)
 
     def ask(self, cmd: dict | None) -> dict:
@@ -202,30 +202,23 @@ class Tree:
 
 
 def _rounds(trees: dict, rounds: int, op: dict) -> dict:
-    """op run on both trees, alternating which goes first; replies per tree."""
+    """op run on both trees, in the pair order; replies per tree."""
     out = {label: [] for label in trees}
-    labels = list(trees)
     for r in range(rounds):
-        for label in (labels if r % 2 == 0 else labels[::-1]):
+        for label in paired.order(r):
             out[label].append(trees[label].ask(op))
     return out
 
 
 def _paired(ref: list, new: list) -> dict:
-    """Median, quartiles and share of rounds won (ratio below 1) of the
-    per-round ratios new / ref."""
-    ratios = [b / a for a, b in zip(ref, new)]
-    if len(ratios) == 1:
-        q1 = median = q3 = ratios[0]
-    else:
-        q1, median, q3 = statistics.quantiles(ratios, n=4)
-    return {"median": median, "q1": q1, "q3": q3,
-            "won": sum(r < 1.0 for r in ratios) / len(ratios)}
+    """Quartiles of the per-round ratios new / ref, and the share of rounds won."""
+    return {**paired.quartiles(paired.ratios(ref, new)),
+            "won": paired.pairs_won(ref, new) / len(ref)}
 
 
 def main() -> None:
     if sys.argv[1:2] == ["--worker"]:
-        worker(sys.argv[2])
+        worker()
         return
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref_src", type=Path)
@@ -256,14 +249,14 @@ def main() -> None:
                 "digest": digests[label]} for label in trees}
             ref, new = results[size]["ref"], results[size]["new"]
             results[size]["best_ratio"] = new["best_ms"] / ref["best_ms"]
-            paired = results[size]["paired_ratio"] = _paired(samples[size]["ref"],
-                                                             samples[size]["new"])
+            ratio = results[size]["paired_ratio"] = _paired(samples[size]["ref"],
+                                                            samples[size]["new"])
             results[size]["same_draws"] = digests["ref"] == digests["new"]
             print(f"{size}: best ms/scan {ref['best_ms']:.3f} -> {new['best_ms']:.3f} "
                   f"({results[size]['best_ratio'] - 1:+.1%}), median {ref['median_ms']:.3f} "
-                  f"-> {new['median_ms']:.3f}; paired ratio median {paired['median']:.3f} "
-                  f"(quartiles {paired['q1']:.3f}-{paired['q3']:.3f}, new faster in "
-                  f"{paired['won']:.0%} of rounds); same draws: "
+                  f"-> {new['median_ms']:.3f}; paired ratio median {ratio['median']:.3f} "
+                  f"(quartiles {ratio['q1']:.3f}-{ratio['q3']:.3f}, new faster in "
+                  f"{ratio['won']:.0%} of rounds); same draws: "
                   f"{results[size]['same_draws']}", flush=True)
             for name in BLOCKS:
                 print(f"    {name:24s} {ref['block_median_ms'][name]:.4f} -> "
@@ -275,23 +268,21 @@ def main() -> None:
                                      for label, reps in prior.items()}
         samples["cal_prior_draw"] = {label: [r["ms"] for r in reps]
                                      for label, reps in prior.items()}
-        paired = results["cal_prior_draw"]["paired_ratio"] = _paired(
+        ratio = results["cal_prior_draw"]["paired_ratio"] = _paired(
             samples["cal_prior_draw"]["ref"], samples["cal_prior_draw"]["new"])
         ref, new = (results["cal_prior_draw"][label]["best_ms"] for label in ("ref", "new"))
         print(f"cal draw_state_from_prior: best ms/call {ref:.4f} -> {new:.4f}; paired "
-              f"ratio median {paired['median']:.3f} (quartiles {paired['q1']:.3f}-"
-              f"{paired['q3']:.3f}, new faster in {paired['won']:.0%} of rounds)")
+              f"ratio median {ratio['median']:.3f} (quartiles {ratio['q1']:.3f}-"
+              f"{ratio['q3']:.3f}, new faster in {ratio['won']:.0%} of rounds)")
     finally:
         for tree in trees.values():
             tree.close()
 
-    import numpy
     doc = {"script": "scripts/bench_scan_overhead.py",
            "what": "ms per Gibbs scan, best and median over alternating blocks, "
                    "paired per-round ratios new/ref, per update block, and fixed-seed "
                    "draw digests",
-           "environment": {"python": platform.python_version(), "numpy": numpy.__version__,
-                           "machine": platform.machine(), "cpus": os.cpu_count()},
+           "environment": paired.environment(args.new_src.resolve()),
            "settings": {"rounds": args.rounds, "scans_per_block": args.scans,
                         "split_rounds": args.split_rounds, "warm_scans": WARM,
                         "digest_scans": DIGEST_SCANS, "prior_draws": PRIOR_DRAWS},

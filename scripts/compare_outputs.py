@@ -1,8 +1,8 @@
 """Compare every file two source trees of mlpp write, byte for byte.
 
-Each tree runs the same commands with the same seeds, in its own work
-directory and with the same relative paths, so that manifests which
-record paths agree:
+Each tree runs the same commands with the same seeds, as children started
+by scripts/paired.py, in its own work directory and with the same
+relative paths, so that manifests which record paths agree:
 
     mlpp simulate --subjects U --channels N --timepoints T --seed S --out sim
     mlpp fit --data sim/rep_01 --out run --iters I --burnin B --thin 2 --seed S
@@ -47,12 +47,12 @@ import argparse
 import csv
 import json
 import math
-import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import paired
 
 SIZES = {"R": (20, 20, 100), "D": (40, 50, 150)}
 
@@ -81,9 +81,8 @@ def worker_chain(iters: int, burn_in: int, seed: int) -> None:
 def run_tree(src: Path, work: Path, size: str, iters: int, burn_in: int,
              seed: int) -> None:
     work.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(src))
     u, n, t = SIZES[size]
-    cli = [sys.executable, "-m", "mlpp.cli"]
+    cli = ["-c", paired.MLPP_MAIN]
     truth = ["--truth", "sim/rep_01/truth.json"]
     steps = [
         cli + ["simulate", "--subjects", str(u), "--channels", str(n),
@@ -100,21 +99,14 @@ def run_tree(src: Path, work: Path, size: str, iters: int, burn_in: int,
         cli + ["summarize", "--run", "run"] + truth,
         cli + ["summarize", "--run", "run_level50", "--level", "0.5"] + truth,
         cli + ["summarize", "--run", "run_no_truth"],
-        [sys.executable, str(Path(__file__).resolve()), "--worker-chain",
-         str(iters), str(burn_in), str(seed)],
+        [__file__, "--worker-chain", iters, burn_in, seed],
     ]
     for cmd in steps:
         if cmd[0] == "copy":
             shutil.copytree(work / cmd[1], work / cmd[2])
-            continue
-        done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
-        # diagnose exits 2 when it flags a parameter, which short chains do
-        if done.returncode not in ((0, 2) if "diagnose" in cmd else (0,)):
-            sys.exit(f"{src}: {' '.join(cmd[1:])} failed:\n{done.stderr}")
-
-
-def files(root: Path) -> dict:
-    return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file()}
+        else:
+            # diagnose exits 2 when it flags a parameter, which short chains do
+            paired.run(src, cmd, work, ok=(0, 2) if "diagnose" in cmd else (0,))
 
 
 def json_differences(a, b, where: str = "") -> list:
@@ -194,23 +186,23 @@ def json_numbers(a, b) -> list:
 
 
 def compare(ref: Path, new: Path) -> list:
-    left, right = files(ref), files(new)
     lines = []
-    for name in sorted(set(left) | set(right)):
-        if name not in right:
+    for name in paired.differing(ref, new):
+        left, right = ref / name, new / name
+        if not right.is_file():
             lines.append(f"only in REF: {name}")
-        elif name not in left:
+        elif not left.is_file():
             lines.append(f"only in NEW: {name}")
-        elif left[name].read_bytes() != right[name].read_bytes():
+        else:
             detail = ""
             if name.endswith(".json"):
-                a, b = json.loads(left[name].read_text()), json.loads(right[name].read_text())
+                a, b = json.loads(left.read_text()), json.loads(right.read_text())
                 keys = json_differences(a, b)
                 largest = max((_relative(x, y) for x, y in json_numbers(a, b)), default=0.0)
                 detail = (" (" + "; ".join(keys[:6]) + (" ..." if len(keys) > 6 else "")
                           + f"; max rel diff {largest:.1e} over numeric leaves)")
             elif name.endswith(".csv"):
-                detail = f" ({csv_distance(left[name], right[name])})"
+                detail = f" ({csv_distance(left, right)})"
             lines.append(f"differs: {name}{detail}")
     return lines
 
@@ -237,7 +229,7 @@ def main() -> None:
         ref, new = trees["REF"][1], trees["NEW"][1]
         differing = compare(ref, new)
         print(f"size {args.size} {SIZES[args.size]}, {args.iters} iterations, seed {args.seed}: "
-              f"{len(files(ref))} files in REF, {len(files(new))} in NEW, "
+              f"{len(paired.files(ref))} files in REF, {len(paired.files(new))} in NEW, "
               f"{len(differing)} differing")
         for line in differing:
             print("  " + line)

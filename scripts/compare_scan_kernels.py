@@ -34,8 +34,8 @@ Usage:
         [--replicates R] [--fits F] [--seed S]
 
 REF_SRC and NEW_SRC are the ``src`` directories of the two trees; each
-tree runs in its own subprocess with its directory first on sys.path,
-since both define the package ``mlpp``.
+tree runs in its own child, started by scripts/paired.py, since both
+define the package ``mlpp``.
 """
 from __future__ import annotations
 
@@ -43,13 +43,13 @@ import argparse
 import dataclasses
 import inspect
 import json
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
+
+import paired
 
 ROOT = Path(__file__).resolve().parents[1]
 START_SCANS = 150
@@ -59,9 +59,7 @@ VAR_THRESHOLD = 0.9
 MIN_BIN = 20
 
 
-def _problem(src: str, design_seed: int, hp_seed: int):
-    if sys.path[0] != src:
-        sys.path.insert(0, src)
+def _problem(design_seed: int, hp_seed: int):
     from mlpp.fpca import fit_fpca, smooth_dataset
     from mlpp.hyperparams import estimate_hyperparams
     from mlpp.simgen import SimDesign, simulate
@@ -76,8 +74,8 @@ def _first_label_counts(state) -> list:
     return np.sum(in_subject & (state.channel_alloc == 4), axis=(0, 1)).tolist()
 
 
-def worker_start(src: str, design_seed: int, out: str) -> None:
-    data, basis, hp = _problem(src, design_seed, design_seed)
+def worker_start(design_seed: int, out: str) -> None:
+    data, basis, hp = _problem(design_seed, design_seed)
     import mlpp.sampler as S
     ws = S.make_workspace(data, basis)
     rng = np.random.default_rng(design_seed)
@@ -89,9 +87,9 @@ def worker_start(src: str, design_seed: int, out: str) -> None:
     np.savez(out, **{f.name: getattr(state, f.name) for f in dataclasses.fields(state)})
 
 
-def worker_scan(src: str, design_seed: int, start: str, replicates: int,
-                base: int, out: str) -> None:
-    data, basis, hp = _problem(src, design_seed, design_seed)
+def worker_scan(design_seed: int, start: str, replicates: int, base: int,
+                out: str) -> None:
+    data, basis, hp = _problem(design_seed, design_seed)
     import mlpp.sampler as S
     from mlpp.model import ModelState
     ws = S.make_workspace(data, basis)
@@ -111,14 +109,13 @@ def worker_scan(src: str, design_seed: int, start: str, replicates: int,
     np.savez(out, names=np.array(names), **{f"after_{s}": np.array(v) for s, v in rows.items()})
 
 
-def worker_ess(src: str, seeds: list, out: str) -> None:
+def worker_ess(seeds: list, out: str) -> None:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import ess
-    sys.path.insert(0, src)
     from mlpp.sampler import SamplerConfig, run_chains
     result = []
     for seed in seeds:
-        data, basis, hp = _problem(src, seed * 1000 + 1, seed)
+        data, basis, hp = _problem(seed * 1000 + 1, seed)
         cfg = SamplerConfig(n_iter=ITERS, burn_in=BURN_IN, n_chains=CHAINS, seed=seed)
         archives = run_chains(data, basis, hp, cfg)
         values = []
@@ -131,13 +128,6 @@ def worker_ess(src: str, seeds: list, out: str) -> None:
                        "ess_per_draw": float(np.median(values)) / draws,
                        "ess_min_per_draw": float(np.min(values)) / draws})
     Path(out).write_text(json.dumps(result))
-
-
-def _run_worker(src: str, *args) -> float:
-    start = time.perf_counter()
-    subprocess.run([sys.executable, __file__, "--worker", src, *map(str, args)],
-                   check=True)
-    return time.perf_counter() - start
 
 
 def _count_test(a: np.ndarray, b: np.ndarray) -> float:
@@ -201,12 +191,13 @@ def main() -> None:
               "wall_s": {}}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        _run_worker(sides["ref"], "start", design_seed, tmp / "start.npz")
+        worker = [__file__, "--worker"]
+        paired.run(sides["ref"], worker + ["start", design_seed, tmp / "start.npz"])
         rows = {}
         for side, src in sides.items():
-            record["wall_s"][f"one_scan_{side}"] = _run_worker(
-                src, "scan", design_seed, tmp / "start.npz", args.replicates, base,
-                tmp / f"{side}.npz")
+            record["wall_s"][f"one_scan_{side}"] = paired.run(src, worker + [
+                "scan", design_seed, tmp / "start.npz", args.replicates, base,
+                tmp / f"{side}.npz"]).wall_s
             rows[side] = np.load(tmp / f"{side}.npz")
         names = [str(n) for n in rows["ref"]["names"]]
         for s in (1, SCANS):
@@ -214,19 +205,18 @@ def main() -> None:
                 names, rows["ref"][f"after_{s}"], rows["new"][f"after_{s}"])
         fits = {}
         for side, src in sides.items():
-            record["wall_s"][f"ess_{side}"] = _run_worker(
-                src, "ess", ",".join(map(str, ess_seeds)), tmp / f"{side}.json")
+            record["wall_s"][f"ess_{side}"] = paired.run(src, worker + [
+                "ess", ",".join(map(str, ess_seeds)), tmp / f"{side}.json"]).wall_s
             fits[side] = json.loads((tmp / f"{side}.json").read_text())
     from scipy.stats import wilcoxon
     for key in ("ess_per_draw", "ess_min_per_draw"):
-        ref = np.array([f[key] for f in fits["ref"]])
-        new = np.array([f[key] for f in fits["new"]])
+        ref = [f[key] for f in fits["ref"]]
+        new = [f[key] for f in fits["new"]]
         record["ess"][key] = {
-            "ref": ref.tolist(), "new": new.tolist(),
+            "ref": ref, "new": new,
             "ref_median": float(np.median(ref)), "new_median": float(np.median(new)),
-            "new_lower": int(np.sum(new < ref)), "new_higher": int(np.sum(new > ref)),
-            "wilcoxon_p": "identical" if np.array_equal(new, ref)
-            else float(wilcoxon(new, ref).pvalue)}
+            "new_lower": paired.pairs_won(ref, new), "new_higher": paired.pairs_won(new, ref),
+            "wilcoxon_p": "identical" if new == ref else float(wilcoxon(new, ref).pvalue)}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for s in (1, SCANS):
         r = record["one_scan"][f"after_{s}"]
@@ -242,12 +232,12 @@ def main() -> None:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--worker"]:
-        src, mode, *rest = sys.argv[2:]
+        mode, *rest = sys.argv[2:]
         if mode == "start":
-            worker_start(src, int(rest[0]), rest[1])
+            worker_start(int(rest[0]), rest[1])
         elif mode == "scan":
-            worker_scan(src, int(rest[0]), rest[1], int(rest[2]), int(rest[3]), rest[4])
+            worker_scan(int(rest[0]), rest[1], int(rest[2]), int(rest[3]), rest[4])
         else:
-            worker_ess(src, [int(s) for s in rest[0].split(",")], rest[1])
+            worker_ess([int(s) for s in rest[0].split(",")], rest[1])
     else:
         main()

@@ -84,8 +84,9 @@ def cmd_simulate(parser, args) -> int:
                              seed=args.seed + rep)
                    for rep in range(args.replicates)]
     except ValueError as err:
-        parser.error(f"--subjects {args.subjects} --channels {args.channels} "
-                     f"--timepoints {args.timepoints} --snr {args.snr}: {err}")
+        parser.error(f"--seed {args.seed} --subjects {args.subjects} "
+                     f"--channels {args.channels} --timepoints {args.timepoints} "
+                     f"--snr {args.snr}: {err}")
     out = _prepare_out(parser, args.out, args.force)
     rep_dirs = []
     for rep, design in enumerate(designs, start=1):
@@ -124,7 +125,8 @@ def cmd_fit(parser, args) -> int:
                             init_mode=args.init, audit_every=args.audit_every)
     except ValueError as err:
         parser.error(f"--iters {args.iters} --burnin {args.burnin} --thin {args.thin} "
-                     f"--chains {args.chains}: {err}")
+                     f"--chains {args.chains} --seed {args.seed} "
+                     f"--audit-every {args.audit_every}: {err}")
     try:
         worker_cap()
     except ValueError as err:

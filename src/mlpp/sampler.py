@@ -91,6 +91,9 @@ class SamplerConfig:
             raise ValueError("no draws would be kept; lower burn_in or thin")
         if self.n_chains < 1:
             raise ValueError("n_chains must be positive")
+        for name in ("seed", "audit_every", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     @property
     def n_draws(self) -> int:

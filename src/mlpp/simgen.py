@@ -51,6 +51,8 @@ class SimDesign:
             raise ValueError("n_group_a must be in [1, n_subjects)")
         if not self.snr > 0:
             raise ValueError("snr must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.outlier_subjects is None:
             u = self.n_subjects
             self.outlier_subjects = (1, 2, u - 1, u)

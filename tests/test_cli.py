@@ -406,9 +406,15 @@ def test_fit_reports_missing_hyperparams_before_writing(sim_dir, tmp_path, capsy
     (["--hyperparams", "RUN_HP", "--var-threshold", "0.01"],
      r"the hyperparameters have 2 component\(s\), but the basis at "
      r"--var-threshold 0.01 has 1$"),
+    (["--seed", "-1"], r"--seed -1 .*: seed must be non-negative, got -1$"),
+    (["--audit-every", "-1"], r"--audit-every -1: audit_every must be non-negative, got -1$"),
+    # read prior constants skip the calibration, which also takes the seed
+    (["--hyperparams", "RUN_HP", "--seed", "-1"],
+     r"--seed -1 .*: seed must be non-negative, got -1$"),
 ], ids=["threshold-0", "threshold-1.5", "penalty", "basis-2", "basis-50", "clusters",
         "sticks", "unknown-field", "noise-nan", "sd-bound-nan", "mean-prec-inf",
-        "mean-loc-nan", "clusters-float", "clusters-bool", "components"])
+        "mean-loc-nan", "clusters-float", "clusters-bool", "components", "seed",
+        "audit-every", "seed-hyperparams"])
 def test_fit_rejects_flag_values_before_writing(sim_dir, run_dir, tmp_path, capsys,
                                                 flags, message):
     flags = [str(run_dir / "hyperparams.json") if flag == "RUN_HP" else flag
@@ -436,7 +442,8 @@ def test_fit_refuses_nonempty_out_without_force(sim_dir, tmp_path, capsys):
     (["--subjects", "1"], r"--subjects 1 .*: n_group_a must be in \[1, n_subjects\)"),
     (["--channels", "0"], r"--channels 0 .*: n_channels must be at least 1"),
     (["--replicates", "0"], r"--replicates 0: need at least 1$"),
-], ids=["timepoints", "snr", "subjects", "channels", "replicates"])
+    (["--seed", "-1"], r"--seed -1 .*: seed must be non-negative, got -1$"),
+], ids=["timepoints", "snr", "subjects", "channels", "replicates", "seed"])
 def test_simulate_rejects_flag_values_before_writing(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
     line = _usage_error(capsys, ["simulate", "--out", str(out), *flags])

@@ -610,6 +610,9 @@ def test_config_validation():
         SamplerConfig(n_iter=10, burn_in=8, thin=5)
     with pytest.raises(ValueError, match="n_chains"):
         SamplerConfig(n_iter=10, n_chains=0)
+    for name in ("seed", "audit_every", "checkpoint_every"):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got -1$"):
+            SamplerConfig(n_iter=10, **{name: -1})
     assert SamplerConfig(n_iter=9, burn_in=3, thin=2).n_draws == 3
 
 
