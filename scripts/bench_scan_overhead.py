@@ -11,11 +11,11 @@ Three sizes:
     D    the CLI default: 40 x 50 x 150, SNR 6, smoothed, threshold 0.9
 
 At R and D the scan is called as run_chain calls it: with the chain
-constants built once, when the tree has them.  Each tree runs in its own
-worker process (both trees define the package ``mlpp``) with the child
-environment of scripts/paired.py; it holds one chain per size, started
-from the empirical start (cal: from a prior draw) and advanced WARM
-scans before any timing.
+constants built once.  Each tree runs in its own worker process (both
+trees define the package ``mlpp``) with the child environment of
+scripts/paired.py; it holds one chain per size, started from the
+empirical start (cal: from a prior draw) and advanced WARM scans before
+any timing.
 
 A timing block is SCANS scans of one tree at one size.  Blocks alternate
 between the trees in the harness's pair order.  Per tree and size the
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import statistics
 import subprocess
@@ -102,10 +101,7 @@ def _fitted_problem(size: str):
     hp = estimate_hyperparams(basis, data.group_codes, seed=11)
     ws = sampler.make_workspace(smoothed, basis)
     state = sampler.initial_state_empirical(basis, hp, ws)
-    kwargs = {}
-    if "consts" in inspect.signature(sampler.gibbs_scan).parameters:
-        kwargs["consts"] = sampler.chain_constants(hp, ws.group_codes)
-    return hp, ws, state, kwargs
+    return hp, ws, state, {"consts": sampler.chain_constants(hp, ws.group_codes)}
 
 
 def _digest(state) -> str:

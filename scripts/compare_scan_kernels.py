@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
 import sys
 import tempfile
@@ -79,9 +78,7 @@ def worker_start(design_seed: int, out: str) -> None:
     import mlpp.sampler as S
     ws = S.make_workspace(data, basis)
     rng = np.random.default_rng(design_seed)
-    # trees whose empirical start still drew channel labels take the rng
-    params = inspect.signature(S.initial_state_empirical).parameters
-    state = S.initial_state_empirical(basis, hp, ws, *([rng] if "rng" in params else []))
+    state = S.initial_state_empirical(basis, hp, ws)
     for _ in range(START_SCANS):
         S.gibbs_scan(state, ws, hp, rng)
     np.savez(out, **{f.name: getattr(state, f.name) for f in dataclasses.fields(state)})

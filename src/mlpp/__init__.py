@@ -5,6 +5,8 @@ per-dimension cluster allocations, partition point estimates with
 credible balls, and chain diagnostics.
 """
 
+__version__ = "0.1.0"
+
 from .fpca import (EigenBasis, FunctionalDataset, fit_fpca, read_basis,
                    read_dataset_csv, reconstruct, smooth_dataset, write_basis,
                    write_dataset_csv)
@@ -20,8 +22,6 @@ from .partitions import (adjusted_rand_index, credible_ball,
                          vi_point_estimate)
 from .diagnostics import diagnose_archives, effective_sample_size, split_rhat
 from .smoothing import CurveSmoother
-
-__version__ = "0.1.0"
 
 __all__ = [
     "EigenBasis", "FunctionalDataset", "fit_fpca", "read_basis",

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .diagnostics import (MIN_DRAWS, diagnose_archives, export_density, export_trace,
                           format_diagnostics_table, write_diagnostics_csv)
 from .fpca import (fit_fpca, read_dataset_csv, smooth_dataset, write_basis,
@@ -27,8 +28,6 @@ from .partitions import (_summarize_dimension, format_partition_table,
 from .sampler import (SamplerConfig, load_archives, run_chains, save_archives,
                       worker_cap)
 from .simgen import SimDesign, read_truth_json, simulate, write_truth_json
-
-PACKAGE_VERSION = "0.1.0"
 
 
 def _sha256(path) -> str:
@@ -46,7 +45,7 @@ def _manifest(args: argparse.Namespace, inputs: dict | None = None) -> dict:
         "command": args.command,
         "flags": {key: val for key, val in sorted(vars(args).items())
                   if key not in ("func", "command")},
-        "versions": {"mlpp": PACKAGE_VERSION, "numpy": np.__version__,
+        "versions": {"mlpp": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
     }
     if inputs:
@@ -175,8 +174,8 @@ def cmd_diagnose(parser, args) -> int:
     if archives[0].n_draws < MIN_DRAWS:
         parser.error(f"{run_dir} keeps {archives[0].n_draws} draw(s) per chain; "
                      f"diagnose needs at least {MIN_DRAWS}")
-    rows = diagnose_archives(archives, rhat_threshold=args.rhat_threshold,
-                             ess_threshold=args.ess_threshold)
+    rows = _read(parser, diagnose_archives, archives, args.rhat_threshold,
+                 args.ess_threshold)
     write_diagnostics_csv(run_dir / "diagnostics.csv", rows)
     names = args.trace or ["noise_prec"]
     index = {name: j for j, name in enumerate(archives[0].scalar_names)}

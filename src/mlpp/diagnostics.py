@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tables import grid_index, write_table
+from .tables import format_text_table, grid_index, write_table
 
 _CONSTANT_TOL = 1e-12
 MIN_DRAWS = 4
@@ -175,7 +175,11 @@ def diagnose_archives(archives, rhat_threshold: float = 1.1,
     (for instance a count locked at its posterior mode) are marked
     'constant' and not treated as failures.  Every statistic is computed
     for all scalars at once, from one (scalars, chains, draws) block.
+    The thresholds must be finite: a NaN one would flag nothing.
     """
+    for name, value in (("rhat_threshold", rhat_threshold), ("ess_threshold", ess_threshold)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     names = archives[0].scalar_names
     n = archives[0].scalars.shape[0]
     _check_length(n)
@@ -206,10 +210,7 @@ def format_diagnostics_table(rows: list) -> str:
         table.append([row["name"], f"{row['mean']:.4g}", f"{row['sd']:.4g}",
                       f"{row['rhat']:.4f}", f"{row['ess']:.1f}",
                       ",".join(row["flags"]) or "-"])
-    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
-    lines = ["  ".join(val.rjust(w) for val, w in zip(row, widths))
-             for row in table]
-    return "\n".join(lines)
+    return format_text_table(table)
 
 
 def write_diagnostics_csv(path, rows: list) -> None:

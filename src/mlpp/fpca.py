@@ -22,6 +22,13 @@ GROUP_A = 2
 GROUP_B = 3
 
 
+def check_group_codes(group_codes: np.ndarray) -> None:
+    """Raise unless every group code is GROUP_A or GROUP_B."""
+    # return_index: a plain np.unique imports numpy.ma (numpy 2.4)
+    if not set(np.unique(group_codes, return_index=True)[0]) <= {GROUP_A, GROUP_B}:
+        raise ValueError(f"group codes must be {GROUP_A} or {GROUP_B}")
+
+
 def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
     """Quadrature weights so that sum(w * f) approximates the integral of f."""
     w = np.zeros_like(time_grid)
@@ -36,7 +43,8 @@ class FunctionalDataset:
     """Curves values[u, i, t] for subject u, channel i, time t.
 
     group_codes[u] is 2 (group A, first condition) or 3 (group B, second).
-    subject_ids are external labels carried through to reports.
+    subject_ids are data.csv's labels; a run's files number subjects from
+    1 in dataset order, which read_dataset_csv takes from first appearance.
     """
 
     values: np.ndarray
@@ -57,9 +65,7 @@ class FunctionalDataset:
             raise ValueError("time grid must be strictly increasing")
         if self.group_codes.shape != (u,):
             raise ValueError("one group code per subject required")
-        # return_index: a plain np.unique imports numpy.ma (numpy 2.4)
-        if not set(np.unique(self.group_codes, return_index=True)[0]) <= {GROUP_A, GROUP_B}:
-            raise ValueError(f"group codes must be {GROUP_A} or {GROUP_B}")
+        check_group_codes(self.group_codes)
         if not self.subject_ids:
             self.subject_ids = list(range(1, u + 1))
         if len(self.subject_ids) != u:
@@ -116,8 +122,8 @@ def smooth_dataset(raw: FunctionalDataset, basis_size: int,
     penalty=None selects a single shared penalty by generalized
     cross-validation over a fixed log-spaced grid.
     """
-    if penalty is not None and penalty < 0:
-        raise ValueError("penalty must be nonnegative")
+    if penalty is not None and not 0 <= penalty < np.inf:
+        raise ValueError("penalty must be nonnegative and finite")
     smoother = CurveSmoother(raw.time_grid, basis_size)
     if penalty is None:
         penalty = smoother.select_penalty(raw.values)
@@ -254,7 +260,9 @@ def read_dataset_csv(path, time_grid_path) -> FunctionalDataset:
         raise ValueError(f"{path}: subject {sids[subject[extra[0]]]} has channel "
                          f"{channel[extra[0]]}, which subject {sids[0]} lacks")
     values = rows["values"][order].reshape(sids.size, per_subject[0], t)
-    ids = [int(s) if s.lstrip("-").isdigit() else s for s in sids.tolist()]
+    # ASCII digits only: str.isdigit also passes digits that int() rejects
+    ids = [int(s) if s.isascii() and s.removeprefix("-").isdigit() else s
+           for s in sids.tolist()]
     return FunctionalDataset(values, time_grid, group, ids)
 
 

@@ -17,12 +17,12 @@ code and the channel allocation whenever they are needed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .fpca import GROUP_A, GROUP_B
+from .fpca import GROUP_A, check_group_codes
 from .hyperparams import HyperParams
 from .tables import grid_index, read_table, scatter, write_table
 
@@ -32,6 +32,8 @@ CAT_COMMON = 1
 CAT_GROUP = 2
 CAT_SUBJECT = 3
 FIRST_SUBJECT_LABEL = 4
+# validate_state's tolerance on the sums of the category and stick weights
+WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass
@@ -97,15 +99,10 @@ class ModelState:
                                      self.group_codes)
 
     def copy(self) -> "ModelState":
-        return ModelState(
-            scores=self.scores.copy(), noise_prec=self.noise_prec,
-            subject_alloc=self.subject_alloc.copy(),
-            channel_alloc=self.channel_alloc.copy(),
-            cluster_mean=self.cluster_mean.copy(), cluster_prec=self.cluster_prec.copy(),
-            category_weights=self.category_weights.copy(),
-            raw_sticks=self.raw_sticks.copy(), stick_weights=self.stick_weights.copy(),
-            group_codes=self.group_codes.copy(),
-        )
+        """A copy of every array; noise_prec is passed on as it is."""
+        arrays = {f.name: getattr(self, f.name).copy() for f in fields(self)
+                  if f.name != "noise_prec"}
+        return ModelState(noise_prec=self.noise_prec, **arrays)
 
 
 def derive_cluster_labels(subject_alloc: np.ndarray, channel_alloc: np.ndarray,
@@ -268,8 +265,7 @@ def sticks_to_weights(raw_sticks: np.ndarray) -> np.ndarray:
     return weights
 
 
-def validate_state(state: ModelState, hp: HyperParams | None = None,
-                   atol: float = 1e-12) -> None:
+def validate_state(state: ModelState, hp: HyperParams | None = None) -> None:
     """Raise if any structural invariant is violated."""
     u, n, k = state.scores.shape
     j = state.max_subject_clusters
@@ -277,8 +273,7 @@ def validate_state(state: ModelState, hp: HyperParams | None = None,
         raise ValueError("scores must be finite")
     if not (np.isfinite(state.noise_prec) and state.noise_prec > 0):
         raise ValueError("noise precision must be finite and positive")
-    if not set(np.unique(state.group_codes, return_index=True)[0]) <= {GROUP_A, GROUP_B}:
-        raise ValueError("group codes must be 2 or 3")
+    check_group_codes(state.group_codes)
     if np.any((state.subject_alloc < CAT_COMMON) | (state.subject_alloc > CAT_SUBJECT)):
         raise ValueError("subject allocations must be 1, 2 or 3")
     if np.any(state.channel_alloc < FIRST_SUBJECT_LABEL) or \
@@ -289,9 +284,9 @@ def validate_state(state: ModelState, hp: HyperParams | None = None,
         raise ValueError("cluster grids must have shape (K, 3 + U*J)")
     if np.any(state.cluster_prec <= 0):
         raise ValueError("cluster precisions must be positive")
-    if np.max(np.abs(state.category_weights.sum(axis=1) - 1.0)) > atol:
+    if np.max(np.abs(state.category_weights.sum(axis=1) - 1.0)) > WEIGHT_SUM_TOL:
         raise ValueError("category weights must sum to 1 per dimension")
-    if np.max(np.abs(state.stick_weights.sum(axis=2) - 1.0)) > atol:
+    if np.max(np.abs(state.stick_weights.sum(axis=2) - 1.0)) > WEIGHT_SUM_TOL:
         raise ValueError("stick weights must sum to 1 per (dimension, group)")
     if hp is not None:
         bound = cluster_prior(hp, state.group_codes)[2]

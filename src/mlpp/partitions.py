@@ -21,7 +21,7 @@ import numpy as np
 
 from .fpca import GROUP_A
 from .model import CAT_COMMON, CAT_GROUP, CAT_SUBJECT
-from .tables import write_table
+from .tables import format_text_table, write_table
 
 
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -374,10 +374,9 @@ def _summarize_dimension(subject_alloc_draws, group_codes, dim, truth_labels, le
     return report, sim
 
 
-def write_similarity_csv(path, sim: np.ndarray, subject_ids=None) -> None:
-    sim = np.asarray(sim)
-    ids = np.arange(1, sim.shape[0] + 1) if subject_ids is None \
-        else np.array([int(i) for i in subject_ids])
+def write_similarity_csv(path, sim: np.ndarray) -> None:
+    """The similarity matrix, subjects numbered from 1 in dataset order."""
+    ids = np.arange(1, len(sim) + 1)
     write_table(path, ["subject_id"] + [str(i) for i in ids.tolist()], ids, sim)
 
 
@@ -405,6 +404,4 @@ def format_partition_table(reports: list) -> str:
             row += [f"{rep.get('ari_to_truth', float('nan')):.3f}",
                     str(rep.get("misclassified", ""))]
         rows.append(row)
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(val.rjust(w) for val, w in zip(row, widths)) for row in rows]
-    return "\n".join(lines)
+    return format_text_table(rows)

@@ -168,6 +168,11 @@ def _uniform_sd_draw(rng: np.random.Generator, bound: np.ndarray) -> np.ndarray:
                       (1.0 - 1e-12) * bound)
 
 
+def _clamp_sticks(raw_sticks: np.ndarray) -> np.ndarray:
+    """Beta draws of stick proportions kept strictly inside (0, 1)."""
+    return np.minimum(np.maximum(raw_sticks, 1e-12), 1.0 - 1e-12)
+
+
 def _in_bulk(shape, rate, lower):
     """Whether Gamma(shape, rate) truncated below at lower is drawn by
     plain rejection: a truncation point at most one sd above the mean,
@@ -299,8 +304,7 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
     cluster_prec = _uniform_sd_draw(rng, bound) ** -2.0
 
     category_weights = np.vstack([rng.dirichlet(hp.category_conc) for _ in range(k)])
-    raw_sticks = np.minimum(np.maximum(rng.beta(1.0, hp.stick_conc[:, None, None],
-                                                size=(k, 2, j)), 1e-12), 1.0 - 1e-12)
+    raw_sticks = _clamp_sticks(rng.beta(1.0, hp.stick_conc[:, None, None], size=(k, 2, j)))
     stick_weights = sticks_to_weights(raw_sticks)
 
     subject_alloc = _categorical_draw(
@@ -420,8 +424,7 @@ def _segment_sum(index: np.ndarray, n_dims: int, n_clusters: int,
 def cluster_counts(state: ModelState, index: np.ndarray) -> np.ndarray:
     """Member count of every cluster, (K, 3 + U*J), given the cluster_index
     of the scores."""
-    u, _, k = state.scores.shape
-    return _segment_sum(index, k, 3 + u * state.max_subject_clusters)
+    return _segment_sum(index, *state.cluster_mean.shape)
 
 
 def cluster_mean_params(state: ModelState, prior: np.ndarray, index: np.ndarray,
@@ -540,10 +543,14 @@ def update_subject_alloc(state: ModelState, rng: np.random.Generator) -> None:
             _categorical_draw(rng, chan_post[:, dims, subjects]) + FIRST_SUBJECT_LABEL
 
 
+def _category_counts(subject_alloc: np.ndarray) -> np.ndarray:
+    """Number of subjects in each category per dimension, (K, 3)."""
+    return (subject_alloc[:, :, None] == _CATEGORIES).sum(axis=0)
+
+
 def category_weight_params(state: ModelState, hp: HyperParams) -> np.ndarray:
     """Dirichlet concentrations of the category-weight conditional, (K, 3)."""
-    counts = (state.subject_alloc[:, :, None] == _CATEGORIES).sum(axis=0)
-    return hp.category_conc + counts
+    return hp.category_conc + _category_counts(state.subject_alloc)
 
 
 def update_category_weights(state: ModelState, hp: HyperParams,
@@ -560,11 +567,11 @@ def update_category_weights(state: ModelState, hp: HyperParams,
 
 def stick_counts(state: ModelState) -> np.ndarray:
     """Channel-label counts n[k, group, j] among subject-specific scores."""
-    k, j = state.n_components, state.max_subject_clusters
+    k, groups, j = state.raw_sticks.shape
     subj, dim = np.nonzero(state.subject_alloc == CAT_SUBJECT)
-    flat = ((2 * dim + state.group_codes[subj] - GROUP_A) * j)[:, None] \
+    flat = ((groups * dim + state.group_codes[subj] - GROUP_A) * j)[:, None] \
         + state.channel_alloc[subj, :, dim] - FIRST_SUBJECT_LABEL    # (subject dims, n)
-    return np.bincount(flat.ravel(), minlength=k * 2 * j).reshape(k, 2, j)
+    return np.bincount(flat.ravel(), minlength=k * groups * j).reshape(k, groups, j)
 
 
 def stick_params(state: ModelState, hp: HyperParams):
@@ -579,7 +586,7 @@ def stick_params(state: ModelState, hp: HyperParams):
 
 def update_sticks(state: ModelState, hp: HyperParams, rng: np.random.Generator) -> None:
     a, b = stick_params(state, hp)
-    state.raw_sticks = np.minimum(np.maximum(rng.beta(a, b), 1e-12), 1.0 - 1e-12)
+    state.raw_sticks = _clamp_sticks(rng.beta(a, b))
     state.stick_weights = sticks_to_weights(state.raw_sticks)
 
 
@@ -629,9 +636,8 @@ def _scalar_row(state: ModelState) -> list[float]:
     mean and precision of grid slots 0-2 (common, then the two groups)
     interleaved, and the category counts."""
     shared = np.stack([state.cluster_mean[:, :3], state.cluster_prec[:, :3]], axis=2)
-    counts = (state.subject_alloc[:, :, None] == _CATEGORIES).sum(axis=0)
-    per_dim = np.concatenate([state.category_weights,
-                              shared.reshape(state.n_components, 6), counts], axis=1)
+    per_dim = np.concatenate([state.category_weights, shared.reshape(state.n_components, 6),
+                              _category_counts(state.subject_alloc)], axis=1)
     return [state.noise_prec] + per_dim.ravel().tolist()
 
 
@@ -748,11 +754,6 @@ def worker_cap() -> int | None:
     return int(cap)
 
 
-def _worker_count(requested: int) -> int:
-    cap = worker_cap()
-    return 1 if cap is None else min(requested, cap)
-
-
 def _chain_job(args):
     data, basis, hp, cfg, index = args
     return run_chain(data, basis, hp, cfg, chain_index=index)
@@ -762,7 +763,8 @@ def run_chains(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
                cfg: SamplerConfig) -> list:
     """Run all configured chains (optionally in parallel worker processes,
     capped by the MLPP_THREADS environment variable)."""
-    workers = _worker_count(cfg.n_chains)
+    cap = worker_cap()
+    workers = 1 if cap is None else min(cfg.n_chains, cap)
     jobs = [(data, basis, hp, cfg, i) for i in range(cfg.n_chains)]
     if workers > 1 and cfg.n_chains > 1:
         from concurrent.futures import ProcessPoolExecutor

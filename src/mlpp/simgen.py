@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .fpca import GROUP_A, GROUP_B, FunctionalDataset, trapezoid_weights
-from .model import CAT_GROUP, CAT_SUBJECT
+from .fpca import GROUP_A, GROUP_B, FunctionalDataset, _fix_signs, trapezoid_weights
+from .model import CAT_GROUP, CAT_SUBJECT, fitted_curves
 
 MIN_TIMEPOINTS = 16
 
@@ -100,12 +100,7 @@ def make_eigenfunctions(n_timepoints: int) -> tuple[np.ndarray, np.ndarray]:
 
     phi1 = _normalize(bump)
     phi2 = _normalize(wave - np.sum(w * wave * phi1) * phi1)
-    basis = np.column_stack([phi1, phi2])
-    for k in range(2):
-        idx = int(np.argmax(np.abs(basis[:, k])))
-        if basis[idx, k] < 0:
-            basis[:, k] = -basis[:, k]
-    return t, basis
+    return t, _fix_signs(np.column_stack([phi1, phi2]))
 
 
 def _decorrelate(scores: np.ndarray) -> np.ndarray:
@@ -153,7 +148,7 @@ def simulate(design: SimDesign) -> tuple[FunctionalDataset, GroundTruth]:
             subject_labels[s, 1] = 0 if a_side else 1
 
     scores = _decorrelate(scores)
-    noiseless = np.einsum("uik,tk->uit", scores, basis)
+    noiseless = fitted_curves(scores, basis)
     signal_var = float(np.var(noiseless))
     noise_sd = 0.0 if np.isinf(design.snr) else np.sqrt(signal_var / design.snr)
     values = noiseless + rng.normal(0.0, noise_sd, size=noiseless.shape) \

@@ -112,23 +112,18 @@ class CurveSmoother:
         self._to_coef = rinv @ evecs          # coefficients = _to_coef @ shrunk
         self._from_data = evecs.T @ rinv.T @ self.basis.T
 
-    def coefficients(self, curves: np.ndarray, penalty: float) -> np.ndarray:
-        """Spline coefficients for curves (..., T) at a fixed penalty."""
-        proj = self._from_data @ np.atleast_2d(curves).T
-        shrunk = proj / (1.0 + penalty * self._shrink_dirs)[:, None]
-        return (self._to_coef @ shrunk).T
-
     def fit(self, curves: np.ndarray, penalty: float) -> np.ndarray:
-        """Fitted values on the time grid, same shape as curves."""
+        """Fitted values on the time grid, same shape as curves (..., T)."""
         curves = np.asarray(curves, dtype=float)
-        coef = self.coefficients(curves.reshape(-1, self.time_grid.size), penalty)
-        return (coef @ self.basis.T).reshape(curves.shape)
+        proj = self._from_data @ curves.reshape(-1, self.time_grid.size).T
+        shrunk = proj / (1.0 + penalty * self._shrink_dirs)[:, None]
+        return ((self._to_coef @ shrunk).T @ self.basis.T).reshape(curves.shape)
 
     def effective_df(self, penalty: float) -> float:
         return float(np.sum(1.0 / (1.0 + penalty * self._shrink_dirs)))
 
-    def gcv_scores(self, curves: np.ndarray, grid: np.ndarray = GCV_GRID) -> np.ndarray:
-        """Pooled GCV score at each penalty of the grid: mean squared
+    def gcv_scores(self, curves: np.ndarray) -> np.ndarray:
+        """Pooled GCV score at each penalty of GCV_GRID: mean squared
         residual / (1 - df/T)^2 over all curves.
 
         The curves are projected once onto the orthonormal Demmler-Reinsch
@@ -142,12 +137,12 @@ class CurveSmoother:
         z = self._from_data @ curves.T                       # (basis_size, curves)
         outside = curves - ((self.basis @ self._to_coef) @ z).T
         z_sq = np.einsum("bc,bc->b", z, z)
-        lam_d = np.asarray(grid, dtype=float)[:, None] * self._shrink_dirs
+        lam_d = GCV_GRID[:, None] * self._shrink_dirs
         shrink = 1.0 / (1.0 + lam_d)
         rss = float(np.vdot(outside, outside)) + (lam_d * shrink) ** 2 @ z_sq
         denom = (1.0 - shrink.sum(axis=1) / t) ** 2
         return rss / (curves.shape[0] * t * denom)
 
-    def select_penalty(self, curves: np.ndarray, grid: np.ndarray = GCV_GRID) -> float:
-        """Penalty with the smallest pooled GCV score on the grid."""
-        return float(grid[int(np.argmin(self.gcv_scores(curves, grid)))])
+    def select_penalty(self, curves: np.ndarray) -> float:
+        """Penalty with the smallest pooled GCV score on GCV_GRID."""
+        return float(GCV_GRID[int(np.argmin(self.gcv_scores(curves)))])

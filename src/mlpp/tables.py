@@ -19,6 +19,13 @@ import csv
 import numpy as np
 
 
+def format_text_table(rows: list) -> str:
+    """Rows of strings, the first the header, right-aligned in columns two
+    spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.rjust, row, widths)) for row in rows)
+
+
 def grid_index(shape, base: int) -> np.ndarray:
     """Every cell's index, in C order, as (cells, ndim) counted from base."""
     return np.indices(shape).reshape(len(shape), -1).T + base

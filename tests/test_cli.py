@@ -156,6 +156,22 @@ def test_summarize_rejects_level_outside_unit_interval(tmp_path, capsys, level):
     assert f"argument --level: {level} lies outside (0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--rhat-threshold", "nan"], r"rhat_threshold must be finite, got nan$"),
+    (["--rhat-threshold", "inf"], r"rhat_threshold must be finite, got inf$"),
+    (["--ess-threshold", "nan"], r"ess_threshold must be finite, got nan$"),
+    (["--ess-threshold=-inf"], r"ess_threshold must be finite, got -inf$"),
+], ids=["rhat-nan", "rhat-inf", "ess-nan", "ess-minus-inf"])
+def test_diagnose_rejects_non_finite_threshold(run_dir, tmp_path, capsys, flags, message):
+    # a NaN threshold compares false with every draw, so it would flag nothing
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / "diagnostics.csv").unlink(missing_ok=True)
+    line = _usage_error(capsys, ["diagnose", "--run", str(run), *flags])
+    assert re.search(message, line)
+    assert not (run / "diagnostics.csv").exists()
+
+
 def test_diagnose_writes_reports_and_exit_codes(run_dir, capsys):
     rc = main(["diagnose", "--run", str(run_dir),
                "--rhat-threshold", "100", "--ess-threshold", "0.5"])
@@ -387,6 +403,8 @@ def test_fit_reports_missing_hyperparams_before_writing(sim_dir, tmp_path, capsy
     (["--var-threshold", "0"], r"var_threshold must lie in \(0, 1\]"),
     (["--var-threshold", "1.5"], r"var_threshold must lie in \(0, 1\]"),
     (["--penalty", "-1"], r"penalty must be nonnegative"),
+    (["--penalty", "nan"], r"penalty must be nonnegative"),
+    (["--penalty", "inf"], r"penalty must be nonnegative"),
     (["--basis-size", "2"], r"basis_size must be at least 4"),
     (["--basis-size", "50"], r"basis_size cannot exceed the number of time points"),
     (["--set", "max_subject_clusters=0"], r"max_subject_clusters must be at least 1"),
@@ -411,10 +429,10 @@ def test_fit_reports_missing_hyperparams_before_writing(sim_dir, tmp_path, capsy
     # read prior constants skip the calibration, which also takes the seed
     (["--hyperparams", "RUN_HP", "--seed", "-1"],
      r"--seed -1 .*: seed must be non-negative, got -1$"),
-], ids=["threshold-0", "threshold-1.5", "penalty", "basis-2", "basis-50", "clusters",
-        "sticks", "unknown-field", "noise-nan", "sd-bound-nan", "mean-prec-inf",
-        "mean-loc-nan", "clusters-float", "clusters-bool", "components", "seed",
-        "audit-every", "seed-hyperparams"])
+], ids=["threshold-0", "threshold-1.5", "penalty", "penalty-nan", "penalty-inf",
+        "basis-2", "basis-50", "clusters", "sticks", "unknown-field", "noise-nan",
+        "sd-bound-nan", "mean-prec-inf", "mean-loc-nan", "clusters-float",
+        "clusters-bool", "components", "seed", "audit-every", "seed-hyperparams"])
 def test_fit_rejects_flag_values_before_writing(sim_dir, run_dir, tmp_path, capsys,
                                                 flags, message):
     flags = [str(run_dir / "hyperparams.json") if flag == "RUN_HP" else flag

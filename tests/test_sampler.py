@@ -822,7 +822,7 @@ def test_multichain_parallel_matches_serial(tiny_problem, monkeypatch):
 def test_worker_count_rejects_malformed_thread_cap(monkeypatch, cap):
     monkeypatch.setenv("MLPP_THREADS", cap)
     with pytest.raises(ValueError, match="MLPP_THREADS must be a positive integer"):
-        mlpp.sampler._worker_count(2)
+        mlpp.sampler.worker_cap()
 
 
 def test_archive_round_trip(tiny_problem, tmp_path):

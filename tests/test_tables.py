@@ -105,11 +105,6 @@ PINNED = {
         b"1,1.0,0.5,0.0\r\n"
         b"2,0.5,1.0,0.3333333333333333\r\n"
         b"3,0.0,0.3333333333333333,1.0\r\n",
-    "similarity_ids.csv":
-        b"subject_id,3,5,11\r\n"
-        b"3,1.0,0.5,0.0\r\n"
-        b"5,0.5,1.0,0.3333333333333333\r\n"
-        b"11,0.0,0.3333333333333333,1.0\r\n",
 }
 
 
@@ -179,7 +174,6 @@ def test_every_csv_writer_keeps_its_bytes(tmp_path, monkeypatch):
          "rhat": 1.25, "ess": 3.5, "flags": ["rhat", "ess"]}])
     sim = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 1.0 / 3], [0.0, 1.0 / 3, 1.0]])
     write_similarity_csv(tmp_path / "similarity.csv", sim)
-    write_similarity_csv(tmp_path / "similarity_ids.csv", sim, subject_ids=[3, 5, 11])
     written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.csv"))
     assert written == sorted(PINNED)
     for name, expected in PINNED.items():
@@ -388,14 +382,15 @@ def test_load_state_rejects_malformed_files(tmp_path, name, edit, message):
 
 
 def test_dataset_csv_round_trips_text_subject_ids(tmp_path):
-    # ids holding a comma are quoted; a '#' is data, not a comment
+    # ids holding a comma are quoted; a '#' is data, not a comment; "\u00b2"
+    # (a superscript two) passes str.isdigit() but not int(), so it stays text
     from mlpp.fpca import read_dataset_csv
-    data = FunctionalDataset(np.arange(12.0).reshape(3, 2, 2) / 3.0, np.array([0.0, 1.0]),
-                             np.array([2, 3, 2]), ["s#1", "a,b", "-4"])
+    data = FunctionalDataset(np.arange(16.0).reshape(4, 2, 2) / 3.0, np.array([0.0, 1.0]),
+                             np.array([2, 3, 2, 3]), ["s#1", "a,b", "-4", "\u00b2"])
     write_dataset_csv(data, tmp_path / "data.csv")
     write_time_grid_csv(data.time_grid, tmp_path / "grid.csv")
     assert (tmp_path / "data.csv").read_bytes().count(b'"a,b"') == 2
     back = read_dataset_csv(tmp_path / "data.csv", tmp_path / "grid.csv")
-    assert back.subject_ids == ["s#1", "a,b", -4]
+    assert back.subject_ids == ["s#1", "a,b", -4, "\u00b2"]
     np.testing.assert_array_equal(back.values, data.values)
     np.testing.assert_array_equal(back.group_codes, data.group_codes)
