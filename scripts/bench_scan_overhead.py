@@ -15,28 +15,32 @@ constants built once.  Each tree runs in its own worker process (both
 trees define the package ``mlpp``) with the child environment of
 scripts/paired.py; it holds one chain per size, started from the
 empirical start (cal: from a prior draw) and advanced WARM scans before
-any timing.
+any timing.  Every round starts a fresh worker per tree, so that a
+process's own speed offset (where its arrays landed, how its heap grew)
+varies between pairs instead of biasing every ratio of a run; the warm-up
+is deterministic, so each round times the same scans.
 
-A timing block is SCANS scans of one tree at one size.  Blocks alternate
-between the trees in the harness's pair order.  Per tree and size the
-script reports the best (minimum) time per scan over the rounds, which
-is the least disturbed by other load on the machine, and the median
-beside it.  Load on a shared machine drifts between rounds more than
-within one, so the comparison rests on the paired ratios new / ref of
-the two blocks of each round: their median, quartiles and the share of
-rounds in which the new tree was faster.  Separate rounds wrap each of
-the six update functions of ``mlpp.sampler`` in a timer to give the time
-per update block (the medians over those rounds; the wrappers add about
-a microsecond per call).  At cal size the script also times
+A timing block is SCANS scans of one tree at one size.  Within a round,
+blocks alternate between the trees in the harness's pair order.  Per
+tree and size the script reports the best (minimum) time per scan over
+the rounds, which is the least disturbed by other load on the machine,
+and the median beside it.  Load on a shared machine drifts between
+rounds more than within one, so the comparison rests on the paired
+ratios new / ref of the two blocks of each round: their median,
+quartiles and the share of rounds in which the new tree was faster.  In
+the first SPLIT rounds a second pair of blocks per size wraps each of the
+six update functions of ``mlpp.sampler`` in a timer to give the time per
+update block (the medians over those rounds; the wrappers add about a
+microsecond per call).  At cal size the script also times
 ``draw_state_from_prior``, which gates 03a and 03b call 1.1e5 times.
 
-Each tree then runs, per size, a fixed-seed chain of DIGEST_SCANS scans
-from the same start and hashes the state's arrays (SHA-256): equal
-digests mean the trees draw the same chain.
+In the first round each tree also runs, per size, a fixed-seed chain of
+DIGEST_SCANS scans from the same start and hashes the state's arrays
+(SHA-256): equal digests mean the trees draw the same chain.
 
 Usage:
     python scripts/bench_scan_overhead.py REF_SRC NEW_SRC [--rounds N]
-        [--scans S] [--split-rounds M] [--out BENCH_scan_overhead.json]
+        [--scans S] [--split-rounds SPLIT] [--out BENCH_scan_overhead.json]
 
 REF_SRC and NEW_SRC are the ``src`` directories of the two trees.
 """
@@ -98,7 +102,7 @@ def _fitted_problem(size: str):
                                  n_group_a=u // 2, snr=6.0, seed=11))
     smoothed = smooth_dataset(data, 25)
     basis = fit_fpca(smoothed, var_threshold=threshold)
-    hp = estimate_hyperparams(basis, data.group_codes, seed=11)
+    hp = estimate_hyperparams(basis, data.group_codes)
     ws = sampler.make_workspace(smoothed, basis)
     state = sampler.initial_state_empirical(basis, hp, ws)
     return hp, ws, state, {"consts": sampler.chain_constants(hp, ws.group_codes)}
@@ -197,13 +201,18 @@ class Tree:
         self.proc.wait()
 
 
-def _rounds(trees: dict, rounds: int, op: dict) -> dict:
-    """op run on both trees, in the pair order; replies per tree."""
-    out = {label: [] for label in trees}
-    for r in range(rounds):
-        for label in paired.order(r):
-            out[label].append(trees[label].ask(op))
-    return out
+def _round(srcs: dict, r: int, ops: list) -> dict:
+    """Round R: a fresh worker per tree runs each op, the two trees taking
+    turns in the pair order; the replies per op key and tree."""
+    trees = {}
+    try:
+        for label in srcs:
+            trees[label] = Tree(srcs[label])
+        return {key: {label: trees[label].ask(op) for label in paired.order(r)}
+                for key, op in ops}
+    finally:
+        for tree in trees.values():
+            tree.close()
 
 
 def _paired(ref: list, new: list) -> dict:
@@ -225,61 +234,66 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=Path("BENCH_scan_overhead.json"))
     args = parser.parse_args()
 
-    trees = {"ref": Tree(args.ref_src.resolve()), "new": Tree(args.new_src.resolve())}
+    srcs = {"ref": args.ref_src.resolve(), "new": args.new_src.resolve()}
+    replies = {}
+    for r in range(args.rounds):
+        splits = (False, True) if r < args.split_rounds else (False,)
+        ops = [((size, split), {"op": "scan", "size": size, "scans": args.scans,
+                                "split": split}) for size in SIZES for split in splits]
+        ops.append((("cal", "prior_draw"), {"op": "prior_draw"}))
+        if r == 0:
+            ops += [((size, "digest"), {"op": "digest", "size": size}) for size in SIZES]
+        for key, reply in _round(srcs, r, ops).items():
+            for label in srcs:
+                replies.setdefault(key, {}).setdefault(label, []).append(reply[label])
+        print(f"round {r + 1}/{args.rounds}: R ms/scan " + ", ".join(
+            f"{label} {replies['R', False][label][-1]['ms']:.3f}" for label in srcs),
+            flush=True)
+
     results, samples = {}, {}
-    try:
-        for size in SIZES:
-            scans = _rounds(trees, args.rounds, {"op": "scan", "size": size,
-                                                 "scans": args.scans, "split": False})
-            split = _rounds(trees, args.split_rounds, {"op": "scan", "size": size,
-                                                       "scans": args.scans, "split": True})
-            digests = {label: tree.ask({"op": "digest", "size": size})["digest"]
-                       for label, tree in trees.items()}
-            samples[size] = {label: [rep["ms"] for rep in reps]
-                             for label, reps in scans.items()}
-            results[size] = {label: {
-                "best_ms": min(samples[size][label]),
-                "median_ms": statistics.median(samples[size][label]),
-                "block_median_ms": {name: statistics.median(
-                    rep["split_ms"][name] for rep in split[label]) for name in BLOCKS},
-                "digest": digests[label]} for label in trees}
-            ref, new = results[size]["ref"], results[size]["new"]
-            results[size]["best_ratio"] = new["best_ms"] / ref["best_ms"]
-            ratio = results[size]["paired_ratio"] = _paired(samples[size]["ref"],
-                                                            samples[size]["new"])
-            results[size]["same_draws"] = digests["ref"] == digests["new"]
-            print(f"{size}: best ms/scan {ref['best_ms']:.3f} -> {new['best_ms']:.3f} "
-                  f"({results[size]['best_ratio'] - 1:+.1%}), median {ref['median_ms']:.3f} "
-                  f"-> {new['median_ms']:.3f}; paired ratio median {ratio['median']:.3f} "
-                  f"(quartiles {ratio['q1']:.3f}-{ratio['q3']:.3f}, new faster in "
-                  f"{ratio['won']:.0%} of rounds); same draws: "
-                  f"{results[size]['same_draws']}", flush=True)
-            for name in BLOCKS:
-                print(f"    {name:24s} {ref['block_median_ms'][name]:.4f} -> "
-                      f"{new['block_median_ms'][name]:.4f} ms")
-        prior = _rounds(trees, args.rounds, {"op": "prior_draw"})
-        results["cal_prior_draw"] = {label: {"best_ms": min(r["ms"] for r in reps),
-                                             "median_ms": statistics.median(
-                                                 r["ms"] for r in reps)}
-                                     for label, reps in prior.items()}
-        samples["cal_prior_draw"] = {label: [r["ms"] for r in reps]
-                                     for label, reps in prior.items()}
-        ratio = results["cal_prior_draw"]["paired_ratio"] = _paired(
-            samples["cal_prior_draw"]["ref"], samples["cal_prior_draw"]["new"])
-        ref, new = (results["cal_prior_draw"][label]["best_ms"] for label in ("ref", "new"))
-        print(f"cal draw_state_from_prior: best ms/call {ref:.4f} -> {new:.4f}; paired "
-              f"ratio median {ratio['median']:.3f} (quartiles {ratio['q1']:.3f}-"
-              f"{ratio['q3']:.3f}, new faster in {ratio['won']:.0%} of rounds)")
-    finally:
-        for tree in trees.values():
-            tree.close()
+    for size in SIZES:
+        scans, split = replies[size, False], replies[size, True]
+        digests = {label: reps[0]["digest"] for label, reps in replies[size, "digest"].items()}
+        samples[size] = {label: [rep["ms"] for rep in reps] for label, reps in scans.items()}
+        results[size] = {label: {
+            "best_ms": min(samples[size][label]),
+            "median_ms": statistics.median(samples[size][label]),
+            "block_median_ms": {name: statistics.median(
+                rep["split_ms"][name] for rep in split[label]) for name in BLOCKS},
+            "digest": digests[label]} for label in srcs}
+        ref, new = results[size]["ref"], results[size]["new"]
+        results[size]["best_ratio"] = new["best_ms"] / ref["best_ms"]
+        ratio = results[size]["paired_ratio"] = _paired(samples[size]["ref"],
+                                                        samples[size]["new"])
+        results[size]["same_draws"] = digests["ref"] == digests["new"]
+        print(f"{size}: best ms/scan {ref['best_ms']:.3f} -> {new['best_ms']:.3f} "
+              f"({results[size]['best_ratio'] - 1:+.1%}), median {ref['median_ms']:.3f} "
+              f"-> {new['median_ms']:.3f}; paired ratio median {ratio['median']:.3f} "
+              f"(quartiles {ratio['q1']:.3f}-{ratio['q3']:.3f}, new faster in "
+              f"{ratio['won']:.0%} of rounds); same draws: "
+              f"{results[size]['same_draws']}", flush=True)
+        for name in BLOCKS:
+            print(f"    {name:24s} {ref['block_median_ms'][name]:.4f} -> "
+                  f"{new['block_median_ms'][name]:.4f} ms")
+    samples["cal_prior_draw"] = {label: [r["ms"] for r in reps]
+                                 for label, reps in replies["cal", "prior_draw"].items()}
+    results["cal_prior_draw"] = {label: {"best_ms": min(values),
+                                         "median_ms": statistics.median(values)}
+                                 for label, values in samples["cal_prior_draw"].items()}
+    ratio = results["cal_prior_draw"]["paired_ratio"] = _paired(
+        samples["cal_prior_draw"]["ref"], samples["cal_prior_draw"]["new"])
+    ref, new = (results["cal_prior_draw"][label]["best_ms"] for label in ("ref", "new"))
+    print(f"cal draw_state_from_prior: best ms/call {ref:.4f} -> {new:.4f}; paired "
+          f"ratio median {ratio['median']:.3f} (quartiles {ratio['q1']:.3f}-"
+          f"{ratio['q3']:.3f}, new faster in {ratio['won']:.0%} of rounds)")
 
     doc = {"script": "scripts/bench_scan_overhead.py",
            "what": "ms per Gibbs scan, best and median over alternating blocks, "
                    "paired per-round ratios new/ref, per update block, and fixed-seed "
                    "draw digests",
            "environment": paired.environment(args.new_src.resolve()),
-           "settings": {"rounds": args.rounds, "scans_per_block": args.scans,
+           "settings": {"rounds": args.rounds, "fresh_workers_per_round": True,
+                        "scans_per_block": args.scans,
                         "split_rounds": args.split_rounds, "warm_scans": WARM,
                         "digest_scans": DIGEST_SCANS, "prior_draws": PRIOR_DRAWS},
            "results": results, "samples": samples}

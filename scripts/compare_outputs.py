@@ -67,7 +67,7 @@ def worker_chain(iters: int, burn_in: int, seed: int) -> None:
     raw = read_dataset_csv("sim/rep_01/data.csv", "sim/rep_01/time_grid.csv")
     data = smooth_dataset(raw, 25)
     basis = fit_fpca(data)
-    hp = estimate_hyperparams(basis, raw.group_codes, seed=seed)
+    hp = estimate_hyperparams(basis, raw.group_codes)
     cfg = SamplerConfig(n_iter=iters, burn_in=burn_in, thin=2, seed=seed,
                         checkpoint_every=max(1, iters // 3))
     checkpoint = Path("chain/checkpoint")

@@ -58,14 +58,14 @@ VAR_THRESHOLD = 0.9
 MIN_BIN = 20
 
 
-def _problem(design_seed: int, hp_seed: int):
+def _problem(design_seed: int):
     from mlpp.fpca import fit_fpca, smooth_dataset
     from mlpp.hyperparams import estimate_hyperparams
     from mlpp.simgen import SimDesign, simulate
     data, _ = simulate(SimDesign(snr=6.0, seed=design_seed))
     smoothed = smooth_dataset(data, 25)
     basis = fit_fpca(smoothed, var_threshold=VAR_THRESHOLD)
-    return smoothed, basis, estimate_hyperparams(basis, data.group_codes, seed=hp_seed)
+    return smoothed, basis, estimate_hyperparams(basis, data.group_codes)
 
 
 def _first_label_counts(state) -> list:
@@ -74,7 +74,7 @@ def _first_label_counts(state) -> list:
 
 
 def worker_start(design_seed: int, out: str) -> None:
-    data, basis, hp = _problem(design_seed, design_seed)
+    data, basis, hp = _problem(design_seed)
     import mlpp.sampler as S
     ws = S.make_workspace(data, basis)
     rng = np.random.default_rng(design_seed)
@@ -86,7 +86,7 @@ def worker_start(design_seed: int, out: str) -> None:
 
 def worker_scan(design_seed: int, start: str, replicates: int, base: int,
                 out: str) -> None:
-    data, basis, hp = _problem(design_seed, design_seed)
+    data, basis, hp = _problem(design_seed)
     import mlpp.sampler as S
     from mlpp.model import ModelState
     ws = S.make_workspace(data, basis)
@@ -112,7 +112,7 @@ def worker_ess(seeds: list, out: str) -> None:
     from mlpp.sampler import SamplerConfig, run_chains
     result = []
     for seed in seeds:
-        data, basis, hp = _problem(seed * 1000 + 1, seed)
+        data, basis, hp = _problem(seed * 1000 + 1)
         cfg = SamplerConfig(n_iter=ITERS, burn_in=BURN_IN, n_chains=CHAINS, seed=seed)
         archives = run_chains(data, basis, hp, cfg)
         values = []

@@ -146,7 +146,7 @@ def cmd_fit(parser, args) -> int:
         parser, smooth_dataset, raw, args.basis_size, args.penalty)
     basis = _read(parser, fit_fpca, smoothed, args.var_threshold)
     if hp is None:
-        hp = _read(parser, estimate_hyperparams, basis, raw.group_codes, args.seed)
+        hp = _read(parser, estimate_hyperparams, basis, raw.group_codes)
     hp = _read(parser, apply_scenario, hp, args.scenario, overrides)
     if hp.n_components != basis.n_components:
         parser.error(f"the hyperparameters have {hp.n_components} component(s), but "

@@ -260,9 +260,10 @@ def read_dataset_csv(path, time_grid_path) -> FunctionalDataset:
         raise ValueError(f"{path}: subject {sids[subject[extra[0]]]} has channel "
                          f"{channel[extra[0]]}, which subject {sids[0]} lacks")
     values = rows["values"][order].reshape(sids.size, per_subject[0], t)
-    # ASCII digits only: str.isdigit also passes digits that int() rejects
-    ids = [int(s) if s.isascii() and s.removeprefix("-").isdigit() else s
-           for s in sids.tolist()]
+    # an id is an int only where it is that int's own text, so that "007"
+    # and "7" stay two subjects; str.isdigit also passes digits int() rejects
+    ids = [int(s) if s.isascii() and s.removeprefix("-").isdigit() and str(int(s)) == s
+           else s for s in sids.tolist()]
     return FunctionalDataset(values, time_grid, group, ids)
 
 

@@ -1,10 +1,11 @@
 """Empirical hyperparameters for the multilevel clustering model.
 
-All prior constants are derived from the empirical fPC scores: bootstrap
-variances of score means set the precision of the cluster-mean priors,
-squared standard deviations bound the uniform priors on cluster standard
-deviations, and the range rule sets the spread of the subject-specific
-mean prior.  Six named sensitivity scenarios perturb these recipes.
+All prior constants are derived from the empirical fPC scores alone, so
+calibration draws nothing: the exact (ideal) bootstrap variances of score
+means set the precision of the cluster-mean priors, squared standard
+deviations bound the uniform priors on cluster standard deviations, and
+the range rule sets the spread of the subject-specific mean prior.  Six
+named sensitivity scenarios perturb these recipes.
 """
 from __future__ import annotations
 
@@ -95,36 +96,52 @@ class HyperParams:
             raise ValueError("max_subject_clusters must be at least 1")
 
 
-# Bootstrap resamples per variance estimate, averaged per block, which
-# bounds the gathered values held at once to _BOOT_BLOCK x sample_size.
-_BOOT_REPS = 1000
+# Resamples per block in _bootstrap_mean_var, which bounds the gathered
+# values held at once to _BOOT_BLOCK x sample_size.
 _BOOT_BLOCK = 64
 
 
 def _bootstrap_mean_var(rng: np.random.Generator, values: np.ndarray,
                         sample_size: int, reps: int) -> float:
     """Variance (ddof 1) of the means of reps resamples, with replacement,
-    of sample_size values.  The int32 indices consume the generator as
-    int64 ones would, and the means are taken a block of resamples at a
-    time, so that no (reps, sample_size) float array is ever built; a
-    row's mean does not depend on its block."""
+    of sample_size values: the Monte Carlo estimate of
+    exact_bootstrap_mean_var, kept as its reference.  The int32 indices
+    consume the generator as int64 ones would, and the means are taken a
+    block of resamples at a time, so that no (reps, sample_size) float
+    array is ever built; a row's mean does not depend on its block."""
     idx = rng.integers(0, values.size, size=(reps, sample_size), dtype=np.int32)
     means = np.concatenate([values[idx[i:i + _BOOT_BLOCK]].mean(axis=1)
                             for i in range(0, reps, _BOOT_BLOCK)])
     return float(np.var(means, ddof=1))
 
 
+def exact_bootstrap_mean_var(values: np.ndarray, sample_size: int) -> float:
+    """Ideal bootstrap variance of the mean of sample_size draws, with
+    replacement, from values: np.var(values) / sample_size.
+
+    A draw X from the empirical distribution of the N values has mean
+    xbar = sum(values) / N and variance s2 = sum((values - xbar)^2) / N,
+    the plug-in (ddof 0) variance.  The m draws of a resample are
+    independent, so the variance of their mean is s2 / m (Efron &
+    Tibshirani 1993, An Introduction to the Bootstrap).  This is the
+    limit that _bootstrap_mean_var approaches as reps grows.
+    """
+    return float(np.var(values) / sample_size)
+
+
 def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,
                          seed: int = 0) -> HyperParams:
-    """Empirical prior constants from fPC scores.
+    """Empirical prior constants from fPC scores, a function of the scores
+    and group codes alone.
 
-    Per dimension: the common-mean precision is 1 / (2 x bootstrap
-    variance of the pooled score mean); the group-mean precisions use
-    half-size resamples of each group's scores; sd bounds are squared
-    empirical standard deviations; the subject-level mean precision is
-    1 / (range/2.5)^2 of the group's scores.
+    Per dimension: the common-mean precision is 1 / (2 x the exact
+    bootstrap variance of the pooled score mean); each group-mean
+    precision uses half-size resamples, ceil(group size / 2), of that
+    group's scores; sd bounds are squared empirical standard deviations;
+    the subject-level mean precision is 1 / (range/2.5)^2 of the group's
+    scores.  seed has no effect: the constants draw nothing.  It is kept
+    for callers that still pass one.
     """
-    rng = np.random.default_rng(seed)
     group_codes = np.asarray(group_codes, dtype=int)
     u, n, k = basis.scores.shape
     if group_codes.shape != (u,):
@@ -144,8 +161,8 @@ def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,
         pooled = basis.scores[:, :, dim].ravel()
         if np.std(pooled) <= 0:
             raise ValueError(f"scores in dimension {dim + 1} have zero variance")
-        common_mean_prec[dim] = 1.0 / (2.0 * _bootstrap_mean_var(
-            rng, pooled, pooled.size, _BOOT_REPS))
+        common_mean_prec[dim] = 1.0 / (2.0 * exact_bootstrap_mean_var(
+            pooled, pooled.size))
         common_sd_bound[dim] = np.std(pooled, ddof=1) ** 2
         for col, code in enumerate(GROUP_CODES):
             grp = basis.scores[group_codes == code, :, dim].ravel()
@@ -154,8 +171,8 @@ def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,
                     f"group {code} scores in dimension {dim + 1} have zero variance")
             group_mean_loc[dim, col] = grp.mean()
             half = int(np.ceil(grp.size / 2))
-            group_mean_prec[dim, col] = 1.0 / (2.0 * _bootstrap_mean_var(
-                rng, grp, half, _BOOT_REPS))
+            group_mean_prec[dim, col] = 1.0 / (2.0 * exact_bootstrap_mean_var(
+                grp, half))
             group_sd_bound[dim, col] = np.std(grp, ddof=1) ** 2
             subject_mean_prec[dim, col] = 1.0 / ((np.ptp(grp) / 2.5) ** 2)
             subject_sd_bound[dim, col] = group_sd_bound[dim, col]

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,28 @@ def test_fit_scenario_and_overrides(sim_dir, tmp_path):
     assert doc["category_conc"] == [0.4, 0.4, 0.2]
     assert doc["noise_prec_shape"] == 0.5
     assert doc["max_subject_clusters"] == 6
+
+
+def test_fit_prior_does_not_depend_on_seed(sim_dir, tmp_path):
+    runs = [tmp_path / f"seed_{seed}" for seed in (1, 2)]
+    for seed, out in zip((1, 2), runs):
+        assert main(["fit", "--data", str(sim_dir / "rep_01"), "--out", str(out),
+                     "--iters", "6", "--burnin", "2", "--chains", "1",
+                     "--seed", str(seed)]) == 0
+    left, right = ((out / "hyperparams.json").read_bytes() for out in runs)
+    assert left == right
+    draws = [(out / "chain_00" / "draws_scalar.csv").read_bytes() for out in runs]
+    assert draws[0] != draws[1]
+
+
+def test_package_version_has_one_definition():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = Path(__file__).resolve().parents[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")         # [tool.setuptools] is "beta"
+        config = pyprojecttoml.read_configuration(root / "pyproject.toml")
+    assert config["project"]["version"] == mlpp.__version__
+    assert "version" in config["project"]["dynamic"]
 
 
 def test_fit_bad_override_errors(sim_dir, tmp_path):

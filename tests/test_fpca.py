@@ -234,6 +234,23 @@ def test_dataset_csv_rejects_bad_channel_ids(tmp_path):
         read_dataset_csv(tmp_path / "sets.csv", tmp_path / "grid.csv")
 
 
+def test_dataset_csv_keeps_ids_that_differ_as_text(tmp_path):
+    # "007" and "7" are two subjects; only an int's own text reads as int
+    write_time_grid_csv(np.linspace(0.0, 1.0, 3), tmp_path / "grid.csv")
+    sids = ["007", "7", "-0", "-3", "12", "+4"]
+    _write_curves(tmp_path / "ids.csv",
+                  [(sid, c, 2 + i % 2, float(i)) for i, sid in enumerate(sids)
+                   for c in (1, 2)])
+    data = read_dataset_csv(tmp_path / "ids.csv", tmp_path / "grid.csv")
+    assert data.subject_ids == ["007", 7, "-0", -3, 12, "+4"]
+    np.testing.assert_array_equal(data.group_codes, [2, 3, 2, 3, 2, 3])
+    write_dataset_csv(data, tmp_path / "back.csv")
+    back = read_dataset_csv(tmp_path / "back.csv", tmp_path / "grid.csv")
+    assert back.subject_ids == data.subject_ids
+    np.testing.assert_array_equal(back.values, data.values)
+    np.testing.assert_array_equal(back.group_codes, data.group_codes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=4),
                 min_size=1, max_size=4))

@@ -7,8 +7,9 @@ import pytest
 from mlpp.fpca import EigenBasis
 from mlpp.hyperparams import (DEFAULT_CATEGORY_CONC, DEFAULT_STICK_CONC,
                               HyperParams, _bootstrap_mean_var, apply_scenario,
-                              estimate_hyperparams, from_dict, load_hyperparams,
-                              save_hyperparams, to_dict)
+                              estimate_hyperparams, exact_bootstrap_mean_var,
+                              from_dict, load_hyperparams, save_hyperparams,
+                              to_dict)
 from conftest import make_hyperparams, reference_bootstrap_mean_var
 
 
@@ -36,6 +37,36 @@ def test_bootstrap_variance_matches_closed_form():
     assert var_half == pytest.approx(np.var(values) / 150, rel=0.05)
 
 
+@pytest.mark.parametrize("values", [
+    pytest.param(np.random.default_rng(98).normal(1.0, 2.0, 300), id="normal"),
+    pytest.param(np.random.default_rng(97).exponential(3.0, 300), id="exponential")])
+@pytest.mark.parametrize("sample_size", [300, 150, 37])
+def test_exact_bootstrap_variance_matches_monte_carlo(values, sample_size):
+    exact = exact_bootstrap_mean_var(values, sample_size)
+    assert exact == np.var(values) / sample_size
+    monte_carlo = _bootstrap_mean_var(np.random.default_rng(0), values, sample_size,
+                                      reps=10_000)
+    assert monte_carlo == pytest.approx(exact, rel=0.05)
+
+
+def test_calibration_ignores_seed_and_draws_nothing(monkeypatch):
+    scores = np.random.default_rng(11).exponential(1.0, size=(6, 7, 2))
+    codes = np.array([2, 3, 2, 3, 2, 3])
+    basis = _basis_from_scores(scores)
+    first = to_dict(estimate_hyperparams(basis, codes, seed=0))
+    assert to_dict(estimate_hyperparams(basis, codes, seed=1)) == first
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("calibration made a generator")
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    assert to_dict(estimate_hyperparams(basis, codes)) == first
+    # 21 group-3 scores: half-size resamples of ceil(21 / 2) = 11
+    grp = scores[codes == 3, :, 1].ravel()
+    assert first["group_mean_prec"][1][1] == 1.0 / (2.0 * (np.var(grp) / 11))
+    pooled = scores[:, :, 0].ravel()
+    assert first["common_mean_prec"][0] == 1.0 / (2.0 * (np.var(pooled) / pooled.size))
+
+
 @pytest.mark.parametrize("size, sample_size, reps", [
     (2000, 2000, 1000), (1000, 500, 1000), (400, 200, 10_000), (50, 50, 65),
     (7, 4, 3), (3, 1, 2)])
@@ -55,7 +86,7 @@ def test_recipe_on_plus_minus_one_scores():
     scores = np.empty((u, n, 1))
     scores[:, :, 0] = np.resize([1.0, -1.0], (u, n))
     codes = np.array([2, 2, 2, 3, 3, 3])
-    hp = estimate_hyperparams(_basis_from_scores(scores), codes, seed=1)
+    hp = estimate_hyperparams(_basis_from_scores(scores), codes)
 
     for col in range(2):
         # subject-level mean precision: 1 / (range / 2.5)^2 = 1.5625 exactly
@@ -66,8 +97,10 @@ def test_recipe_on_plus_minus_one_scores():
     assert hp.common_sd_bound[0] == pytest.approx(60.0 / 59.0, rel=1e-12)
     np.testing.assert_array_equal(hp.subject_sd_bound, hp.group_sd_bound)
     # balanced +-1: population variance is exactly 1, so the pooled
-    # bootstrap variance is 1/N and the common-mean precision N/2
-    assert hp.common_mean_prec[0] == pytest.approx(u * n / 2.0, rel=0.10)
+    # bootstrap variance is 1/N and the common-mean precision N/2; a
+    # group's is 1 over twice 1/ceil(30/2)
+    assert hp.common_mean_prec[0] == u * n / 2.0
+    np.testing.assert_array_equal(hp.group_mean_prec, 7.5)
 
     assert tuple(hp.category_conc) == DEFAULT_CATEGORY_CONC
     np.testing.assert_array_equal(hp.stick_conc, DEFAULT_STICK_CONC)

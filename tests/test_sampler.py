@@ -37,7 +37,7 @@ def tiny_problem():
                        n_group_a=3, snr=6.0, seed=0)
     data, _ = simulate(design)
     basis = fit_fpca(data)
-    hp = estimate_hyperparams(basis, data.group_codes, seed=0)
+    hp = estimate_hyperparams(basis, data.group_codes)
     return data, basis, hp
 
 
@@ -713,7 +713,7 @@ def _replication_like(snr, k, seed):
     smoothed = smooth_dataset(data, 25, None)
     basis = fit_fpca(smoothed, var_threshold=0.8 if k == 2 else 0.01)
     assert basis.n_components == k
-    return smoothed, basis, estimate_hyperparams(basis, data.group_codes, seed=seed)
+    return smoothed, basis, estimate_hyperparams(basis, data.group_codes)
 
 
 @pytest.mark.parametrize("init_mode", ["empirical", "prior_draw"])
