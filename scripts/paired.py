@@ -43,10 +43,9 @@ class Child(NamedTuple):
 
 def child_env(src: Path) -> dict:
     """The environment of a child of the tree whose sources are SRC, as
-    perfbench/run.py makes its children's: the caller's, without
-    MLPP_THREADS (chains run serially), with BLAS on one thread and with
-    PYTHONPATH set to SRC alone."""
-    env = {key: val for key, val in os.environ.items() if key != "MLPP_THREADS"}
+    perfbench/run.py makes its children's: the caller's, with BLAS on one
+    thread and with PYTHONPATH set to SRC alone."""
+    env = dict(os.environ)
     env.update(dict.fromkeys(THREAD_VARS, "1"), PYTHONPATH=str(src))
     return env
 

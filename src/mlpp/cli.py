@@ -25,8 +25,7 @@ from .hyperparams import (apply_scenario, estimate_hyperparams,
                           load_hyperparams, save_hyperparams, SCENARIOS)
 from .partitions import (_summarize_dimension, format_partition_table,
                          write_partition_report, write_similarity_csv)
-from .sampler import (SamplerConfig, load_archives, run_chains, save_archives,
-                      worker_cap)
+from .sampler import SamplerConfig, load_archives, run_chains, save_archives
 from .simgen import SimDesign, read_truth_json, simulate, write_truth_json
 
 
@@ -126,10 +125,6 @@ def cmd_fit(parser, args) -> int:
         parser.error(f"--iters {args.iters} --burnin {args.burnin} --thin {args.thin} "
                      f"--chains {args.chains} --seed {args.seed} "
                      f"--audit-every {args.audit_every}: {err}")
-    try:
-        worker_cap()
-    except ValueError as err:
-        parser.error(str(err))
     data_dir = Path(args.data)
     inputs = {"data": data_dir / "data.csv", "time_grid": data_dir / "time_grid.csv"}
     if args.hyperparams:

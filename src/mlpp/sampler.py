@@ -30,9 +30,11 @@ subject/channel allocations, category weights, stick proportions.
 The optional audit (``audit_every``) validates the state, checks the
 scan's sufficient-statistic SSR against the direct residual sum, and
 requires a finite log joint.  Chains are deterministic given (seed,
-inputs).  Kept draws have one on-disk format, the chain files of a run
-directory, which checkpoints also use.  Each chain file has its own
-reader, and load_archives reads the files a caller names: diagnose needs
+inputs), whether run_chains runs them serially or spreads them over
+the calling process and forked workers (chain_workers picks).  Kept
+draws have one on-disk format, the chain files of a run directory,
+which checkpoints also use.  Each chain file has its own reader, and
+load_archives reads the files a caller names: diagnose needs
 draws_scalar.csv only, summarize labels_g.csv only (its draw count then
 comes from the settings in meta.json).
 """
@@ -743,15 +745,39 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
                     "n_subjects": int(u), "n_channels": int(n), "n_components": int(k)})
 
 
-def worker_cap() -> int | None:
-    """The MLPP_THREADS cap on chain worker processes, None when unset."""
-    cap = os.environ.get("MLPP_THREADS")
-    if cap is None:
-        return None
-    digits = cap.strip()
-    if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
-        raise ValueError(f"MLPP_THREADS must be a positive integer, got {cap!r}")
-    return int(cap)
+# Chains run in worker processes only when each does at least this much
+# work, counted as iterations x U x n x K.  Starting the workers costs a
+# fresh fit process about 40 ms.  Whole 2-chain `mlpp fit` processes,
+# serial against 2 workers on 2 vCPUs (K = 2, alternating pairs), broke
+# even at 100-150 iterations at size R (80 000-120 000) and at 50-75
+# iterations at size D (200 000-300 000); at 400 000 (D, 100
+# iterations) the pool won 16 of 18 pairs.  So no fit at either size is
+# slower pooled.  That sweep ran every chain in a worker; run_chains now
+# runs one in the calling process and starts one worker fewer.
+POOL_MIN_WORK = 400_000
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, at least 1 (os.cpu_count() is
+    None where it cannot tell)."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
+def chain_workers(n_chains: int, work: int) -> int:
+    """Processes, this one included, to run N_CHAINS chains of WORK
+    (iterations x U x n x K) each: 1, which runs them serially in this
+    process, when there is one chain, one usable CPU, no fork start
+    method or too little work; else one per chain, up to the usable
+    CPUs."""
+    if n_chains == 1 or work < POOL_MIN_WORK:
+        return 1
+    import multiprocessing      # only a run long enough to pool needs it
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(n_chains, usable_cpus())
 
 
 def _chain_job(args):
@@ -759,18 +785,56 @@ def _chain_job(args):
     return run_chain(data, basis, hp, cfg, chain_index=index)
 
 
+# The jobs of a pooled run_chains.  Its workers fork after they are set,
+# so a worker is sent a chain index, not a pickled copy of the data.
+_POOL_JOBS: list = []
+
+
+def _pooled_job(index: int):
+    return _chain_job(_POOL_JOBS[index])
+
+
 def run_chains(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
                cfg: SamplerConfig) -> list:
-    """Run all configured chains (optionally in parallel worker processes,
-    capped by the MLPP_THREADS environment variable)."""
-    cap = worker_cap()
-    workers = 1 if cap is None else min(cfg.n_chains, cap)
+    """Run all configured chains, spread over this process and forked
+    worker processes when chain_workers allows more than one.  Each chain
+    draws from its own spawned seed, so the draws do not depend on the
+    worker count."""
+    global _POOL_JOBS
+    work = cfg.n_iter * data.n_subjects * data.n_channels * basis.n_components
+    workers = chain_workers(cfg.n_chains, work)
     jobs = [(data, basis, hp, cfg, i) for i in range(cfg.n_chains)]
-    if workers > 1 and cfg.n_chains > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_chain_job, jobs))
-    return [_chain_job(job) for job in jobs]
+    if workers == 1:
+        return [_chain_job(job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # This process is worker 0 and runs chains 0, workers, 2 workers, ...;
+    # workers - 1 forked processes run the rest.  So no process waits
+    # idle and none is sent the data through a pipe.  A 2-chain fit at
+    # size D takes 24 000 page faults this way, 33 000 with a forked
+    # worker per chain and 14 000 serially.  On a shared 2-vCPU VM,
+    # first touching 64 MB took 13 ms in one process and 50 ms in the
+    # next, so the fewer faults, the steadier the fit's wall time.  fork,
+    # not the platform default: a forked worker starts with numpy, mlpp
+    # and the jobs in memory, where forkserver or spawn would import the
+    # modules again.
+    _POOL_JOBS = jobs
+    try:
+        with ProcessPoolExecutor(max_workers=workers - 1,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            pooled = {i: pool.submit(_pooled_job, i)
+                      for i in range(cfg.n_chains) if i % workers}
+            try:
+                own = {i: _chain_job(jobs[i]) for i in range(0, cfg.n_chains, workers)}
+            except BaseException:
+                for future in pooled.values():
+                    future.cancel()
+                raise
+            return [own[i] if i in own else pooled[i].result()
+                    for i in range(cfg.n_chains)]
+    finally:
+        _POOL_JOBS = []
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +15,7 @@ from mlpp.hyperparams import estimate_hyperparams
 from mlpp.model import (chain_constants, cluster_params_for_labels, cluster_prior,
                         fitted_curves, residual_ssr, validate_state)
 from mlpp.sampler import (ChainArchive, SamplerConfig, SamplerError, Workspace,
-                          _audit, _check_finite, alloc_log_weights,
+                          _audit, _check_finite, alloc_log_weights, chain_workers,
                           category_weight_params, cluster_counts, cluster_index,
                           cluster_mean_params, cluster_prec_params,
                           data_free_workspace, draw_state_from_prior, gibbs_scan,
@@ -801,28 +804,107 @@ def test_checkpoint_resume_reproduces_uninterrupted_chain(tiny_problem, tmp_path
                                   resumed.channel_alloc_draws)
 
 
-def test_multichain_parallel_matches_serial(tiny_problem, monkeypatch):
-    data, basis, hp = tiny_problem
-    cfg = SamplerConfig(n_iter=30, burn_in=10, seed=11, n_chains=2)
-    monkeypatch.delenv("MLPP_THREADS", raising=False)
-    serial = run_chains(data, basis, hp, cfg)
-    assert len(serial) == 2
-    assert not np.array_equal(serial[0].scalars, serial[1].scalars)
-    monkeypatch.setenv("MLPP_THREADS", "2")
-    parallel = run_chains(data, basis, hp, cfg)
-    for left, right in zip(serial, parallel):
-        np.testing.assert_array_equal(left.scalars, right.scalars)
-        np.testing.assert_array_equal(left.subject_alloc_draws,
-                                      right.subject_alloc_draws)
+def _force_pool(monkeypatch):
+    # two usable CPUs and no work threshold: every multi-chain run is pooled
+    monkeypatch.setattr(mlpp.sampler, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(mlpp.sampler, "usable_cpus", lambda: 2)
 
 
-# "\u0661" is the Arabic-Indic digit one and "\u00b2" a superscript two:
-# both pass str.isdigit(), and only the first passes int()
-@pytest.mark.parametrize("cap", ["two", "", "-1", "0", "\u0661", "\u00b2"])
+def test_chain_workers_follow_chains_cpus_work_and_fork(monkeypatch):
+    enough = mlpp.sampler.POOL_MIN_WORK
+
+    def cpus(*ids):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(ids), raising=False)
+
+    cpus(0)
+    assert chain_workers(4, enough) == 1
+    cpus(0, 1, 2)
+    assert chain_workers(1, 10 * enough) == 1
+    assert chain_workers(2, enough - 1) == 1
+    assert chain_workers(2, enough) == 2
+    assert chain_workers(4, enough) == 3
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert chain_workers(4, enough) == 1
+
+
+# The usable-CPU count caps the workers.  A reading of no CPUs, an empty
+# affinity set or os.cpu_count() of None where there is no affinity, is
+# not taken as the cap: the chains run serially, not in a pool of 0.
+@pytest.mark.parametrize("cap", [0, None])
 def test_worker_count_rejects_malformed_thread_cap(monkeypatch, cap):
-    monkeypatch.setenv("MLPP_THREADS", cap)
-    with pytest.raises(ValueError, match="MLPP_THREADS must be a positive integer"):
-        mlpp.sampler.worker_cap()
+    if cap is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(), raising=False)
+    assert mlpp.sampler.usable_cpus() == 1
+    assert chain_workers(2, mlpp.sampler.POOL_MIN_WORK) == 1
+
+
+def _check_pool_matches_serial(problem, monkeypatch, n_chains):
+    data, basis, hp = problem
+    cfg = SamplerConfig(n_iter=30, burn_in=10, seed=11, n_chains=n_chains)
+    work = cfg.n_iter * data.n_subjects * data.n_channels * basis.n_components
+    assert chain_workers(cfg.n_chains, work) == 1
+    serial = run_chains(data, basis, hp, cfg)
+    assert len(serial) == n_chains
+    assert not np.array_equal(serial[0].scalars, serial[1].scalars)
+    _force_pool(monkeypatch)
+    parallel = run_chains(data, basis, hp, cfg)
+    for left, right in zip(serial, parallel, strict=True):
+        for name in ("scalars", "subject_alloc_draws", "channel_alloc_draws"):
+            a, b = getattr(left, name), getattr(right, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+def test_multichain_parallel_matches_serial(tiny_problem, monkeypatch):
+    _check_pool_matches_serial(tiny_problem, monkeypatch, 2)
+
+
+def test_three_chains_on_two_workers_match_serial(tiny_problem, monkeypatch):
+    # this process runs chains 0 and 2, the forked worker chain 1
+    _check_pool_matches_serial(tiny_problem, monkeypatch, 3)
+
+
+def test_pooled_chains_leave_no_process(tiny_problem, monkeypatch):
+    data, basis, hp = tiny_problem
+    _force_pool(monkeypatch)
+    run = mlpp.sampler.run_chain
+
+    def run_in_worker(*args, **kwargs):
+        archive = run(*args, **kwargs)
+        archive.meta["pid"] = os.getpid()
+        return archive
+
+    monkeypatch.setattr(mlpp.sampler, "run_chain", run_in_worker)
+    archives = run_chains(data, basis, hp, SamplerConfig(n_iter=6, seed=3, n_chains=2))
+    assert [a.meta["chain_index"] for a in archives] == [0, 1]
+    # chain 0 ran in this process, chain 1 in a forked worker
+    assert [a.meta["pid"] == os.getpid() for a in archives] == [True, False]
+    assert multiprocessing.active_children() == []
+    assert mlpp.sampler._POOL_JOBS == []
+
+
+# Chain 0 fails in this process, chain 1 in the forked worker.
+@pytest.mark.parametrize("failing", [0, 1])
+def test_failing_pooled_chain_reaches_caller_and_leaves_no_process(tiny_problem,
+                                                                   monkeypatch, failing):
+    data, basis, hp = tiny_problem
+    _force_pool(monkeypatch)
+    run = mlpp.sampler.run_chain
+
+    # the forked workers inherit this patch
+    def fail_one(*args, chain_index=0, **kwargs):
+        if chain_index == failing:
+            raise SamplerError(f"chain {failing} went non-finite")
+        return run(*args, chain_index=chain_index, **kwargs)
+
+    monkeypatch.setattr(mlpp.sampler, "run_chain", fail_one)
+    with pytest.raises(SamplerError, match=f"chain {failing} went non-finite"):
+        run_chains(data, basis, hp, SamplerConfig(n_iter=6, seed=3, n_chains=2))
+    assert multiprocessing.active_children() == []
+    assert mlpp.sampler._POOL_JOBS == []
 
 
 def test_archive_round_trip(tiny_problem, tmp_path):

