@@ -84,6 +84,15 @@ def worker_start(design_seed: int, out: str) -> None:
     np.savez(out, **{f.name: getattr(state, f.name) for f in dataclasses.fields(state)})
 
 
+def _scalar_names(sampler, k: int, n_groups: int) -> list:
+    """The tree's own scalar names.  A tree from before the group count
+    came from the inputs takes the dimension count alone, for two groups."""
+    try:
+        return sampler.scalar_names(k, n_groups)
+    except TypeError:
+        return sampler.scalar_names(k)
+
+
 def worker_scan(design_seed: int, start: str, replicates: int, base: int,
                 out: str) -> None:
     data, basis, hp = _problem(design_seed)
@@ -102,7 +111,8 @@ def worker_scan(design_seed: int, start: str, replicates: int, base: int,
             if scan in rows:
                 rows[scan].append(S._scalar_row(state) + _first_label_counts(state))
     k = initial.n_components
-    names = S.scalar_names(k) + [f"first_label_channels[{d + 1}]" for d in range(k)]
+    names = _scalar_names(S, k, initial.raw_sticks.shape[1]) \
+        + [f"first_label_channels[{d + 1}]" for d in range(k)]
     np.savez(out, names=np.array(names), **{f"after_{s}": np.array(v) for s, v in rows.items()})
 
 

@@ -20,17 +20,22 @@ LABELS = ("ref", "new")
 MLPP_MAIN = "import sys; from mlpp.cli import main; sys.exit(main())"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Runs before a child's own code.  At exit the child writes the peak
-# resident set size of its own address space (VmHWM, in kB) as the last
-# line of its stderr.  os.wait4's ru_maxrss would not do: Linux carries
-# the forking process's peak across exec, so it reads at least the size
-# of the script that started the child.
+# Runs before a child's own code.  At exit the child writes, as the last
+# line of its stderr, the peak resident set size of its own address space
+# (VmHWM, in kB) plus the largest peak of the processes it started and
+# waited for (RUSAGE_CHILDREN's ru_maxrss, in kB on Linux), such as the
+# forked chain workers of a pooled fit.  Pages a worker shares with the
+# child count twice, so the sum bounds the peak from above.  os.wait4's
+# ru_maxrss in this process would not do: Linux carries the forking
+# process's peak across exec, so it reads at least the size of the
+# script that started the child.
 _PEAK_MARK = "paired-peak-rss-kb "
-_LAUNCH = f"""import atexit, sys
+_LAUNCH = f"""import atexit, resource, sys
 def _report_peak():
     with open("/proc/self/status") as status:
-        kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
-    sys.stderr.write("\\n{_PEAK_MARK}" + kb + "\\n")
+        kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    kb += resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    sys.stderr.write("\\n{_PEAK_MARK}" + str(kb) + "\\n")
 atexit.register(_report_peak)
 """
 

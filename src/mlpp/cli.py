@@ -147,6 +147,9 @@ def cmd_fit(parser, args) -> int:
         parser.error(f"the hyperparameters have {hp.n_components} component(s), but "
                      f"the basis at --var-threshold {args.var_threshold} has "
                      f"{basis.n_components}")
+    if hp.n_groups < raw.n_groups:
+        parser.error(f"the hyperparameters have {hp.n_groups} group(s), but group code "
+                     f"{raw.group_codes.max()} in {inputs['data']} needs {raw.n_groups}")
     out = _prepare_out(parser, args.out, args.force)
 
     archives = run_chains(smoothed, basis, hp, cfg)

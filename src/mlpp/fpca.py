@@ -1,11 +1,11 @@
 """Functional PCA for multi-subject, multi-channel curve data.
 
 A dataset holds one curve per (subject, channel) on a shared, strictly
-increasing time grid, with each subject assigned to one of two groups
-(codes 2 and 3).  Curves can be presmoothed with penalized B-splines and
-decomposed into a mean curve plus orthonormal eigenfunctions; per-curve
-scores are the quadrature inner products of the centred curves with the
-eigenfunctions.
+increasing time grid, with each subject assigned to one of G clinical
+groups, coded 2 .. G+1 with every code in use.  Curves can be presmoothed
+with penalized B-splines and decomposed into a mean curve plus orthonormal
+eigenfunctions; per-curve scores are the quadrature inner products of the
+centred curves with the eigenfunctions.
 """
 from __future__ import annotations
 
@@ -18,15 +18,19 @@ import numpy as np
 from .smoothing import CurveSmoother
 from .tables import grid_index, read_header, read_table, scatter, write_table
 
+# the code of the first group; group g (from 0) has code GROUP_A + g
 GROUP_A = 2
-GROUP_B = 3
 
 
-def check_group_codes(group_codes: np.ndarray) -> None:
-    """Raise unless every group code is GROUP_A or GROUP_B."""
+def check_group_codes(group_codes: np.ndarray) -> int:
+    """The group count G of codes that run from GROUP_A to GROUP_A + G - 1
+    with every code in use; raise for any other codes."""
     # return_index: a plain np.unique imports numpy.ma (numpy 2.4)
-    if not set(np.unique(group_codes, return_index=True)[0]) <= {GROUP_A, GROUP_B}:
-        raise ValueError(f"group codes must be {GROUP_A} or {GROUP_B}")
+    used = np.unique(group_codes, return_index=True)[0].tolist()
+    if used != list(range(GROUP_A, GROUP_A + len(used))):
+        raise ValueError(f"group codes must run from {GROUP_A} to G + 1 with every "
+                         f"code in use, got {used}")
+    return len(used)
 
 
 def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
@@ -42,7 +46,7 @@ def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
 class FunctionalDataset:
     """Curves values[u, i, t] for subject u, channel i, time t.
 
-    group_codes[u] is 2 (group A, first condition) or 3 (group B, second).
+    group_codes[u] is the code of subject u's group, 2 .. G+1 for G groups.
     subject_ids are data.csv's labels; a run's files number subjects from
     1 in dataset order, which read_dataset_csv takes from first appearance.
     """
@@ -86,8 +90,9 @@ class FunctionalDataset:
         return self.values.shape[2]
 
     @property
-    def n_group_a(self) -> int:
-        return int(np.sum(self.group_codes == GROUP_A))
+    def n_groups(self) -> int:
+        """G, from the largest group code."""
+        return int(self.group_codes.max()) - GROUP_A + 1
 
 
 @dataclass

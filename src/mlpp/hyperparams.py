@@ -15,9 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .fpca import GROUP_A, GROUP_B, EigenBasis
-
-GROUP_CODES = (GROUP_A, GROUP_B)
+from .fpca import GROUP_A, EigenBasis, check_group_codes
 
 DEFAULT_CATEGORY_CONC = (9.0 / 20.0, 9.0 / 20.0, 2.0 / 20.0)
 DEFAULT_STICK_CONC = 1.0
@@ -26,26 +24,29 @@ DEFAULT_NOISE_PREC_RATE = 0.01
 DEFAULT_MAX_SUBJECT_CLUSTERS = 10
 
 SCENARIOS = ("S1", "S2", "S3", "S4", "S5", "S6")
+# the fields with one column per group
+_GROUP_FIELDS = ("group_mean_loc", "group_mean_prec", "group_sd_bound",
+                 "subject_mean_loc", "subject_mean_prec", "subject_sd_bound")
 
 
 @dataclass
 class HyperParams:
     """Prior constants, one entry per eigendimension (and group where needed).
 
-    Group-indexed arrays have two columns in group-code order (2 then 3).
-    sd_bound fields are the upper limits of the uniform priors on cluster
-    standard deviations; *_mean_prec are precisions of the normal priors
-    on cluster means.
+    Group-indexed arrays have G >= 2 columns, one per group in group-code
+    order (2 .. G+1); G is n_groups.  sd_bound fields are the upper limits
+    of the uniform priors on cluster standard deviations; *_mean_prec are
+    precisions of the normal priors on cluster means.
     """
 
     common_mean_prec: np.ndarray      # (K,)
     common_sd_bound: np.ndarray       # (K,)
-    group_mean_loc: np.ndarray        # (K, 2)
-    group_mean_prec: np.ndarray       # (K, 2)
-    group_sd_bound: np.ndarray        # (K, 2)
-    subject_mean_loc: np.ndarray      # (K, 2), shared across subjects and labels
-    subject_mean_prec: np.ndarray     # (K, 2)
-    subject_sd_bound: np.ndarray      # (K, 2)
+    group_mean_loc: np.ndarray        # (K, G)
+    group_mean_prec: np.ndarray       # (K, G)
+    group_sd_bound: np.ndarray        # (K, G)
+    subject_mean_loc: np.ndarray      # (K, G), shared across subjects and labels
+    subject_mean_prec: np.ndarray     # (K, G)
+    subject_sd_bound: np.ndarray      # (K, G)
     category_conc: np.ndarray = field(
         default_factory=lambda: np.array(DEFAULT_CATEGORY_CONC))
     stick_conc: np.ndarray | None = None      # (K,)
@@ -54,9 +55,8 @@ class HyperParams:
     max_subject_clusters: int = DEFAULT_MAX_SUBJECT_CLUSTERS
 
     def __post_init__(self):
-        for name in ("common_mean_prec", "common_sd_bound", "group_mean_loc",
-                     "group_mean_prec", "group_sd_bound", "subject_mean_loc",
-                     "subject_mean_prec", "subject_sd_bound", "category_conc"):
+        for name in ("common_mean_prec", "common_sd_bound", *_GROUP_FIELDS,
+                     "category_conc"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.stick_conc is None:
             self.stick_conc = np.full(self.n_components, DEFAULT_STICK_CONC)
@@ -67,14 +67,23 @@ class HyperParams:
     def n_components(self) -> int:
         return self.common_mean_prec.shape[0]
 
+    @property
+    def n_groups(self) -> int:
+        """G, the column count of the group fields."""
+        return self.group_mean_loc.shape[-1]
+
     def validate(self) -> None:
         k = self.n_components
         if self.common_sd_bound.shape != (k,):
             raise ValueError("common-cluster fields must have one entry per dimension")
-        for name in ("group_mean_loc", "group_mean_prec", "group_sd_bound",
-                     "subject_mean_loc", "subject_mean_prec", "subject_sd_bound"):
-            if getattr(self, name).shape != (k, 2):
-                raise ValueError(f"{name} must have shape (n_components, 2)")
+        for name in _GROUP_FIELDS:
+            if getattr(self, name).ndim != 2 or \
+                    getattr(self, name).shape != (k, self.n_groups):
+                raise ValueError(f"{name} must have shape (n_components, n_groups), "
+                                 f"here ({k}, {self.n_groups})")
+        if self.n_groups < 2:
+            raise ValueError(f"the group fields have {self.n_groups} column(s); "
+                             f"at least 2 groups are needed")
         if self.category_conc.shape != (3,):
             raise ValueError("category_conc must have 3 entries")
         if self.stick_conc.shape != (k,):
@@ -132,7 +141,8 @@ def exact_bootstrap_mean_var(values: np.ndarray, sample_size: int) -> float:
 def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,
                          seed: int = 0) -> HyperParams:
     """Empirical prior constants from fPC scores, a function of the scores
-    and group codes alone.
+    and group codes alone; the codes must run from 2 to G+1 with every
+    code in use and G >= 2, and give the group fields G columns.
 
     Per dimension: the common-mean precision is 1 / (2 x the exact
     bootstrap variance of the pooled score mean); each group-mean
@@ -146,17 +156,21 @@ def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,
     u, n, k = basis.scores.shape
     if group_codes.shape != (u,):
         raise ValueError("one group code per subject required")
-    for code in GROUP_CODES:
+    g = check_group_codes(group_codes)
+    if g < 2:
+        raise ValueError(f"need at least 2 groups, got {g}")
+    codes = range(GROUP_A, GROUP_A + g)
+    for code in codes:
         if np.sum(group_codes == code) * n < 2:
             raise ValueError(f"need at least 2 scores in group {code}")
 
     common_mean_prec = np.empty(k)
     common_sd_bound = np.empty(k)
-    group_mean_loc = np.empty((k, 2))
-    group_mean_prec = np.empty((k, 2))
-    group_sd_bound = np.empty((k, 2))
-    subject_mean_prec = np.empty((k, 2))
-    subject_sd_bound = np.empty((k, 2))
+    group_mean_loc = np.empty((k, g))
+    group_mean_prec = np.empty((k, g))
+    group_sd_bound = np.empty((k, g))
+    subject_mean_prec = np.empty((k, g))
+    subject_sd_bound = np.empty((k, g))
     for dim in range(k):
         pooled = basis.scores[:, :, dim].ravel()
         if np.std(pooled) <= 0:
@@ -164,7 +178,7 @@ def estimate_hyperparams(basis: EigenBasis, group_codes: np.ndarray,
         common_mean_prec[dim] = 1.0 / (2.0 * exact_bootstrap_mean_var(
             pooled, pooled.size))
         common_sd_bound[dim] = np.std(pooled, ddof=1) ** 2
-        for col, code in enumerate(GROUP_CODES):
+        for col, code in enumerate(codes):
             grp = basis.scores[group_codes == code, :, dim].ravel()
             if np.std(grp) <= 0:
                 raise ValueError(

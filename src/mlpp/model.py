@@ -3,9 +3,11 @@
 Each (subject, dimension) pair carries a category in {1, 2, 3}: its
 scores all share the common cluster, all share the subject's group
 cluster, or are split channel-by-channel among subject-specific
-clusters labelled 4 .. 3+J (J = max_subject_clusters).  The state keeps
-the parameters of every cluster of every dimension in one flat grid,
-(K, 3 + U*J) in cluster_index slot order, and states are built, drawn
+clusters labelled 4 .. 3+J (J = max_subject_clusters).  The G groups
+have codes 2 .. G+1; G is the group count of the sticks, and of the
+hyperparameters a state is drawn from.  The state keeps the parameters
+of every cluster of every dimension in one flat grid, (K, 1 + G + U*J)
+in cluster_index slot order, and states are built, drawn
 and saved only as such grids: cluster_prior gives the matching prior
 grids (chain_constants bundles them with the cluster_index slots and
 the precision truncation points for a chain's scans), and a snapshot
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fpca import GROUP_A, check_group_codes
+from .fpca import GROUP_A
 from .hyperparams import HyperParams
 from .tables import grid_index, read_table, scatter, write_table
 
@@ -43,12 +45,12 @@ class ModelState:
     Shapes: scores (U, n, K); subject_alloc (U, K) in {1,2,3};
     channel_alloc (U, n, K) in {4..3+J} (drawn only where subject_alloc
     is 3; elsewhere stale labels that nothing reads); cluster_mean /
-    cluster_prec (K, 3 + U*J) in cluster_index slot order; category_weights
-    (K, 3); raw_sticks / stick_weights (K, 2, J) with rows renormalized to
-    sum 1.
+    cluster_prec (K, 1 + G + U*J) in cluster_index slot order;
+    category_weights (K, 3); raw_sticks / stick_weights (K, G, J) with rows
+    renormalized to sum 1.
 
     The per-level parameters are views of the cluster grids: common
-    (K,), group indexed [k, group] in group-code order (2, 3), subject
+    (K,), group indexed [k, group] in group-code order (2 .. G+1), subject
     indexed [u, k, j-4].  cluster_label is derived on each access.
     """
 
@@ -76,27 +78,32 @@ class ModelState:
         return self.scores.shape[2]
 
     @property
+    def n_groups(self) -> int:
+        return self.raw_sticks.shape[1]
+
+    @property
     def max_subject_clusters(self) -> int:
-        return (self.cluster_mean.shape[1] - 3) // self.n_subjects
+        return self.raw_sticks.shape[2]
 
     # read-only views of the cluster grids; writes through them land in
     # the grid
     common_mean = property(lambda self: self.cluster_mean[:, 0])
     common_prec = property(lambda self: self.cluster_prec[:, 0])
-    group_mean = property(lambda self: self.cluster_mean[:, 1:3])
-    group_prec = property(lambda self: self.cluster_prec[:, 1:3])
+    group_mean = property(lambda self: self.cluster_mean[:, 1:1 + self.n_groups])
+    group_prec = property(lambda self: self.cluster_prec[:, 1:1 + self.n_groups])
     subject_mean = property(lambda self: self._subject_view(self.cluster_mean))
     subject_prec = property(lambda self: self._subject_view(self.cluster_prec))
 
     def _subject_view(self, grid: np.ndarray) -> np.ndarray:
         """(U, K, J) view of the subject slots of a cluster grid."""
         k = grid.shape[0]
-        return np.swapaxes(grid[:, 3:].reshape(k, self.n_subjects, -1), 0, 1)
+        return np.swapaxes(grid[:, 1 + self.n_groups:].reshape(k, self.n_subjects, -1),
+                           0, 1)
 
     @property
     def cluster_label(self) -> np.ndarray:
         return derive_cluster_labels(self.subject_alloc, self.channel_alloc,
-                                     self.group_codes)
+                                     self.group_codes, self.n_groups)
 
     def copy(self) -> "ModelState":
         """A copy of every array; noise_prec is passed on as it is."""
@@ -106,11 +113,13 @@ class ModelState:
 
 
 def derive_cluster_labels(subject_alloc: np.ndarray, channel_alloc: np.ndarray,
-                          group_codes: np.ndarray) -> np.ndarray:
+                          group_codes: np.ndarray, n_groups: int) -> np.ndarray:
     """Flat cluster label per (subject, channel, dimension).
 
-    Category 1 maps to label 1, category 2 to the subject's group code,
-    category 3 to the channel allocation.
+    Category 1 maps to label 1, category 2 to the subject's group code
+    (2 .. G+1 for G = n_groups), category 3 to the subject's cluster of
+    its channel allocation, labelled from G+2 on: the allocation itself
+    when G is 2.
     """
     subject_alloc = np.asarray(subject_alloc)
     channel_alloc = np.asarray(channel_alloc)
@@ -123,34 +132,36 @@ def derive_cluster_labels(subject_alloc: np.ndarray, channel_alloc: np.ndarray,
     per_subject = np.where(subject_alloc == CAT_GROUP,
                            group_codes[:, None], subject_alloc)
     labels = np.where((subject_alloc == CAT_SUBJECT)[:, None, :],
-                      channel_alloc, per_subject[:, None, :])
+                      channel_alloc + (GROUP_A + n_groups - FIRST_SUBJECT_LABEL),
+                      per_subject[:, None, :])
     return labels.astype(int)
 
 
-def cluster_slots(group_codes: np.ndarray, n_subject_clusters: int,
+def cluster_slots(group_codes: np.ndarray, n_groups: int, n_subject_clusters: int,
                   n_components: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cluster_index slots of a state's categories: the common
     cluster's (K,), each subject's group cluster's (U, K), and the offset
     (U, K) to which a category-3 channel label is added to give the slot
     of that subject's cluster."""
-    u, j, k = len(group_codes), n_subject_clusters, n_components
-    common = (3 + u * j) * np.arange(k)
+    u, g, j, k = len(group_codes), n_groups, n_subject_clusters, n_components
+    common = (1 + g + u * j) * np.arange(k)
     group = common + 1 + (np.asarray(group_codes) - GROUP_A)[:, None]
-    subject = common + (3 - FIRST_SUBJECT_LABEL + j * np.arange(u))[:, None]
+    subject = common + (1 + g - FIRST_SUBJECT_LABEL + j * np.arange(u))[:, None]
     return common, group, subject
 
 
 def cluster_index(state: ModelState, slots: tuple | None = None) -> np.ndarray:
     """Flat index of the cluster each score belongs to, (U, n, K).
 
-    Every dimension has 3 + U*J clusters: slot 0 the common cluster,
-    slots 1-2 the two group clusters (group-code order), slot 3 + u*J + j
-    subject u's cluster j; dimension k's slots start at k * (3 + U*J).
-    slots are the state's cluster_slots, taken here when not given.
+    Every dimension has 1 + G + U*J clusters: slot 0 the common cluster,
+    slots 1 .. G the group clusters in group-code order, slot
+    1 + G + u*J + j subject u's cluster j; dimension k's slots start at
+    k * (1 + G + U*J).  slots are the state's cluster_slots, taken here
+    when not given.
     """
     if slots is None:
-        slots = cluster_slots(state.group_codes, state.max_subject_clusters,
-                              state.n_components)
+        slots = cluster_slots(state.group_codes, state.n_groups,
+                              state.max_subject_clusters, state.n_components)
     common, group, subject = slots
     category = state.subject_alloc
     own = category == CAT_SUBJECT
@@ -162,8 +173,8 @@ def cluster_index(state: ModelState, slots: tuple | None = None) -> np.ndarray:
 def cluster_prior(hp: HyperParams, group_codes: np.ndarray) -> np.ndarray:
     """Prior constants of every cluster in cluster_index slot order:
     location and precision of the normal mean prior and the bound of the
-    uniform sd prior, as one (3, K, 3 + U*J) array that unpacks into the
-    three grids."""
+    uniform sd prior, as one (3, K, 1 + G + U*J) array that unpacks into
+    the three grids."""
     k, j = hp.n_components, hp.max_subject_clusters
     gidx = np.asarray(group_codes) - GROUP_A
     common = np.array([np.zeros(k), hp.common_mean_prec, hp.common_sd_bound])
@@ -180,8 +191,8 @@ class ChainConstants:
     from the hyperparameters and the group codes by chain_constants.  The
     arrays are read-only; no ModelState holds them."""
 
-    prior: np.ndarray       # (3, K, 3 + U*J) cluster_prior grids
-    prec_floor: np.ndarray  # (K, 3 + U*J) precision truncation points, sd_bound^-2
+    prior: np.ndarray       # (3, K, 1 + G + U*J) cluster_prior grids
+    prec_floor: np.ndarray  # (K, 1 + G + U*J) precision truncation points, sd_bound^-2
     slots: tuple            # cluster_slots
 
 
@@ -192,7 +203,8 @@ def chain_constants(hp: HyperParams, group_codes: np.ndarray) -> ChainConstants:
     prior = cluster_prior(hp, group_codes)
     consts = ChainConstants(
         prior=prior, prec_floor=prior[2] ** -2.0,
-        slots=cluster_slots(group_codes, hp.max_subject_clusters, hp.n_components))
+        slots=cluster_slots(group_codes, hp.n_groups, hp.max_subject_clusters,
+                            hp.n_components))
     for arr in (consts.prior, consts.prec_floor, *consts.slots):
         arr.flags.writeable = False
     return consts
@@ -268,20 +280,22 @@ def sticks_to_weights(raw_sticks: np.ndarray) -> np.ndarray:
 def validate_state(state: ModelState, hp: HyperParams | None = None) -> None:
     """Raise if any structural invariant is violated."""
     u, n, k = state.scores.shape
-    j = state.max_subject_clusters
+    g, j = state.n_groups, state.max_subject_clusters
     if not np.all(np.isfinite(state.scores)):
         raise ValueError("scores must be finite")
     if not (np.isfinite(state.noise_prec) and state.noise_prec > 0):
         raise ValueError("noise precision must be finite and positive")
-    check_group_codes(state.group_codes)
+    if np.any((state.group_codes < GROUP_A) | (state.group_codes >= GROUP_A + g)):
+        raise ValueError(f"group codes must lie in {GROUP_A} .. {GROUP_A + g - 1} "
+                         f"for the {g} groups of the sticks")
     if np.any((state.subject_alloc < CAT_COMMON) | (state.subject_alloc > CAT_SUBJECT)):
         raise ValueError("subject allocations must be 1, 2 or 3")
     if np.any(state.channel_alloc < FIRST_SUBJECT_LABEL) or \
             np.any(state.channel_alloc >= FIRST_SUBJECT_LABEL + j):
         raise ValueError("channel allocations out of range")
-    if state.cluster_mean.shape != (k, 3 + u * j) or \
+    if state.cluster_mean.shape != (k, 1 + g + u * j) or \
             state.cluster_prec.shape != state.cluster_mean.shape:
-        raise ValueError("cluster grids must have shape (K, 3 + U*J)")
+        raise ValueError("cluster grids must have shape (K, 1 + G + U*J)")
     if np.any(state.cluster_prec <= 0):
         raise ValueError("cluster precisions must be positive")
     if np.max(np.abs(state.category_weights.sum(axis=1) - 1.0)) > WEIGHT_SUM_TOL:
@@ -292,7 +306,8 @@ def validate_state(state: ModelState, hp: HyperParams | None = None) -> None:
         bound = cluster_prior(hp, state.group_codes)[2]
         over = np.argwhere(state.cluster_prec ** -0.5 >= bound)
         if over.size:
-            level = "common" if over[0, 1] == 0 else "group" if over[0, 1] < 3 else "subject"
+            level = "common" if over[0, 1] == 0 else "group" if over[0, 1] <= g \
+                else "subject"
             raise ValueError(f"a {level}-cluster sd exceeds its prior bound")
 
 
@@ -324,37 +339,50 @@ def save_state(state: ModelState, directory) -> None:
 
 def load_state(directory) -> ModelState:
     """Read a save_state snapshot; every array must have the shape that
-    state.json's shape (U, n, K, J) implies, and the state must pass
-    validate_state."""
+    state.json's shape (U, n, K, J) and the sticks' group count G imply,
+    and the state must pass validate_state.  A ValueError names the file
+    at fault."""
     directory = Path(directory)
     path = directory / "state.json"
-    doc = json.loads(path.read_text())
-    u, n, k, j = doc["shape"]
-    shapes = [(u, k), (u, n, k), (u,), (k, 3), (k, 2, j)]
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    shape = doc.get("shape") if isinstance(doc, dict) else None
+    if not (isinstance(shape, list) and len(shape) == 4
+            and all(type(size) is int and size > 0 for size in shape)):
+        raise ValueError(f"{path}: shape must list the four sizes U, n, K, J")
+    u, n, k, j = shape
+    noise_prec = doc.get("noise_prec")
+    if type(noise_prec) not in (int, float):
+        raise ValueError(f"{path}: noise_prec is missing or not a number")
     arrays = {}
-    for name, shape in zip(_JSON_ARRAYS, shapes):
+    for name in _JSON_ARRAYS:
         try:
             arrays[name] = np.array(doc[name], dtype=int if name in _INT_ARRAYS else float)
         except (KeyError, TypeError, ValueError):
             raise ValueError(f"{path}: {name} is missing or not a numeric array") from None
+    sticks = arrays["raw_sticks"].shape
+    g = sticks[1] if len(sticks) == 3 else "G"      # G, from the sticks
+    for name, shape in zip(_JSON_ARRAYS, [(u, k), (u, n, k), (u,), (k, 3), (k, g, j)]):
         if arrays[name].shape != shape:
             raise ValueError(f"{path}: {name} has shape {list(arrays[name].shape)}, "
-                             f"expected {list(shape)}")
+                             f"expected [{', '.join(map(str, shape))}]")
     path = directory / "scores.csv"
     scores = scatter(path, read_table(path, _SCORE_HEADER), (u, n, k), 0,
                      complete=True)[..., 0]
     path = directory / "clusters.csv"
     cluster_mean, cluster_prec = np.moveaxis(scatter(
-        path, read_table(path, _CLUSTER_HEADER), (k, 3 + u * j), 0, complete=True),
+        path, read_table(path, _CLUSTER_HEADER), (k, 1 + g + u * j), 0, complete=True),
         2, 0).copy()
-    state = ModelState(
-        scores=scores, noise_prec=doc["noise_prec"],
-        subject_alloc=arrays["subject_alloc"], channel_alloc=arrays["channel_alloc"],
-        cluster_mean=cluster_mean, cluster_prec=cluster_prec,
-        category_weights=arrays["category_weights"], raw_sticks=arrays["raw_sticks"],
-        stick_weights=sticks_to_weights(arrays["raw_sticks"]),
-        group_codes=arrays["group_codes"])
     try:
+        state = ModelState(
+            scores=scores, noise_prec=float(noise_prec),
+            subject_alloc=arrays["subject_alloc"], channel_alloc=arrays["channel_alloc"],
+            cluster_mean=cluster_mean, cluster_prec=cluster_prec,
+            category_weights=arrays["category_weights"], raw_sticks=arrays["raw_sticks"],
+            stick_weights=sticks_to_weights(arrays["raw_sticks"]),
+            group_codes=arrays["group_codes"])
         validate_state(state)
     except ValueError as err:
         raise ValueError(f"{directory}: {err}") from None

@@ -79,8 +79,9 @@ def variation_of_information(a, b) -> float:
 def subject_partition(subject_alloc_dim: np.ndarray,
                       group_codes: np.ndarray) -> np.ndarray:
     """Canonical subject labels for one dimension: category 1 maps to a
-    single shared block, category 2 to one block per clinical group, and
-    category 3 to a singleton per subject.  Leading axes (one row per
+    single shared block (0), category 2 to one block per clinical group
+    (the group code less 1), and category 3 to a singleton per subject,
+    numbered after the last group's label.  Leading axes (one row per
     draw) are kept; the last axis runs over subjects."""
     alloc = np.asarray(subject_alloc_dim, dtype=int)
     codes = np.asarray(group_codes, dtype=int)
@@ -88,7 +89,7 @@ def subject_partition(subject_alloc_dim: np.ndarray,
         raise ValueError("one category per subject expected")
     return np.where(alloc == CAT_COMMON, 0,
                     np.where(alloc == CAT_GROUP, 1 + (codes - GROUP_A),
-                             3 + np.arange(codes.size)))
+                             codes.max(initial=0) + np.arange(codes.size)))
 
 
 def partition_draws(subject_alloc_draws: np.ndarray, group_codes: np.ndarray,

@@ -306,7 +306,8 @@ def draw_state_from_prior(hp: HyperParams, n_subjects: int, n_channels: int,
     cluster_prec = _uniform_sd_draw(rng, bound) ** -2.0
 
     category_weights = np.vstack([rng.dirichlet(hp.category_conc) for _ in range(k)])
-    raw_sticks = _clamp_sticks(rng.beta(1.0, hp.stick_conc[:, None, None], size=(k, 2, j)))
+    raw_sticks = _clamp_sticks(rng.beta(1.0, hp.stick_conc[:, None, None],
+                                        size=(k, hp.n_groups, j)))
     stick_weights = sticks_to_weights(raw_sticks)
 
     subject_alloc = _categorical_draw(
@@ -340,7 +341,7 @@ def initial_state_empirical(basis: EigenBasis, hp: HyperParams,
     j = hp.max_subject_clusters
 
     raw_sticks = np.broadcast_to(
-        (1.0 / (1.0 + hp.stick_conc))[:, None, None], (k, 2, j)).copy()
+        (1.0 / (1.0 + hp.stick_conc))[:, None, None], (k, hp.n_groups, j)).copy()
 
     resid_var = float(np.var(ws.centred - fitted_curves(basis.scores,
                                                          ws.eigenfunctions)))
@@ -424,7 +425,7 @@ def _segment_sum(index: np.ndarray, n_dims: int, n_clusters: int,
 
 
 def cluster_counts(state: ModelState, index: np.ndarray) -> np.ndarray:
-    """Member count of every cluster, (K, 3 + U*J), given the cluster_index
+    """Member count of every cluster, (K, 1 + G + U*J), given the cluster_index
     of the scores."""
     return _segment_sum(index, *state.cluster_mean.shape)
 
@@ -433,7 +434,7 @@ def cluster_mean_params(state: ModelState, prior: np.ndarray, index: np.ndarray,
                         counts: np.ndarray):
     """Normal conditional of every cluster mean given the current
     precisions, the cluster_prior grids, the cluster_index of the scores
-    and the cluster_counts: (location, precision), each (K, 3 + U*J).  An
+    and the cluster_counts: (location, precision), each (K, 1 + G + U*J).  An
     empty cluster gets its prior."""
     sums = _segment_sum(index, *counts.shape, state.scores)
     mean0, prec0, _ = prior
@@ -444,7 +445,7 @@ def cluster_mean_params(state: ModelState, prior: np.ndarray, index: np.ndarray,
 def cluster_prec_params(state: ModelState, index: np.ndarray, counts: np.ndarray,
                         means: np.ndarray):
     """Conditional of every cluster precision given the cluster means (K,
-    3 + U*J): Gamma(shape, rate) truncated below at the cluster_prior
+    1 + G + U*J): Gamma(shape, rate) truncated below at the cluster_prior
     bound's sd_bound^-2, returned as (shape, rate).
 
     The uniform sd prior contributes the -3/2 power and the bound, so the
@@ -489,25 +490,26 @@ def alloc_log_weights(state: ModelState):
 
     The scores are transposed once to (K, U, n).  Categories 1 and 2 sum
     over channels in closed form, n (log p - log 2pi) / 2 - (p / 2) *
-    sum (x - m)^2, taken for the common and both group clusters and then
-    picked by group.  Category 3 takes, per (label, dimension, subject),
-    the log stick weight plus (log p - log 2pi) / 2 and subtracts
-    p/2 (x - m)^2 from it in place.
+    sum (x - m)^2, taken for the common and every group cluster, of which
+    each subject's own group is then picked by index.  Category 3 takes,
+    per (label, dimension, subject), the log stick weight plus
+    (log p - log 2pi) / 2 and subtracts p/2 (x - m)^2 from it in place.
     """
     u, n, k = state.scores.shape
+    shared_end = 1 + state.n_groups         # the common and group slots
     gidx = state.group_codes - GROUP_A
     x = np.ascontiguousarray(state.scores.transpose(2, 0, 1))
     mean, prec = state.cluster_mean, state.cluster_prec
     log_omega = np.log(np.maximum(state.category_weights, 1e-300))
-    dev = x[:, None] - mean[:, :3, None, None]                   # (K, 3, U, n)
+    dev = x[:, None] - mean[:, :shared_end, None, None]          # (K, 1 + G, U, n)
     dev *= dev
-    p = prec[:, :3, None]
+    p = prec[:, :shared_end, None]
     shared = 0.5 * n * (np.log(p) - LOG_2PI) - 0.5 * p * dev.sum(axis=3)
     weights = np.empty((k, u, 3))
     weights[:, :, 0] = log_omega[:, 0, None] + shared[:, 0]
-    weights[:, :, 1] = log_omega[:, 1, None] + np.where(gidx == 0, shared[:, 1], shared[:, 2])
-    m = mean[:, 3:].reshape(k, u, -1).transpose(2, 0, 1)         # (J, K, U)
-    p = prec[:, 3:].reshape(k, u, -1).transpose(2, 0, 1)
+    weights[:, :, 1] = log_omega[:, 1, None] + shared[:, 1 + gidx, np.arange(u)]
+    m = mean[:, shared_end:].reshape(k, u, -1).transpose(2, 0, 1)   # (J, K, U)
+    p = prec[:, shared_end:].reshape(k, u, -1).transpose(2, 0, 1)
     log_sticks = np.log(np.maximum(state.stick_weights, 1e-300))[:, gidx].transpose(2, 0, 1)
     # m repeated along the channels, so that x broadcasts over whole planes
     chan_post = np.repeat(m, n).reshape(m.shape + (n,))
@@ -577,7 +579,7 @@ def stick_counts(state: ModelState) -> np.ndarray:
 
 
 def stick_params(state: ModelState, hp: HyperParams):
-    """Beta(a, b) parameters of every stick conditional, each (K, 2, J)."""
+    """Beta(a, b) parameters of every stick conditional, each (K, G, J)."""
     counts = stick_counts(state)
     total = counts.sum(axis=2, keepdims=True)
     tail = total - np.cumsum(counts, axis=2)
@@ -622,23 +624,28 @@ def gibbs_scan(state: ModelState, ws: Workspace, hp: HyperParams,
 # Chains and archives
 # ---------------------------------------------------------------------------
 
-def scalar_names(n_components: int) -> list[str]:
+def scalar_names(n_components: int, n_groups: int) -> list[str]:
+    """The monitored scalars of a state with n_groups groups, coded 2 ..
+    n_groups + 1."""
     names = ["noise_prec"]
     for k in range(1, n_components + 1):
         names += [f"weight_common[{k}]", f"weight_group[{k}]", f"weight_subject[{k}]",
-                  f"common_mean[{k}]", f"common_prec[{k}]",
-                  f"group_mean[{k},2]", f"group_prec[{k},2]",
-                  f"group_mean[{k},3]", f"group_prec[{k},3]",
-                  f"count_common[{k}]", f"count_group[{k}]", f"count_subject[{k}]"]
+                  f"common_mean[{k}]", f"common_prec[{k}]"]
+        for code in range(GROUP_A, GROUP_A + n_groups):
+            names += [f"group_mean[{k},{code}]", f"group_prec[{k},{code}]"]
+        names += [f"count_common[{k}]", f"count_group[{k}]", f"count_subject[{k}]"]
     return names
 
 
 def _scalar_row(state: ModelState) -> list[float]:
     """The scalar_names values: per dimension the category weights, the
-    mean and precision of grid slots 0-2 (common, then the two groups)
+    mean and precision of grid slots 0 .. G (common, then the groups)
     interleaved, and the category counts."""
-    shared = np.stack([state.cluster_mean[:, :3], state.cluster_prec[:, :3]], axis=2)
-    per_dim = np.concatenate([state.category_weights, shared.reshape(state.n_components, 6),
+    shared_end = 1 + state.n_groups
+    shared = np.stack([state.cluster_mean[:, :shared_end],
+                       state.cluster_prec[:, :shared_end]], axis=2)
+    per_dim = np.concatenate([state.category_weights,
+                              shared.reshape(state.n_components, 2 * shared_end),
                               _category_counts(state.subject_alloc)], axis=1)
     return [state.noise_prec] + per_dim.ravel().tolist()
 
@@ -713,7 +720,7 @@ def run_chain(data: FunctionalDataset, basis: EigenBasis, hp: HyperParams,
         state = initial_state_empirical(basis, hp, ws)
 
     u, n, k = state.scores.shape
-    names = scalar_names(k)
+    names = scalar_names(k, state.n_groups)
     consts = chain_constants(hp, data.group_codes)
 
     def archive(meta=None) -> ChainArchive:
@@ -858,7 +865,7 @@ def _load_checkpoint(directory):
     rng = np.random.default_rng()
     rng.bit_generator.state = doc["rng_state"]
     shape = state.scores.shape
-    scalars = _read_scalars(directory, scalar_names(state.n_components))
+    scalars = _read_scalars(directory, scalar_names(state.n_components, state.n_groups))
     kept = (scalars, _read_categories(directory, len(scalars), shape),
             _read_labels(directory, len(scalars), shape))
     return state, rng, doc["iteration"], kept
@@ -934,6 +941,50 @@ def save_archives(archives: list, run_dir, extra_meta: dict | None = None) -> No
     os.replace(tmp, meta_path)
 
 
+# the sizes (U, n, K) of a chain, from its entry in meta.json
+_SHAPE_KEYS = ("n_subjects", "n_channels", "n_components")
+
+
+def _read_run_meta(meta_path: Path) -> dict:
+    """A run's meta.json, checked for everything load_archives reads from
+    it; a ValueError names the file."""
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as err:
+        raise ValueError(f"{meta_path}: {err}") from None
+    problem = _run_meta_problem(meta)
+    if problem:
+        raise ValueError(f"{meta_path}: {problem}; is this a fit run directory?")
+    return meta
+
+
+def _run_meta_problem(meta) -> str | None:
+    """What a run's meta.json lacks, or None: a chain count, that many
+    chain entries each with its sizes, the scalar names and one integer
+    group code per subject."""
+    if not isinstance(meta, dict):
+        return "not a JSON object"
+    missing = [key for key in ("n_chains", "chains", "scalar_names", "group_codes")
+               if key not in meta]
+    if missing:
+        return f"no {', '.join(missing)}"
+    n_chains, chains, codes = meta["n_chains"], meta["chains"], meta["group_codes"]
+    if type(n_chains) is not int or n_chains < 1:
+        return f"n_chains is {n_chains!r}, not a positive integer"
+    if not isinstance(chains, list) or len(chains) < n_chains:
+        return f"n_chains is {n_chains}, but chains does not list that many"
+    for idx, chain in enumerate(chains[:n_chains]):
+        if not isinstance(chain, dict) or \
+                any(type(chain.get(key)) is not int for key in _SHAPE_KEYS):
+            return f"chain {idx} does not give its sizes {', '.join(_SHAPE_KEYS)}"
+    if not isinstance(meta["scalar_names"], list):
+        return "scalar_names is not a list"
+    if not isinstance(codes, list) or len(codes) != chains[0]["n_subjects"] \
+            or any(type(code) is not int for code in codes):
+        return "group_codes does not give one integer code per subject"
+    return None
+
+
 def load_archives(run_dir, files=CHAIN_FILES) -> list:
     """The chains of a run directory, reading and checking the chain files
     named in files (each command reads only those it uses); the arrays of
@@ -941,16 +992,13 @@ def load_archives(run_dir, files=CHAIN_FILES) -> list:
     draws_scalar.csv, or without it the count meta.json's settings keep."""
     run_dir = Path(run_dir)
     meta_path = run_dir / "meta.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as err:
-        raise ValueError(f"{meta_path}: {err}") from None
+    meta = _read_run_meta(meta_path)
+    group_codes = np.array(meta["group_codes"], dtype=int)
     archives = []
     for idx in range(meta["n_chains"]):
         chain_meta = meta["chains"][idx]
         chain_dir = run_dir / f"chain_{idx:02d}"
-        shape = (chain_meta["n_subjects"], chain_meta["n_channels"],
-                 chain_meta["n_components"])
+        shape = tuple(chain_meta[key] for key in _SHAPE_KEYS)
         scalars = alloc = chan = None
         if "draws_scalar.csv" in files:
             scalars = _read_scalars(chain_dir, meta["scalar_names"])
@@ -969,6 +1017,5 @@ def load_archives(run_dir, files=CHAIN_FILES) -> list:
         archives.append(ChainArchive(
             scalar_names=meta["scalar_names"], scalars=scalars,
             subject_alloc_draws=alloc, channel_alloc_draws=chan,
-            group_codes=np.array(meta["group_codes"], dtype=int),
-            meta=chain_meta))
+            group_codes=group_codes, meta=chain_meta))
     return archives

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .fpca import GROUP_A, GROUP_B, FunctionalDataset, _fix_signs, trapezoid_weights
+from .fpca import GROUP_A, FunctionalDataset, _fix_signs, trapezoid_weights
 from .model import CAT_GROUP, CAT_SUBJECT, fitted_curves
 
 MIN_TIMEPOINTS = 16
@@ -122,7 +122,8 @@ def simulate(design: SimDesign) -> tuple[FunctionalDataset, GroundTruth]:
     rng = np.random.default_rng(design.seed)
     u, n = design.n_subjects, design.n_channels
     time_grid, basis = make_eigenfunctions(design.n_timepoints)
-    group_codes = np.where(np.arange(u) < design.n_group_a, GROUP_A, GROUP_B)
+    # two groups: the first n_group_a subjects, then the rest
+    group_codes = np.where(np.arange(u) < design.n_group_a, GROUP_A, GROUP_A + 1)
     outliers = set(design.outlier_subjects)
 
     scores = np.empty((u, n, 2))

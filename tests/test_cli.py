@@ -29,6 +29,23 @@ def sim_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def three_group_dir(sim_dir, tmp_path_factory):
+    """rep_01 of sim_dir with its last two subjects moved to a third group,
+    code 4: group codes 2, 2, 2, 3, 4, 4."""
+    out = tmp_path_factory.mktemp("three_groups")
+    shutil.copy(sim_dir / "rep_01" / "time_grid.csv", out)
+    lines = (sim_dir / "rep_01" / "data.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    last_two = sorted({row[0] for row in rows}, key=int)[-2:]
+    for row in rows:
+        if row[0] in last_two:
+            row[2] = "4"
+    (out / "data.csv").write_text("\r\n".join([lines[0]] + [",".join(r) for r in rows])
+                                  + "\r\n")
+    return out
+
+
+@pytest.fixture(scope="module")
 def run_dir(sim_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     rc = main(["fit", "--data", str(sim_dir / "rep_01"), "--out", str(out),
@@ -437,14 +454,22 @@ def test_fit_reports_missing_hyperparams_before_writing(sim_dir, tmp_path, capsy
     # read prior constants skip the calibration, which also takes the seed
     (["--hyperparams", "RUN_HP", "--seed", "-1"],
      r"--seed -1 .*: seed must be non-negative, got -1$"),
+    # three group columns in one field, two in the others
+    (["--set", "group_mean_loc=[[0, 0, 0], [0, 0, 0]]"],
+     r"group_mean_prec must have shape \(n_components, n_groups\), here \(2, 3\)$"),
+    # the run's two-group prior constants on data with a third group
+    (["--data", "THREE_GROUPS", "--hyperparams", "RUN_HP"],
+     r"the hyperparameters have 2 group\(s\), but group code 4 in \S+data.csv needs 3$"),
 ], ids=["threshold-0", "threshold-1.5", "penalty", "penalty-nan", "penalty-inf",
         "basis-2", "basis-50", "clusters", "sticks", "unknown-field", "noise-nan",
         "sd-bound-nan", "mean-prec-inf", "mean-loc-nan", "clusters-float",
-        "clusters-bool", "components", "seed", "audit-every", "seed-hyperparams"])
-def test_fit_rejects_flag_values_before_writing(sim_dir, run_dir, tmp_path, capsys,
-                                                flags, message):
-    flags = [str(run_dir / "hyperparams.json") if flag == "RUN_HP" else flag
-             for flag in flags]
+        "clusters-bool", "components", "seed", "audit-every", "seed-hyperparams",
+        "group-columns", "groups"])
+def test_fit_rejects_flag_values_before_writing(sim_dir, run_dir, three_group_dir, tmp_path,
+                                                capsys, flags, message):
+    places = {"RUN_HP": str(run_dir / "hyperparams.json"),
+              "THREE_GROUPS": str(three_group_dir)}
+    flags = [places.get(flag, flag) for flag in flags]
     out = tmp_path / "out"
     line = _usage_error(capsys, ["fit", "--data", str(sim_dir / "rep_01"), "--out",
                                  str(out), "--iters", "20", "--burnin", "10", *flags])
@@ -496,11 +521,37 @@ def test_diagnose_reports_too_few_draws(tmp_path, capsys):
                          "diagnose needs at least 4")
 
 
+def _pop_meta(*keys):
+    """An edit of meta.json's lines that removes the entry at the path keys."""
+    def edit(lines):
+        meta = json.loads("\n".join(lines))
+        *parents, last = keys
+        entry = meta
+        for key in parents:
+            entry = entry[key]
+        entry.pop(last)
+        return [json.dumps(meta)]
+    return edit
+
+
 @pytest.mark.parametrize("command,name,edit,message", [
     ("diagnose", "meta.json", lambda lines: lines[:3], r"meta.json: Expecting .*line 4"),
     ("summarize", "meta.json", lambda lines: lines[:-2] + ["}"], r"meta.json: Expecting"),
     ("summarize", "truth.json", lambda lines: [lines[0][:50]],
      r"truth.json: Expecting value: line 2"),
+    # what load_archives reads of meta.json, missing or short
+    ("diagnose", "meta.json", _pop_meta("n_chains"),
+     r"meta.json: no n_chains; is this a fit run directory\?$"),
+    ("summarize", "meta.json", _pop_meta("chains"), r"meta.json: no chains; is this"),
+    ("diagnose", "meta.json", _pop_meta("scalar_names"),
+     r"meta.json: no scalar_names; is this"),
+    ("summarize", "meta.json", _pop_meta("group_codes"), r"meta.json: no group_codes; is this"),
+    ("diagnose", "meta.json", _pop_meta("chains", 1),
+     r"meta.json: n_chains is 2, but chains does not list that many"),
+    ("summarize", "meta.json", _pop_meta("chains", 1, "n_channels"),
+     r"meta.json: chain 1 does not give its sizes n_subjects, n_channels, n_components"),
+    ("diagnose", "meta.json", _pop_meta("group_codes", 5),
+     r"meta.json: group_codes does not give one integer code per subject"),
 ])
 def test_commands_report_malformed_run_files(sim_dir, run_dir, tmp_path, capsys, command,
                                              name, edit, message):
@@ -524,3 +575,25 @@ def test_summarize_needs_the_kept_draw_count(run_dir, tmp_path, capsys):
     (run / "meta.json").write_text(json.dumps(meta))
     line = _usage_error(capsys, ["summarize", "--run", str(run)])
     assert re.search(r"meta.json: chain 1 has no valid n_iter, burn_in and thin", line)
+
+
+def test_fit_and_summarize_three_groups(three_group_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["fit", "--data", str(three_group_dir), "--out", str(out), "--iters", "60",
+                 "--burnin", "20", "--chains", "1", "--no-smooth",
+                 "--audit-every", "20"]) == 0
+    hp = json.loads((out / "hyperparams.json").read_text())
+    assert np.shape(hp["group_mean_loc"]) == (2, 3)
+    header = (out / "chain_00" / "draws_scalar.csv").read_text().splitlines()[0]
+    assert '"group_mean[1,3]","group_prec[1,3]","group_mean[1,4]","group_prec[1,4]"' \
+        in header
+    assert main(["summarize", "--run", str(out)]) == 0
+    report = json.loads((out / "partitions.json").read_text())
+    assert [len(dim["estimate"]) for dim in report["dimensions"]] == [6, 6]
+
+
+@pytest.mark.parametrize("command", ["diagnose", "summarize"])
+def test_commands_reject_a_simulate_directory(sim_dir, capsys, command):
+    line = _usage_error(capsys, [command, "--run", str(sim_dir)])
+    assert line.endswith(f"{sim_dir / 'meta.json'}: no n_chains, chains, scalar_names, "
+                         "group_codes; is this a fit run directory?")

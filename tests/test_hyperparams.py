@@ -122,6 +122,22 @@ def test_group_code_validation():
         estimate_hyperparams(_basis_from_scores(scores), np.array([2, 2, 2, 2]))
 
 
+def test_three_group_calibration_takes_each_group_alone():
+    # each group column is the recipe applied to that group's scores
+    # alone: here group 4's scores are group 3's shifted by 10
+    rng = np.random.default_rng(8)
+    scores = rng.normal(size=(6, 5, 1))
+    scores[4:] = scores[2:4] + 10.0
+    codes = np.array([2, 2, 3, 3, 4, 4])
+    hp = estimate_hyperparams(_basis_from_scores(scores), codes)
+    assert hp.n_groups == 3
+    np.testing.assert_allclose(hp.group_mean_loc[0, 2], hp.group_mean_loc[0, 1] + 10.0)
+    np.testing.assert_allclose(hp.group_sd_bound[0, 2], hp.group_sd_bound[0, 1])
+    np.testing.assert_array_equal(hp.subject_mean_loc, hp.group_mean_loc)
+    with pytest.raises(ValueError, match="every code in use"):
+        estimate_hyperparams(_basis_from_scores(scores), np.array([2, 2, 4, 4, 4, 4]))
+
+
 def test_scenarios():
     rng = np.random.default_rng(3)
     hp = make_hyperparams(rng)
@@ -175,6 +191,16 @@ def test_validation_errors():
     bad["group_sd_bound"] = [[1.0, 1.0]]
     with pytest.raises(ValueError, match="shape"):
         from_dict(bad)
+    bad = dict(doc)
+    bad["group_sd_bound"] = [[1.0], [1.0]]
+    with pytest.raises(ValueError, match=r"^group_sd_bound must have shape "
+                       r"\(n_components, n_groups\), here \(2, 2\)$"):
+        from_dict(bad)
+    one_group = {name: [row[:1] for row in doc[name]] for name in (
+        "group_mean_loc", "group_mean_prec", "group_sd_bound", "subject_mean_loc",
+        "subject_mean_prec", "subject_sd_bound")}
+    with pytest.raises(ValueError, match="at least 2 groups are needed"):
+        from_dict({**doc, **one_group})
     bad = dict(doc)
     bad["max_subject_clusters"] = 0
     with pytest.raises(ValueError, match="max_subject_clusters"):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,17 +18,22 @@ def test_derive_cluster_labels_mapping():
     channel_alloc = np.full((4, 2, 1), 4)
     channel_alloc[3, :, 0] = [5, 7]
     codes = np.array([2, 2, 3, 3])
-    labels = derive_cluster_labels(subject_alloc, channel_alloc, codes)
+    labels = derive_cluster_labels(subject_alloc, channel_alloc, codes, 2)
     np.testing.assert_array_equal(labels[:, :, 0],
                                   [[1, 1], [2, 2], [3, 3], [5, 7]])
+    # with a third group (code 4) the subject clusters are labelled from 5
+    codes = np.array([2, 4, 3, 3])
+    labels = derive_cluster_labels(subject_alloc, channel_alloc, codes, 3)
+    np.testing.assert_array_equal(labels[:, :, 0],
+                                  [[1, 1], [4, 4], [3, 3], [6, 8]])
 
 
 def test_derive_cluster_labels_validation():
     codes = np.array([2, 3])
     with pytest.raises(ValueError, match="1, 2 or 3"):
-        derive_cluster_labels(np.array([[0], [1]]), np.full((2, 1, 1), 4), codes)
+        derive_cluster_labels(np.array([[0], [1]]), np.full((2, 1, 1), 4), codes, 2)
     with pytest.raises(ValueError, match=">= 4"):
-        derive_cluster_labels(np.array([[1], [1]]), np.full((2, 1, 1), 2), codes)
+        derive_cluster_labels(np.array([[1], [1]]), np.full((2, 1, 1), 2), codes, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -34,7 +42,7 @@ def test_derive_cluster_labels_validation():
 def test_cluster_index_matches_two_where_reference(seed, u, n, k, j):
     state, _, _, rng = random_state_and_workspace(seed, u=u, n=n, k=k, j=j)
     state.subject_alloc[:] = rng.integers(1, 4, size=(u, k))
-    slots = cluster_slots(state.group_codes, j, k)
+    slots = cluster_slots(state.group_codes, 2, j, k)
     index = cluster_index(state, slots)
     np.testing.assert_array_equal(index, reference_cluster_index(state, slots))
     np.testing.assert_array_equal(cluster_index(state), index)
@@ -183,6 +191,39 @@ def test_copy_is_independent():
     clone.subject_alloc[0, 0] = 3
     assert state.scores[0, 0, 0] != clone.scores[0, 0, 0]
     assert state.subject_alloc[0, 0] != 3 or clone.subject_alloc[0, 0] == 3
+
+
+def _edit_state_json(path, key, value):
+    doc = json.loads(path.read_text())
+    if value is _DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("shape", _DROP, r"shape must list the four sizes U, n, K, J$"),
+    ("shape", [5, 4, 2], r"shape must list the four sizes U, n, K, J$"),
+    ("shape", [5, 4, 2, "6"], r"shape must list the four sizes U, n, K, J$"),
+    ("noise_prec", None, r"noise_prec is missing or not a number$"),
+    ("noise_prec", "12.5", r"noise_prec is missing or not a number$"),
+    ("noise_prec", _DROP, r"noise_prec is missing or not a number$"),
+    ("raw_sticks", [[0.5, 0.5], [0.5, 0.5]],
+     r"raw_sticks has shape \[2, 2\], expected \[2, G, 6\]$"),
+], ids=["no-shape", "three-sizes", "text-size", "null-noise", "text-noise", "no-noise",
+        "flat-sticks"])
+def test_load_state_names_the_file_of_a_malformed_state_json(tmp_path, key, value,
+                                                             message):
+    state, _, _, _ = random_state_and_workspace(6)
+    save_state(state, tmp_path)
+    _edit_state_json(tmp_path / "state.json", key, value)
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / "state.json")) + ": "
+                       + message):
+        load_state(tmp_path)
 
 
 def test_state_round_trip(tmp_path):

@@ -99,6 +99,9 @@ def test_subject_partition_mapping():
     codes = np.array([2, 3, 2, 3, 2, 3])
     np.testing.assert_array_equal(subject_partition(alloc, codes),
                                   [0, 0, 1, 2, 7, 8])
+    # three groups: group blocks 1 to 3, singletons after the last, 4 + u
+    codes = np.array([2, 3, 4, 4, 3, 2])
+    np.testing.assert_array_equal(subject_partition(alloc, codes), [0, 0, 3, 3, 8, 9])
     with pytest.raises(ValueError, match="per subject"):
         subject_partition(alloc[:4], codes)
 

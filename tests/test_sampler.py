@@ -662,7 +662,7 @@ def test_run_chain_is_deterministic(tiny_problem):
     np.testing.assert_array_equal(a.scalars, b.scalars)
     np.testing.assert_array_equal(a.subject_alloc_draws, b.subject_alloc_draws)
     np.testing.assert_array_equal(a.channel_alloc_draws, b.channel_alloc_draws)
-    assert a.scalars.shape == (15, len(scalar_names(basis.n_components)))
+    assert a.scalars.shape == (15, len(scalar_names(basis.n_components, 2)))
     assert a.n_draws == cfg.n_draws
 
 

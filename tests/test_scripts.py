@@ -45,6 +45,8 @@ def test_child_env_drops_mlpp_threads_and_sets_pythonpath(monkeypatch, tmp_path)
     monkeypatch.setenv("PYTHONPATH", "/elsewhere")
     env = paired.child_env(tmp_path / "src")
     assert env["PYTHONPATH"] == str(tmp_path / "src")
+    assert [env[name] for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS")] == ["1", "1", "1"]
 
 
 def test_peak_rss_is_the_childs_own(tmp_path):
@@ -52,6 +54,15 @@ def test_peak_rss_is_the_childs_own(tmp_path):
     child = paired.run(tmp_path, ["-c", "pass"])
     assert held.sum() > 0
     assert child.peak_rss_mb < 60
+
+
+def test_peak_rss_counts_the_processes_the_child_waited_for(tmp_path):
+    # a pooled fit's chain workers are forked children of the fit process
+    code = ("import subprocess, sys; "
+            "subprocess.run([sys.executable, '-c', 'held = b\"x\" * (100 << 20)'], "
+            "check=True)")
+    child = paired.run(tmp_path, ["-c", code])
+    assert child.peak_rss_mb >= 100
 
 
 def test_run_exits_naming_the_command_and_its_stderr(tmp_path):

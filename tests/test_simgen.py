@@ -32,7 +32,7 @@ def test_shapes_groups_and_planted_labels():
                        n_group_a=4, seed=1)
     data, truth = simulate(design)
     assert data.values.shape == (10, 6, 50)
-    assert data.n_group_a == 4
+    assert data.n_groups == 2
     np.testing.assert_array_equal(data.group_codes[:4], 2)
     np.testing.assert_array_equal(data.group_codes[4:], 3)
 

@@ -137,7 +137,7 @@ def small_basis() -> EigenBasis:
 
 def small_archive() -> ChainArchive:
     """Two draws of two subjects x two channels, one dimension."""
-    names = scalar_names(1)
+    names = scalar_names(1, 2)
     scalars = np.arange(2 * len(names), dtype=float).reshape(2, -1) / 3.0
     alloc = np.array([[[1], [3]], [[3], [2]]], dtype=np.int8)
     chan = np.full((2, 2, 2, 1), -1, dtype=np.int16)
