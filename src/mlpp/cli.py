@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .diagnostics import (MIN_DRAWS, diagnose_archives, export_density, export_trace,
                           format_diagnostics_table, write_diagnostics_csv)
-from .fpca import (fit_fpca, read_dataset_csv, smooth_dataset, write_basis,
-                   write_dataset_csv, write_time_grid_csv)
+from .fpca import (VAR_THRESHOLD, fit_fpca, read_dataset_csv, smooth_dataset,
+                   write_basis, write_dataset_csv, write_time_grid_csv)
 from .hyperparams import (apply_scenario, estimate_hyperparams,
                           load_hyperparams, save_hyperparams, SCENARIOS)
 from .partitions import (_summarize_dimension, format_partition_table,
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smoothing penalty (default: generalized cross-validation)")
     p.add_argument("--no-smooth", action="store_true",
                    help="skip smoothing and decompose the raw curves")
-    p.add_argument("--var-threshold", type=float, default=0.8)
+    p.add_argument("--var-threshold", type=float, default=VAR_THRESHOLD)
     p.add_argument("--hyperparams", default=None,
                    help="JSON file of prior constants (default: estimate from scores)")
     p.add_argument("--scenario", choices=SCENARIOS, default=None)

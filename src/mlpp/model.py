@@ -174,9 +174,14 @@ def cluster_prior(hp: HyperParams, group_codes: np.ndarray) -> np.ndarray:
     """Prior constants of every cluster in cluster_index slot order:
     location and precision of the normal mean prior and the bound of the
     uniform sd prior, as one (3, K, 1 + G + U*J) array that unpacks into
-    the three grids."""
+    the three grids.  Hyperparameters with fewer groups than the codes
+    need raise a ValueError that names both counts."""
     k, j = hp.n_components, hp.max_subject_clusters
     gidx = np.asarray(group_codes) - GROUP_A
+    needed = int(gidx.max(initial=-1)) + 1
+    if hp.n_groups < needed:
+        raise ValueError(f"the hyperparameters have {hp.n_groups} group(s), but group "
+                         f"code {GROUP_A + needed - 1} needs {needed}")
     common = np.array([np.zeros(k), hp.common_mean_prec, hp.common_sd_bound])
     group = np.array([hp.group_mean_loc, hp.group_mean_prec, hp.group_sd_bound])
     subject = np.array([hp.subject_mean_loc, hp.subject_mean_prec,

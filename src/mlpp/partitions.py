@@ -11,10 +11,16 @@ every summary is computed once per distinct partition and weighted by
 its count: post-processing cost scales with the number of distinct
 partitions, not with the number of draws.  Draws are grouped by the
 partition they name, which is reported as its first sampled labelling.
+
+Beside that work, one dimension's report has a fixed cost of a few dozen
+numpy calls, so the small steps avoid paying more: the category shares
+come from one count, the scores against the truth share one contingency
+table, and the best matching of its blocks runs on Python lists.
 """
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +48,21 @@ def adjusted_rand_index(a, b) -> float:
     0 = chance level).  Degenerate pairs where the correction has a zero
     denominator (for instance two all-singleton partitions) return 1.0
     exactly when the partitions agree."""
-    table = _contingency(a, b)
-    n = int(table.sum())
+    return _table_ari(_contingency(a, b))
+
+
+def _table_ari(table: np.ndarray) -> float:
+    """adjusted_rand_index from the contingency table of the two
+    partitions; the pair counts are exact Python integers."""
+    cells = table.tolist()
 
     def _pairs(counts):
-        counts = counts.astype(np.int64)
-        return int(np.sum(counts * (counts - 1) // 2))
+        return sum(c * (c - 1) // 2 for c in counts)
 
-    index = _pairs(table.ravel())
-    sum_a = _pairs(table.sum(axis=1))
-    sum_b = _pairs(table.sum(axis=0))
+    n = sum(map(sum, cells))
+    index = sum(map(_pairs, cells))
+    sum_a = _pairs(map(sum, cells))
+    sum_b = _pairs(map(sum, zip(*cells)))
     total = n * (n - 1) // 2
     expected = sum_a * sum_b / total if total else 0.0
     max_index = 0.5 * (sum_a + sum_b)
@@ -102,7 +113,15 @@ def _first_occurrences(rows: np.ndarray):
     """First index of each distinct row of a 2-D integer array, in order,
     and each row's index into them.  Rows are compared as raw bytes: a
     one-dimensional np.unique over them sorts several times faster than
-    np.unique(axis=0), which compares them field by field."""
+    np.unique(axis=0), which compares them field by field.  Integer labels
+    are first cast to the narrowest integer type that holds them all, which
+    keeps rows distinct and shortens each key."""
+    rows = np.asarray(rows)
+    if rows.dtype.kind in "iu" and rows.size:
+        narrow = np.promote_types(np.min_scalar_type(rows.min()),
+                                  np.min_scalar_type(rows.max()))
+        if narrow.itemsize < rows.dtype.itemsize:
+            rows = rows.astype(narrow)
     rows = np.ascontiguousarray(rows)
     keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
     _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
@@ -136,17 +155,25 @@ def _same_block(rows: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(values: np.ndarray, lengths) -> np.ndarray:
-    """values[i, :lengths[i]].sum() for every row i of a 2-D array.
+    """values[i, :lengths[i]].sum() for every row i of a 2-D array that
+    holds +0.0 past each row's length.
 
     Rows of one length are summed together along the last axis, where
     numpy sums each row as it sums a one-dimensional array (pairwise, in
     blocks of eight), so every sum equals its own np.sum call bit for bit.
+    Numpy sums fewer than eight elements one after another, and adding
+    +0.0 changes no sum other than -0.0, which neither the probabilities
+    nor the VI cell terms summed here give.  So all rows shorter than eight
+    are summed together, over the first seven columns or fewer.
     """
+    if values.shape[1] < 8:
+        return values.sum(axis=1)
     lengths = np.broadcast_to(lengths, values.shape[:1])
+    spans = np.where(lengths < 8, 7, lengths)
     out = np.empty(values.shape[0])
-    for length in set(lengths.tolist()):
-        pick = lengths == length
-        out[pick] = values[pick, :length].sum(axis=1)
+    for span in set(spans.tolist()):
+        pick = spans == span
+        out[pick] = values[pick, :span].sum(axis=1)
     return out
 
 
@@ -174,21 +201,23 @@ def vi_point_estimate(draws: np.ndarray):
     draws = np.asarray(draws)
     rows, counts, inverse = _distinct(draws)
     same = _same_block(rows)
-    return _vi_point_estimate(rows, inverse, _n_blocks(rows), same,
-                              _similarity(same, counts, draws.shape[0]))
+    best, bound = _vi_point_estimate(rows, inverse, _n_blocks(rows), same,
+                                     _similarity(same, counts, draws.shape[0]))
+    return rows[best].copy(), bound
 
 
 def _vi_point_estimate(candidates, inverse, blocks, same, sim):
     """vi_point_estimate over the distinct partitions of the draws, given
     each one's block count and same-block matrix and the similarity
-    matrix; every candidate is scored in one (C, n, n) pass."""
+    matrix; every candidate is scored in one (C, n, n) pass.  Returns the
+    winning candidate's index and its bound value."""
     n = candidates.shape[1]
     log_sizes = np.log2(same.sum(axis=2)).sum(axis=1)
     log_overlaps = np.log2((sim * same).sum(axis=2)).sum(axis=1)
     mean_log_sizes = np.mean(log_sizes[inverse]) / n
     bounds = log_sizes / n + mean_log_sizes - 2.0 * log_overlaps / n
-    best = np.lexsort((blocks, bounds))[0]
-    return candidates[best].copy(), float(bounds[best])
+    best = int(np.lexsort((blocks, bounds))[0])
+    return best, float(bounds[best])
 
 
 def _vi_to_centre(centre, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -196,10 +225,10 @@ def _vi_to_centre(centre, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     array of labels with the given block counts, bit for bit.
 
     The contingency tables of all rows come from one bincount, with the
-    centre's blocks as table rows: its labels are ranked once, and each
-    row's labels by one sort.  Each table is zero-padded to the most
-    blocks of any row.  The block totals, cells, logarithms and sums are
-    those variation_of_information computes for one table: a sum over
+    centre's blocks as table rows: the centre's labels and each row's are
+    ranked by one sort per labelling.  Each table is zero-padded to the
+    most blocks of any row.  The block totals, cells, logarithms and sums
+    are those variation_of_information computes for one table: a sum over
     table columns is taken over the row's own blocks (_row_sums), and
     the column totals add table rows in order, except for a one-block
     row, whose single column numpy sums pairwise.
@@ -208,14 +237,16 @@ def _vi_to_centre(centre, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     c, n = rows.shape
     if centre.size != n:
         raise ValueError("partitions must label the same items")
-    _, centre_rank = np.unique(centre, return_inverse=True)
+    # rank the labels of each row, the centre last, through flat indices
+    labels = np.vstack([rows, centre])
+    order = np.argsort(labels, axis=1) + np.arange(0, labels.size, n)[:, None]
+    ordered = labels.ravel()[order]
+    rank = np.empty(labels.size, dtype=np.intp)
+    rank[order[:, 0]] = 0
+    rank[order[:, 1:]] = np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    centre_rank = rank[c * n:]
     ka, width = int(centre_rank.max()) + 1, int(blocks.max())
-    order = np.argsort(rows, axis=1, kind="stable")
-    steps = np.diff(np.take_along_axis(rows, order, axis=1), axis=1) != 0
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.concatenate(
-        [np.zeros((c, 1), dtype=order.dtype), np.cumsum(steps, axis=1)], axis=1), axis=1)
-    cells = (np.arange(c)[:, None] * ka + centre_rank) * width + rank
+    cells = (np.arange(c)[:, None] * ka + centre_rank) * width + rank[:c * n].reshape(c, n)
     table = np.bincount(cells.ravel(), minlength=c * ka * width).reshape(c, ka, width)
     p = table / n
     row_p = _row_sums(p.reshape(c * ka, width), np.repeat(blocks, ka)).reshape(c, ka)
@@ -227,8 +258,7 @@ def _vi_to_centre(centre, rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         col_p[single, 0] = _row_sums(p[single, :, 0], ka)
     which, r, k = np.nonzero(table)
     cell = p[which, r, k]
-    with np.errstate(divide="ignore"):
-        terms = np.log2(row_p)[which, r] + np.log2(col_p)[which, k] - 2.0 * np.log2(cell)
+    terms = np.log2(row_p[which, r]) + np.log2(col_p[which, k]) - 2.0 * np.log2(cell)
     counts = np.bincount(which, minlength=c)
     padded = np.zeros((c, counts.max()))
     padded[which, np.arange(which.size) - np.repeat(np.cumsum(counts) - counts, counts)] = \
@@ -264,26 +294,36 @@ def _check_level(level: float) -> None:
 
 def _credible_ball(rows, counts, inverse, blocks, centre, level):
     """credible_ball over the distinct partitions of the draws, given each
-    one's count, block count and the draws' indices into them."""
+    one's count, block count and the draws' indices into them.  Past the
+    distances, the ball is picked from per-partition Python lists: the
+    radius is the distance at which the counts, summed in order of
+    distance, first reach the draws the level asks for."""
     r = inverse.size
-    dist = _vi_to_centre(centre, rows, blocks)
-    radius = float(np.sort(dist[inverse])[int(np.ceil(level * r)) - 1])
-    inside = dist <= radius + 1e-12
+    dist = _vi_to_centre(centre, rows, blocks).tolist()
+    counts, blocks = counts.tolist(), blocks.tolist()
+    needed, held = math.ceil(level * r), 0
+    for i in sorted(range(len(dist)), key=dist.__getitem__):
+        held += counts[i]
+        if held >= needed:
+            radius = dist[i]
+            break
+    inside = [i for i, d in enumerate(dist) if d <= radius + 1e-12]
+    fewest = min(blocks[i] for i in inside)
+    most = max(blocks[i] for i in inside)
 
     def _farthest(pool):
-        far = pool & (dist >= dist[pool].max() - 1e-12)
-        return [{"labels": [int(v) for v in rows[i]],
-                 "n_blocks": int(blocks[i]),
-                 "distance": float(dist[i]),
-                 "frequency": int(counts[i]) / r}
-                for i in np.flatnonzero(far)]
+        far = max(dist[i] for i in pool) - 1e-12
+        picked = [i for i in pool if dist[i] >= far]
+        return [{"labels": labels, "n_blocks": blocks[i], "distance": dist[i],
+                 "frequency": counts[i] / r}
+                for i, labels in zip(picked, rows[picked].astype(int, copy=False).tolist())]
 
     return {
         "level": level,
         "radius": radius,
-        "coverage": float(inside[inverse].mean()),
-        "vertical_upper": _farthest(inside & (blocks == blocks[inside].min())),
-        "vertical_lower": _farthest(inside & (blocks == blocks[inside].max())),
+        "coverage": sum(counts[i] for i in inside) / r,
+        "vertical_upper": _farthest([i for i in inside if blocks[i] == fewest]),
+        "vertical_lower": _farthest([i for i in inside if blocks[i] == most]),
         "horizontal": _farthest(inside),
     }
 
@@ -294,47 +334,59 @@ def _best_matching_total(table: np.ndarray) -> int:
 
     The Hungarian method with row and column potentials on the negated
     table, one augmenting path per row of the shorter side (O(r^2 c)).
-    numpy only: scipy.optimize takes longer to import than a summarize
-    run takes to compute.
+    The tables are small (blocks by blocks), so the method runs on Python
+    lists of integers: numpy would spend more on the dozen calls of each
+    augmenting step than on their arithmetic, and scipy.optimize takes
+    longer to import than a summarize run takes to compute.
     """
     table = np.asarray(table)
     if table.shape[0] > table.shape[1]:
         table = table.T
+    gains = table.tolist()
     n, m = table.shape
-    cost = -table.astype(float)
-    u, v = np.zeros(n + 1), np.zeros(m + 1)
-    owner = np.zeros(m + 1, dtype=int)        # 1-based row matched to column j; 0 = none
-    way = np.zeros(m + 1, dtype=int)
+    u, v = [0] * (n + 1), [0] * (m + 1)
+    owner = [0] * (m + 1)                     # 1-based row matched to column j; 0 = none
+    way = [0] * (m + 1)
     for row in range(1, n + 1):
         owner[0], col = row, 0
-        slack = np.full(m + 1, np.inf)
-        used = np.zeros(m + 1, dtype=bool)
+        slack = [math.inf] * (m + 1)
+        free = list(range(1, m + 1))          # the columns not yet on the path
+        used = [0]
         while owner[col] != 0:
-            used[col] = True
             i = owner[col]
-            reduced = cost[i - 1] - u[i] - v[1:]
-            better = ~used[1:] & (reduced < slack[1:])
-            slack[1:][better] = reduced[better]
-            way[1:][better] = col
-            nxt = 1 + int(np.argmin(np.where(used[1:], np.inf, slack[1:])))
-            delta = slack[nxt]
-            u[owner[used]] += delta
-            v[used] -= delta
-            slack[~used] -= delta
+            gain, ui = gains[i - 1], u[i]
+            delta, nxt = math.inf, 0
+            for j in free:
+                reduced = -gain[j - 1] - ui - v[j]
+                if reduced < slack[j]:
+                    slack[j], way[j] = reduced, col
+                if slack[j] < delta:
+                    delta, nxt = slack[j], j
+            for j in used:
+                u[owner[j]] += delta
+                v[j] -= delta
+            for j in free:
+                slack[j] -= delta
+            free.remove(nxt)
+            used.append(nxt)
             col = nxt
         while col:
             prev = way[col]
             owner[col] = owner[prev]
             col = prev
-    cols = np.flatnonzero(owner[1:])
-    return int(table[owner[1:][cols] - 1, cols].sum())
+    return sum(gains[i - 1][j - 1] for j, i in enumerate(owner) if j and i)
+
+
+def _misclassified(table: np.ndarray) -> int:
+    """misclassification_count from the contingency table of the two
+    partitions."""
+    return int(table.sum()) - _best_matching_total(table)
 
 
 def misclassification_count(estimate, truth) -> int:
     """Smallest number of disagreeing items over all matchings of the
     estimated blocks to the true blocks."""
-    table = _contingency(estimate, truth)
-    return int(table.sum()) - _best_matching_total(table)
+    return _misclassified(_contingency(estimate, truth))
 
 
 def summarize_dimension(subject_alloc_draws: np.ndarray, group_codes: np.ndarray,
@@ -347,31 +399,32 @@ def summarize_dimension(subject_alloc_draws: np.ndarray, group_codes: np.ndarray
 def _summarize_dimension(subject_alloc_draws, group_codes, dim, truth_labels, level):
     """summarize_dimension's report and the similarity matrix behind it."""
     _check_level(level)
-    draws = partition_draws(subject_alloc_draws, group_codes, dim)
+    alloc = np.asarray(subject_alloc_draws, dtype=int)[:, :, dim]
+    draws = subject_partition(alloc, group_codes)
     rows, counts, inverse = _distinct(draws)
     blocks = _n_blocks(rows)
     same = _same_block(rows)
     sim = _similarity(same, counts, draws.shape[0])
-    estimate, bound = _vi_point_estimate(rows, inverse, blocks, same, sim)
+    best, bound = _vi_point_estimate(rows, inverse, blocks, same, sim)
+    estimate = rows[best]
     ball = _credible_ball(rows, counts, inverse, blocks, estimate, level)
-    category_share = {
-        "common": float(np.mean(subject_alloc_draws[:, :, dim] == CAT_COMMON)),
-        "group": float(np.mean(subject_alloc_draws[:, :, dim] == CAT_GROUP)),
-        "subject": float(np.mean(subject_alloc_draws[:, :, dim] == CAT_SUBJECT)),
-    }
+    # integer counts over the size: the floats np.mean of each indicator gives
+    shares = np.bincount(alloc.ravel(), minlength=CAT_SUBJECT + 1).tolist()
+    category_share = {name: shares[cat] / alloc.size for name, cat in
+                      (("common", CAT_COMMON), ("group", CAT_GROUP),
+                       ("subject", CAT_SUBJECT))}
     report = {
         "dim": dim + 1,
-        "estimate": [int(v) for v in estimate],
-        # return_index: a plain np.unique imports numpy.ma (numpy 2.4)
-        "n_blocks": int(np.unique(estimate, return_index=True)[0].size),
+        "estimate": estimate.tolist(),
+        "n_blocks": int(blocks[best]),
         "expected_vi_bound": bound,
         "credible_ball": ball,
         "category_share": category_share,
     }
     if truth_labels is not None:
-        truth_labels = np.asarray(truth_labels)
-        report["ari_to_truth"] = adjusted_rand_index(estimate, truth_labels)
-        report["misclassified"] = misclassification_count(estimate, truth_labels)
+        table = _contingency(estimate, truth_labels)
+        report["ari_to_truth"] = _table_ari(table)
+        report["misclassified"] = _misclassified(table)
     return report, sim
 
 

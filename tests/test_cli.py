@@ -597,3 +597,18 @@ def test_commands_reject_a_simulate_directory(sim_dir, capsys, command):
     line = _usage_error(capsys, [command, "--run", str(sim_dir)])
     assert line.endswith(f"{sim_dir / 'meta.json'}: no n_chains, chains, scalar_names, "
                          "group_codes; is this a fit run directory?")
+
+
+def test_default_variance_threshold_keeps_the_planted_dimensions(tmp_path):
+    # at the default design the first component of seed 15 explains 0.802
+    # of the variance: a threshold of 0.8 kept it alone and dropped the
+    # planted dimension 2, the default keeps both
+    assert main(["simulate", "--seed", "15", "--out", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "run"
+    assert main(["fit", "--data", str(tmp_path / "sim" / "rep_01"), "--out", str(out),
+                 "--iters", "40", "--burnin", "20", "--chains", "1"]) == 0
+    basis = json.loads((out / "basis" / "basis.json").read_text())
+    assert basis["n_components"] == 2
+    assert main(["summarize", "--run", str(out)]) == 0
+    report = json.loads((out / "partitions.json").read_text())
+    assert [dim["dim"] for dim in report["dimensions"]] == [1, 2]

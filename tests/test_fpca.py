@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlpp.fpca import (FunctionalDataset, _fix_signs, fit_fpca, read_basis,
-                       read_dataset_csv, read_time_grid_csv, reconstruct,
+from mlpp.fpca import (VAR_THRESHOLD, FunctionalDataset, _fix_signs, fit_fpca,
+                       read_basis, read_dataset_csv, read_time_grid_csv, reconstruct,
                        smooth_dataset, trapezoid_weights, write_basis,
                        write_dataset_csv, write_time_grid_csv)
 from mlpp.simgen import SimDesign, make_eigenfunctions, simulate
@@ -58,7 +58,7 @@ def test_rank_two_shares_match_score_variances():
                                expected / expected.sum(), atol=1e-8)
 
 
-def _svd_reference(data, var_threshold=0.8, min_component_share=0.15):
+def _svd_reference(data, var_threshold=VAR_THRESHOLD, min_component_share=0.15):
     """fPCA from the SVD of the sqrt(w)-weighted centred curve matrix:
     (K, eigenvalues, shares, sign-fixed eigenfunctions, scores)."""
     u, n, t = data.values.shape

@@ -8,6 +8,7 @@ third group takes the same code path as the two the other tests use.
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from mlpp.fpca import FunctionalDataset, fit_fpca, smooth_dataset
@@ -15,8 +16,11 @@ from mlpp.hyperparams import HyperParams, estimate_hyperparams
 from mlpp.model import cluster_index, load_state, save_state, validate_state
 from mlpp.partitions import adjusted_rand_index, partition_draws, vi_point_estimate
 from mlpp.sampler import (SamplerConfig, Workspace, _scalar_row, draw_state_from_prior,
-                          gibbs_scan, run_chain, scalar_names)
+                          gibbs_scan, initial_state_empirical, make_workspace, run_chain,
+                          scalar_names)
 from mlpp.simgen import SimDesign, make_eigenfunctions, simulate
+
+from conftest import make_hyperparams
 
 THREE_CODES = np.array([2, 2, 3, 3, 4, 4])
 
@@ -131,3 +135,22 @@ def test_three_group_state_layout_and_snapshot(tmp_path):
         np.testing.assert_array_equal(getattr(back, name), getattr(state, name))
     np.testing.assert_array_equal(back.cluster_label, label)
 
+
+
+def test_too_few_hyperparameter_groups_name_both_counts():
+    # two-group prior constants for codes 2, 3, 4, 4: every library entry
+    # point stops in cluster_prior with fit's message, not an IndexError
+    rng = np.random.default_rng(26)
+    codes = np.array([2, 3, 4, 4])
+    time_grid, modes = make_eigenfunctions(20)
+    data = FunctionalDataset(rng.normal(size=(4, 3, 2)) @ modes.T, time_grid, codes)
+    basis = fit_fpca(data)
+    hp = make_hyperparams(rng, k=basis.n_components)
+    message = r"the hyperparameters have 2 group\(s\), but group code 4 needs 3"
+    with pytest.raises(ValueError, match=message):
+        draw_state_from_prior(hp, 4, 3, codes, rng)
+    with pytest.raises(ValueError, match=message):
+        initial_state_empirical(basis, hp, make_workspace(data, basis))
+    for init_mode in ("empirical", "prior_draw"):
+        with pytest.raises(ValueError, match=message):
+            run_chain(data, basis, hp, SamplerConfig(n_iter=2, init_mode=init_mode))

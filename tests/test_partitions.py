@@ -177,13 +177,38 @@ def test_credible_ball_degenerate_and_mixed():
 
 
 def test_best_matching_total_matches_scipy_assignment():
+    # square, tall and wide tables, up to 8 a side in even trials and up
+    # to 40 a side in odd ones
     from scipy.optimize import linear_sum_assignment
     rng = np.random.default_rng(12)
-    for _ in range(300):
-        table = rng.integers(0, 20, size=rng.integers(1, 9, size=2))
+    for trial in range(300):
+        table = rng.integers(0, 20, size=rng.integers(1, 41 if trial % 2 else 9, size=2))
         table[rng.random(table.shape) < 0.4] = 0
         rows, cols = linear_sum_assignment(-table)
         assert _best_matching_total(table) == table[rows, cols].sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda g: st.tuples(
+    st.permutations(range(2, g + 2)), st.lists(st.integers(2, g + 1), max_size=6))),
+    st.integers(1, 30), st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.data())
+def test_summary_report_equals_separate_summaries(codes, r, k, seed, data):
+    # n_blocks, category_share, ari_to_truth and misclassified against one
+    # np.unique, np.mean or metric call each on the reported estimate
+    codes = np.array(codes[0] + codes[1])
+    rng = np.random.default_rng(seed)
+    alloc = rng.integers(1, 4, size=(r, codes.size, k))
+    alloc[rng.random(alloc.shape) < data.draw(st.floats(0.0, 1.0))] = 2
+    dim = data.draw(st.integers(0, k - 1))
+    truth = np.array(data.draw(st.lists(st.integers(0, 4), min_size=codes.size,
+                                        max_size=codes.size)))
+    report = summarize_dimension(alloc, codes, dim, truth_labels=truth)
+    estimate = np.array(report["estimate"])
+    assert report["n_blocks"] == np.unique(estimate).size
+    for name, cat in (("common", 1), ("group", 2), ("subject", 3)):
+        assert report["category_share"][name] == np.mean(alloc[:, :, dim] == cat)
+    assert report["ari_to_truth"] == adjusted_rand_index(estimate, truth)
+    assert report["misclassified"] == misclassification_count(estimate, truth)
 
 
 def test_misclassification_count_cases():
